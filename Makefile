@@ -1,19 +1,20 @@
 GO ?= go
 
-.PHONY: check build test vet race bench bench-record trace-check serve-check fleet-check gate-check analyze lint verify-check fuzz-smoke fmt
+.PHONY: check build test vet race bench bench-record trace-check serve-check fleet-check gate-check analyze verify-check fuzz-smoke fmt
 
-# check is the full pre-merge gate, in order: go vet, then the repo's own
-# static-analysis suite (`analyze` — determinism taint, lock discipline,
-# goroutine lifecycle, plus the migrated vgiwlint checks, all in strict
-# suppression-audit mode, a hard failure), then build, the test suite under
-# the race detector, the verifier gates (invalid-kernel corpus, checked
-# pipelines, a short fuzz smoke), one iteration of each perf-guard
-# benchmark (allocs/op regressions show up even at -benchtime=1x), the
-# trace/metrics schema gate, the metric regression gate against the
-# checked-in baselines, the daemon smoke test, and the fleet sweep gate
-# (3 workers, a mid-sweep SIGKILL, byte-identical merged results). Static
-# gates run first so a bad tree fails in seconds, not after the benches.
-check: vet analyze build race verify-check fuzz-smoke bench trace-check gate-check serve-check fleet-check
+# check is the full pre-merge gate, in order: gofmt, go vet, then the repo's
+# own static-analysis suite (`analyze` — determinism taint, lock discipline,
+# goroutine lifecycle, hot-path allocations, trace.Sink nil guards and
+# context polling, all in strict suppression-audit mode, a hard failure),
+# then build, the test suite under the race detector, the verifier gates
+# (invalid-kernel corpus, checked pipelines, a short fuzz smoke), one
+# iteration of each perf-guard benchmark (allocs/op regressions show up
+# even at -benchtime=1x), the trace/metrics schema gate, the metric
+# regression gate against the checked-in baselines, the daemon smoke test,
+# and the fleet sweep gate (3 workers, a mid-sweep SIGKILL, byte-identical
+# merged results). Static gates run first so a bad tree fails in seconds,
+# not after the benches.
+check: fmt vet analyze build race verify-check fuzz-smoke bench trace-check gate-check serve-check fleet-check
 
 # analyze runs cmd/vgiwcheck (internal/analysis) over the whole module in
 # strict mode: every finding must be fixed or carry a justified
@@ -22,12 +23,6 @@ check: vet analyze build race verify-check fuzz-smoke bench trace-check gate-che
 analyze:
 	$(GO) run ./cmd/vgiwcheck -root . -strict-suppressions -json > /dev/null || \
 		{ $(GO) run ./cmd/vgiwcheck -root . -strict-suppressions 1>&2; exit 1; }
-
-# lint is the deprecated alias for the three original vgiwlint checks
-# (hotpath, nilguard, ctxpoll); `analyze` runs them and more. Kept until
-# nothing invokes vgiwlint directly.
-lint:
-	$(GO) run ./cmd/vgiwlint -root .
 
 # verify-check exercises the kernel-IR verifier: the invalid-kernel corpus
 # must produce its exact diagnostics, every registry kernel must compile
@@ -62,10 +57,10 @@ race:
 # fails — wall-clock numbers are too noisy for a hard gate) when ns/op
 # regresses >10% against the last entry recorded in BENCH_engine.json.
 ENGINE_BENCH = BenchmarkEngineHotPath|BenchmarkEngineVector|BenchmarkEngineFast
-# The memory-model microbenchmarks (AccessWord vs AccessVector across bank
-# counts and conflict rates) ride the same trajectory file; -threads 0 skips
-# the threads/sec derivation, which only makes sense for the engine scenarios.
-MEM_BENCH = BenchmarkMemAccessWord|BenchmarkMemAccessVector
+# The memory-model microbenchmark (AccessWord across bank counts and
+# conflict rates) rides the same trajectory file; -threads 0 skips the
+# threads/sec derivation, which only makes sense for the engine scenarios.
+MEM_BENCH = BenchmarkMemAccessWord
 # The fleet coordinator microbenchmark pushes a 64-job matrix through the
 # full dispatch path (ledger, scheduling, HTTP round-trip) against an
 # instant stub worker, so ns/op is pure coordination overhead; it rides the
@@ -125,5 +120,6 @@ serve-check:
 fleet-check:
 	$(GO) test -run TestFleetCheck ./cmd/vgiwctl
 
+# fmt fails when any Go file is not gofmt-clean, listing the offenders.
 fmt:
-	gofmt -l .
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

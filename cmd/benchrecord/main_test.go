@@ -31,15 +31,15 @@ func TestStripUniformSuffix(t *testing.T) {
 		},
 		{
 			"mixed digit labels kept (GOMAXPROCS=1)",
-			"BenchmarkMemAccessVector/banks-32 100 1000 ns/op\n" +
-				"BenchmarkMemAccessVector/banks-8 100 1200 ns/op\n",
-			[]string{"BenchmarkMemAccessVector/banks-32", "BenchmarkMemAccessVector/banks-8"},
+			"BenchmarkMemAccessWord/banks-32 100 1000 ns/op\n" +
+				"BenchmarkMemAccessWord/banks-8 100 1200 ns/op\n",
+			[]string{"BenchmarkMemAccessWord/banks-32", "BenchmarkMemAccessWord/banks-8"},
 		},
 		{
 			"digit labels with procs suffix: only procs stripped",
-			"BenchmarkMemAccessVector/banks-32-4 100 1000 ns/op\n" +
-				"BenchmarkMemAccessVector/banks-8-4 100 1200 ns/op\n",
-			[]string{"BenchmarkMemAccessVector/banks-32", "BenchmarkMemAccessVector/banks-8"},
+			"BenchmarkMemAccessWord/banks-32-4 100 1000 ns/op\n" +
+				"BenchmarkMemAccessWord/banks-8-4 100 1200 ns/op\n",
+			[]string{"BenchmarkMemAccessWord/banks-32", "BenchmarkMemAccessWord/banks-8"},
 		},
 		{
 			"no suffix at all untouched",

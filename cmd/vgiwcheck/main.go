@@ -1,8 +1,8 @@
 // Command vgiwcheck runs the repo's static-analysis suite
 // (internal/analysis) over the module: the determinism-taint, lock-
-// discipline, and goroutine-lifecycle passes, plus the three checks
-// migrated from vgiwlint (hotpath, nilguard, ctxpoll). Exit status 1 when
-// findings exist, 2 on usage or analysis errors.
+// discipline, and goroutine-lifecycle passes, plus the hotpath, nilguard
+// and ctxpoll source-shape checks. Exit status 1 when findings exist, 2 on
+// usage or analysis errors.
 //
 // Usage:
 //

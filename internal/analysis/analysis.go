@@ -1,7 +1,6 @@
 // Package analysis is the repo's multi-pass static-analysis framework: a
 // shared whole-module loader over go/parser + go/types (stdlib only, no
-// external dependencies — the same constraint internal/lint proved out),
-// a set of type-aware passes with cross-package fact propagation, source-
+// external dependencies), a set of type-aware passes with cross-package fact propagation, source-
 // positioned diagnostics, //vgiw:allow suppressions with unused-suppression
 // auditing, and JSON/human output. cmd/vgiwcheck fronts it; `make analyze`
 // gates `make check` on it.
@@ -23,8 +22,8 @@
 //   - golife: every `go` statement must be tied to a context, a WaitGroup,
 //     or a stop channel reachable from its body — untied goroutines are
 //     how drains and SIGTERM snapshots go incomplete.
-//   - hotpath, nilguard, ctxpoll: the three vgiwlint checks, migrated onto
-//     this driver (internal/lint is now a thin shim over them).
+//   - hotpath, nilguard, ctxpoll: hot-path allocation bans, trace.Sink
+//     nil-receiver guards and strided context polling.
 //
 // A pass may export facts keyed by types.Object; units are analyzed in
 // dependency order, so facts exported by a callee package are visible when

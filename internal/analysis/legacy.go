@@ -1,6 +1,5 @@
-// The three original vgiwlint checks, migrated onto the analysis driver.
-// Messages and semantics are preserved exactly — internal/lint is now a
-// thin shim over these passes, and its fixture tests pin the behavior.
+// The three source-shape checks; the corpus under testdata/analysis pins
+// their exact diagnostics.
 //
 //   - hotpath: //vgiw:hotpath functions must not allocate (append, map
 //     literals, make(map), closures, fmt calls). Pre-sized slice make is
@@ -22,7 +21,7 @@ import (
 )
 
 // MarkerHotpath and MarkerCoarsepoll are the magic doc-comment markers the
-// legacy checks key on.
+// hotpath and ctxpoll checks key on.
 const (
 	MarkerHotpath    = "//vgiw:hotpath"
 	MarkerCoarsepoll = "//vgiw:coarsepoll"

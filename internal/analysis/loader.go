@@ -2,9 +2,9 @@
 // once, through one importer chain, so types.Object identity holds across
 // packages and facts can be keyed on objects. Module-internal imports are
 // resolved by this loader itself (recursively, with a cache); everything
-// else falls through to the stdlib source importer — the same resolver
-// internal/lint used, but shared across the whole run instead of rebuilt
-// per package, which is what makes a whole-module analysis affordable.
+// else falls through to the stdlib source importer, shared across the whole
+// run instead of rebuilt per package, which is what makes a whole-module
+// analysis affordable.
 
 package analysis
 
@@ -199,20 +199,6 @@ func LoadPackages(root, modPath string, rels []string) (*Program, error) {
 		}
 		u.Report = true
 	}
-	return l.program(), nil
-}
-
-// LoadDir loads the single package in dir under the given import path,
-// with no module siblings — module-external imports resolve through the
-// source importer. It exists for standalone fixtures (internal/lint's
-// testdata) and the thin lint shim.
-func LoadDir(dir, pkgPath string) (*Program, error) {
-	l := newLoader(dir, pkgPath)
-	u, err := l.load(pkgPath)
-	if err != nil {
-		return nil, err
-	}
-	u.Report = true
 	return l.program(), nil
 }
 

@@ -1,4 +1,4 @@
-// Output rendering: the human form mirrors vgiwlint/go vet
+// Output rendering: the human form mirrors go vet
 // ("file:line:col: check: msg", paths relative to the module root so
 // output is stable across checkouts); the JSON form is the machine
 // contract `make analyze` and any future tooling consume.

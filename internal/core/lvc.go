@@ -18,12 +18,6 @@ type LVC struct {
 	sink  *trace.Sink
 	track trace.TrackID
 
-	// Batch scratch for AccessVector, reused across waves.
-	vword []int64
-	vline []int64
-	vwr   []bool
-	vres  []mem.AccessResult
-
 	Loads  uint64
 	Stores uint64
 }
@@ -110,72 +104,6 @@ func (l *LVC) Access(lv, tid int, write bool, value uint32, now int64) (uint32, 
 		out = l.matrix[lv][tid]
 	}
 	return out, done
-}
-
-// AccessVector settles one LV node's accesses for a whole wave, equivalent
-// to calling Access once per element in order (tid = tids[k]-tidOff): the
-// LVC cache legs settle per bank via mem.(*Cache).AccessBankedVector, while
-// the order-sensitive pieces — L2 spill/fill traffic, trace events, and the
-// matrix reads/writes — run in original element order, so completion cycles,
-// stats, cache state and the trace stream are byte-identical to the serial
-// loop. Scratch is reused across calls; steady-state waves allocate nothing.
-//
-//vgiw:hotpath
-func (l *LVC) AccessVector(lv, tidOff int, tids []int, write bool, values []uint32, issues []int64, words []uint32, dones []int64) {
-	n := len(tids)
-	if write {
-		l.Stores += uint64(n)
-	} else {
-		l.Loads += uint64(n)
-	}
-	if cap(l.vword) < n {
-		l.vword = make([]int64, n+n/2+8)
-		l.vline = make([]int64, n+n/2+8)
-		l.vwr = make([]bool, n+n/2+8)
-		l.vres = make([]mem.AccessResult, n+n/2+8)
-	}
-	wordPl, linePl, wr := l.vword[:n], l.vline[:n], l.vwr[:n]
-	lineBytes := int64(l.cache.Config().LineBytes)
-	for k := 0; k < n; k++ {
-		word := int64(lv)*int64(l.threads) + int64(tids[k]-tidOff)
-		wordPl[k] = word
-		linePl[k] = word * 4 / lineBytes
-		wr[k] = write
-	}
-	res := l.vres[:n]
-	l.cache.AccessBankedVector(linePl, wordPl, wr, issues, res)
-
-	hitLat := int64(l.cache.Config().HitLat)
-	for k := 0; k < n; k++ {
-		r := res[k]
-		done := r.Ready + hitLat
-		if r.Writeback >= 0 {
-			l.sys.AccessViaL2(r.Writeback, true, r.Ready)
-		}
-		if !r.Hit {
-			done = l.sys.AccessViaL2(linePl[k], false, r.Ready) + hitLat
-		}
-		if l.sink.Enabled(trace.CatLVC) {
-			tid := tids[k] - tidOff
-			name := "lvc.hit"
-			if !r.Hit {
-				name = "lvc.miss"
-			}
-			l.sink.Emit(trace.Event{Name: name, Cat: trace.CatLVC, Phase: trace.PhaseInstant,
-				Track: l.track, Ts: issues[k], K1: "lv", V1: int64(lv), K2: "tid", V2: int64(tid)})
-			if r.Writeback >= 0 {
-				l.sink.Emit(trace.Event{Name: "lvc.spill", Cat: trace.CatLVC, Phase: trace.PhaseInstant,
-					Track: l.track, Ts: r.Ready, K1: "line", V1: r.Writeback})
-			}
-		}
-		if write {
-			l.matrix[lv][tids[k]-tidOff] = values[k]
-			words[k] = 0
-		} else {
-			words[k] = l.matrix[lv][tids[k]-tidOff]
-		}
-		dones[k] = done
-	}
 }
 
 // AccessFast is the functional twin of Access for the engine's fast mode:

@@ -327,9 +327,6 @@ func (m *Machine) runTile(ctx context.Context, ck *compile.CompiledKernel, place
 	hooks.AccessLVFast = func(lv, tid int, write bool, value uint32) uint32 {
 		return lvc.AccessFast(lv, tid-base, write, value)
 	}
-	hooks.AccessLVVector = func(lv int, tids []int, store bool, values []uint32, issues []int64, words []uint32, dones []int64) {
-		lvc.AccessVector(lv, base, tids, store, values, issues, words, dones)
-	}
 	curBlock := 0
 	hooks.Branch = func(tid int, cond uint32, now int64) {
 		t := k.Blocks[curBlock].Term

@@ -11,23 +11,16 @@ import (
 )
 
 // hotPathSetup builds the steady-state scenario shared by the hot-path
-// benchmark and the zero-alloc guard: a one-block kernel, placed once, with a
-// warm engine whose arenas already fit the placement. singleMem selects a
-// one-memory-node kernel (store only), the shape where the batched executor's
-// wave-vector path engages; the default load+store kernel has two stateful
-// nodes and keeps the per-lane walk.
-func hotPathSetup(tb testing.TB, opt Options, singleMem bool) (*Engine, *fabric.Placement, []int, *Hooks) {
+// benchmark and the zero-alloc guard: a one-block load+store kernel, placed
+// once, with a warm engine whose arenas already fit the placement.
+func hotPathSetup(tb testing.TB, opt Options) (*Engine, *fabric.Placement, []int, *Hooks) {
 	tb.Helper()
 	bld := kir.NewBuilder("hotpath")
 	bld.SetParams(1)
 	bld.SetBlock(bld.NewBlock("entry"))
 	addr := bld.Add(bld.Param(0), bld.Tid())
-	if singleMem {
-		bld.Store(addr, 0, bld.FAdd(addr, addr))
-	} else {
-		v := bld.Load(addr, 0)
-		bld.Store(addr, 0, bld.FAdd(v, v))
-	}
+	v := bld.Load(addr, 0)
+	bld.Store(addr, 0, bld.FAdd(v, v))
 	bld.Ret()
 	k := bld.MustBuild()
 
@@ -75,8 +68,8 @@ func hotPathSetup(tb testing.TB, opt Options, singleMem bool) (*Engine, *fabric.
 // filtered-sink variant pins the tracing overhead contract: a sink whose mask
 // excludes CatEngine must also cost 0 allocs/op.
 func BenchmarkEngineHotPath(b *testing.B) {
-	run := func(b *testing.B, opt Options, singleMem bool) {
-		e, p, threads, hooks := hotPathSetup(b, opt, singleMem)
+	run := func(b *testing.B, opt Options) {
+		e, p, threads, hooks := hotPathSetup(b, opt)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -85,25 +78,9 @@ func BenchmarkEngineHotPath(b *testing.B) {
 			}
 		}
 	}
-	b.Run("no-sink", func(b *testing.B) { run(b, Options{}, false) })
+	b.Run("no-sink", func(b *testing.B) { run(b, Options{}) })
 	b.Run("filtered-sink", func(b *testing.B) {
-		run(b, Options{Trace: trace.NewSink(trace.CatVGIW)}, false)
-	})
-	// The vec pair isolates the wave-vector memory path: the same
-	// single-store kernel with the vector hook active (vec) and severed
-	// (vec-scalar-hook), so their delta is the AccessVector batching win.
-	b.Run("vec", func(b *testing.B) { run(b, Options{}, true) })
-	b.Run("vec-scalar-hook", func(b *testing.B) {
-		e, p, threads, hooks := hotPathSetup(b, Options{}, true)
-		hooks.AccessMemVector = nil
-		hooks.AccessLVVector = nil
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.RunVector(p, threads, 0, hooks); err != nil {
-				b.Fatal(err)
-			}
-		}
+		run(b, Options{Trace: trace.NewSink(trace.CatVGIW)})
 	})
 }
 
@@ -118,17 +95,15 @@ func BenchmarkEngineHotPath(b *testing.B) {
 // hot path would be — can fail it.
 func TestEngineHotPathZeroAllocDisabledSink(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		opt       Options
-		singleMem bool
+		name string
+		opt  Options
 	}{
-		{"no-sink", Options{}, false},
-		{"filtered-sink", Options{Trace: trace.NewSink(trace.CatVGIW)}, false},
-		{"scalar", Options{Scalar: true}, false},
-		{"fast", Options{Fast: true}, false},
-		{"vec", Options{}, true}, // wave-vector memory path (AccessMemVector)
+		{"no-sink", Options{}},
+		{"filtered-sink", Options{Trace: trace.NewSink(trace.CatVGIW)}},
+		{"scalar", Options{Scalar: true}},
+		{"fast", Options{Fast: true}},
 	} {
-		e, p, threads, hooks := hotPathSetup(t, tc.opt, tc.singleMem)
+		e, p, threads, hooks := hotPathSetup(t, tc.opt)
 		min := -1.0
 		for round := 0; round < 5; round++ {
 			allocs := testing.AllocsPerRun(1, func() {

@@ -46,13 +46,12 @@ const (
 // The batch executor exploits this — it resolves a Param once per node
 // rather than once per thread, and evaluates geometry and parameter values
 // node-major rather than thread-major. AccessMem, AccessLV and Branch carry
-// the run's side effects and are always invoked in exact thread-major order
-// (all of thread t's accesses before any of thread t+1's), whichever
-// executor runs. The vector hooks preserve that contract in batched form:
-// when AccessMemVector/AccessLVVector are non-nil the batch executor may
-// replace a run of per-element calls with one vector call whose element
-// planes are those same threads in the same order, and the vector
-// implementation must be observably identical to the per-element loop.
+// the run's side effects: each call is one element (one thread's access or
+// terminator), and the calls arrive in exact thread-major order (all of
+// thread t's calls before any of thread t+1's), whichever executor runs.
+// That holds on the error path too: a run stops at the first failing call,
+// and the timed executors (scalar and batched) have made identical calls up
+// to it.
 type Hooks struct {
 	// Param returns scalar launch parameter i.
 	Param func(i int) uint32
@@ -66,21 +65,6 @@ type Hooks struct {
 	// AccessLV reads or writes live value lv for a thread through the LVC.
 	// Unused by SGMF graphs (which have no LV nodes).
 	AccessLV func(lv int, tid int, write bool, value uint32, now int64) (word uint32, done int64)
-	// AccessMemVector settles one memory node's accesses for a whole wave
-	// chunk in a single call: parallel element planes of address, store
-	// value, thread id and issue cycle go in; loaded words and completion
-	// cycles come back in words/dones. The implementation must be exactly
-	// equivalent to calling AccessMem once per element in order — same
-	// functional effects, same timing-model state, same first failing
-	// element on errors (mem.System.AccessVector provides the timing leg).
-	// When nil, the batch executor falls back to the per-element AccessMem
-	// walk, so SIMT/SGMF environments and third-party hooks keep working
-	// unchanged.
-	AccessMemVector func(space Space, addrs []int64, store bool, values []uint32, tids []int, issues []int64, words []uint32, dones []int64) error
-	// AccessLVVector is AccessMemVector's live-value twin: one LV node's
-	// accesses for a whole wave in a single call, exactly equivalent to the
-	// per-element AccessLV walk. When nil, the per-element walk runs.
-	AccessLVVector func(lv int, tids []int, store bool, values []uint32, issues []int64, words []uint32, dones []int64)
 	// Branch reports a thread's terminator outcome so the caller can update
 	// the control vector table. cond is meaningful only for TermBranch; now
 	// is the cycle the terminator CVU delivers its batch packet, which is
@@ -104,7 +88,9 @@ type Hooks struct {
 type Options struct {
 	// InOrderThreads disables out-of-order thread overtaking: every node
 	// processes threads in injection order (ablation for the reservation
-	// buffers' dynamic dataflow).
+	// buffers' dynamic dataflow). In-order runs take the scalar walk: the
+	// previous thread's completion at every node couples threads in a way
+	// the batched executor's closed-form timing does not model.
 	InOrderThreads bool
 	// Profile records per-node latency statistics into Stats.NodeLatency.
 	Profile bool
@@ -115,11 +101,13 @@ type Options struct {
 	// CatEngine forces the scalar executor, which emits firing events in
 	// the reference per-thread order.
 	Trace *trace.Sink
-	// Scalar forces the reference per-thread graph walk (runThread) instead
+	// Scalar forces the reference per-thread graph walk (runScalar) instead
 	// of the batched executor. The batched path is bit-exact with the
-	// scalar one — results and every cycle-level metric — which the
-	// differential suite enforces; Scalar exists as the oracle escape
-	// hatch, not a semantic knob.
+	// scalar one — results, every cycle-level metric, and the hook call
+	// sequence, error path included — which the differential suite
+	// enforces; Scalar exists as the oracle escape hatch, not a semantic
+	// knob. In-order runs, CatEngine tracing and placements that share a
+	// unit between nodes take the scalar walk whatever Scalar says.
 	Scalar bool
 	// Fast runs the functional-only executor: identical results and op
 	// counts, but no cycle or occupancy accounting (EndCycle == StartCycle,
@@ -264,20 +252,6 @@ type Engine struct {
 	pendInj []int64 // per-replica inject cycle of the first pending thread
 	repCnt  []int64 // per-replica lane count of the current wave (collapsed profile)
 
-	// wave-vector batch planes (execDynWaveVec): gathered element planes
-	// for the single stateful node's chunked AccessMemVector/AccessLVVector
-	// calls, plus the per-lane ready cache and per-replica chunk bookkeeping.
-	vAddr  []int64
-	vVal   []uint32
-	vTid   []int
-	vIssue []int64
-	vWord  []uint32
-	vDone  []int64
-	vLane  []int32
-	vReady []int64 // per lane: the stateful node's ready cycle
-	vMax   []int64 // per replica: running max ready in the open chunk
-	vPend  []int32 // per replica: unsettled chunk members
-
 	// stats is the reusable result buffer handed out by RunVector when
 	// profiling is off (profiled runs get a fresh Stats, since callers
 	// retain those per block).
@@ -337,8 +311,9 @@ func (e *Engine) RunVectorCtx(ctx context.Context, p *fabric.Placement, threads 
 
 	// Executor selection: CatEngine tracing pins the scalar reference walk
 	// (its per-thread order is what the firing-event stream documents);
-	// otherwise Fast takes the functional-only path and everything else the
-	// batched path, which is bit-exact with scalar.
+	// otherwise Fast takes the functional-only path, Scalar and in-order
+	// runs the scalar walk, and everything else the batched path, which is
+	// bit-exact with scalar.
 	traceEngine := e.opt.Trace.Enabled(trace.CatEngine)
 	if e.opt.Fast && !traceEngine {
 		return e.runFast(ctx, p, threads, startCycle, h, st)
@@ -347,8 +322,6 @@ func (e *Engine) RunVectorCtx(ctx context.Context, p *fabric.Placement, threads 
 	// Reset per-run unit state (the grid is reset between blocks, §3.2).
 	// The scratch arrays keep their backing storage across runs.
 	nUnits := e.grid.NumUnits()
-	e.vals = resize(e.vals, nNodes)
-	e.done = resize(e.done, nNodes)
 	if cap(e.units) < nUnits {
 		e.units = make([]mem.SlotAlloc, nUnits)
 		e.scuPool = make([]mem.Outstanding, nUnits)
@@ -362,9 +335,6 @@ func (e *Engine) RunVectorCtx(ctx context.Context, p *fabric.Placement, threads 
 		e.scuPool[i].Reset(cfg.SCUInstances)
 		e.resBuf[i].Reset(cfg.ReservationSlots)
 	}
-	e.nNodes = nNodes
-	e.lastDone = resize(e.lastDone, p.Replicas*nNodes)
-	clear(e.lastDone)
 
 	// Per-replica injection bookkeeping: the initiator CVU injects one
 	// thread per cycle, and a thread needs a free virtual channel (token
@@ -380,9 +350,22 @@ func (e *Engine) RunVectorCtx(ctx context.Context, p *fabric.Placement, threads 
 		e.vcs[r].Reset(cfg.TokenBufDepth)
 	}
 
-	if !e.opt.Scalar && !traceEngine {
-		return e.runBatched(ctx, p, threads, h, st)
+	if e.opt.Scalar || e.opt.InOrderThreads || traceEngine {
+		return e.runScalar(ctx, p, threads, h, st)
 	}
+	return e.runBatched(ctx, p, threads, h, st)
+}
+
+// runScalar is the reference executor: one whole-graph walk (runThread) per
+// thread, threads in injection order. It is the exactness oracle, the
+// CatEngine tracing path and the in-order ablation.
+func (e *Engine) runScalar(ctx context.Context, p *fabric.Placement, threads []int, h *Hooks, st *Stats) (*Stats, error) {
+	nNodes := len(p.Graph.Nodes)
+	e.vals = resize(e.vals, nNodes)
+	e.done = resize(e.done, nNodes)
+	e.nNodes = nNodes
+	e.lastDone = resize(e.lastDone, p.Replicas*nNodes)
+	clear(e.lastDone)
 
 	for j, tid := range threads {
 		if j%cancelCheckStride == 0 {

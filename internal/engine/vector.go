@@ -12,7 +12,10 @@ package engine
 //   - Placement assigns every (replica, node) a distinct physical unit, so a
 //     unit's SlotAlloc/Outstanding call sequence is just "its node's threads
 //     in thread order" — preserved whether the loop nest is thread-major or
-//     node-major, as long as lanes stay in thread order.
+//     node-major, as long as lanes stay in thread order. It also lets pure
+//     nodes collapse to closed-form timing (see compileCollapse).
+//     Placements that share a unit between nodes, and in-order runs, take
+//     the scalar walk instead.
 //   - The memory system, LVC and CVT are call-order sensitive, so nodes
 //     whose value or completion time depends on a stateful hook (memory,
 //     live-value and terminator nodes, and everything downstream of them)
@@ -29,13 +32,7 @@ package engine
 //
 // Side-effect order on the error path is likewise identical: hooks fire in
 // scalar order, so the first failing access is the same one, and the partial
-// functional state it leaves behind matches the scalar walk's. The one
-// carve-out is the wave-vector memory path (execDynWaveVec): within a wave
-// chunk it regroups the batched node's hook calls relative to the other
-// lanes' terminator Branch calls, so an erroring batch may leave CVT side
-// effects for chunk lanes the scalar walk would not have reached. Results
-// and functional memory state are unaffected — the failing element and the
-// partial data effects are still the scalar walk's, and the run aborts.
+// functional state it leaves behind matches the scalar walk's.
 
 import (
 	"context"
@@ -72,10 +69,10 @@ type progEdge struct {
 	lat int64
 }
 
-// dynNode is the per-replica predecoded form of a node walked per lane in
-// collapsed mode: unit id and static-input fold resolved at compile time, and
-// the first two dynamic-source edges inlined so the per-lane ready
-// computation usually touches no side arrays at all. Overflow edges (third
+// dynNode is the per-replica predecoded form of a node walked per lane: unit
+// id and static-input fold resolved at compile time, and the first two
+// dynamic-source edges inlined so the per-lane ready computation usually
+// touches no side arrays at all. Overflow edges (third
 // and beyond) live in the per-replica filtered edge array at [xo:x1).
 type dynNode struct {
 	id     int32
@@ -133,15 +130,16 @@ type nodeProg struct {
 	eOff    []int32      // [node+1] edge offsets into edges[r]
 	tcrit   []int64      // per replica: lower bound on thread end - inject
 
-	// Collapsed-timing compilation (see execStaticCollapsed): konst[r*n+i]
-	// is node i's constant completion offset over injection in replica r, or
+	// Collapsed-timing compilation (see compileCollapse): konst[r*n+i] is
+	// node i's constant completion offset over injection in replica r, or
 	// -1 when the node's timing is not collapsible; sbase/dedges/dOff carry
 	// the static-fold + filtered dynamic edges for the remaining nodes; rdyn
 	// is the per-replica predecoded dynamic walk; endK is the per-replica
 	// folded static contribution to a lane's end time. canCollapse is false
-	// when the placement shares a physical unit between nodes (then no
-	// node's Alloc stream is provably private and every wave runs the
-	// reference per-lane timing).
+	// when the placement shares a physical unit between nodes: then no
+	// node's Alloc stream is provably private, and runBatched hands the run
+	// to the scalar walk. fabric.Place never emits such a placement; the
+	// check keeps hand-built ones exact.
 	canCollapse bool
 	konst       []int64
 	sbase       []int64
@@ -149,23 +147,6 @@ type nodeProg struct {
 	dOff        []int32
 	rdyn        [][]dynNode
 	endK        []int64
-
-	// vecIdx is the index (into dynamic/rdyn) of the single stateful node
-	// when the wave-vector memory path may engage, -1 otherwise. The path
-	// requires collapsed mode (dedicated units, so splitting the per-lane
-	// walk at the stateful node cannot reorder any unit's Alloc stream) and
-	// exactly one node whose timing goes through a System-stateful hook
-	// (memory or live-value — two such nodes couple through the shared
-	// memory system, and batching either one would reorder their hook
-	// interleaving). Terminators may sit on either side of the node: Branch
-	// touches only the CVT, which is disjoint from the memory system, so
-	// regrouping Branch calls around the batched hook call leaves every
-	// run result byte-identical; the only observable difference is on an
-	// erroring batch, where Branch side effects of other lanes in the same
-	// chunk may already have fired (the run aborts either way, and the
-	// functional memory state still stops at the same first failing
-	// element).
-	vecIdx int
 
 	classCount   [kir.NumUnitClasses]uint64
 	fpNodes      uint64
@@ -507,21 +488,6 @@ func compileCollapse(p *fabric.Placement, pr *nodeProg, staticNode []bool) {
 		}
 		pr.rdyn = append(pr.rdyn, rd)
 	}
-
-	pr.vecIdx = -1
-	if pr.canCollapse {
-		cnt, idx := 0, -1
-		for j := range pr.dynamic {
-			switch pr.dynamic[j].exec {
-			case xMem, xLVLoad, xLVStore:
-				cnt++
-				idx = j
-			}
-		}
-		if cnt == 1 {
-			pr.vecIdx = idx
-		}
-	}
 }
 
 // ensureLanes sizes the SoA planes and per-wave lane bookkeeping for a
@@ -543,22 +509,15 @@ func (e *Engine) ensureLanes(nNodes, replicas int) {
 	e.pending = resize(e.pending, replicas)
 	e.pendInj = resize(e.pendInj, replicas)
 	e.repCnt = resize(e.repCnt, replicas)
-	e.vAddr = resize(e.vAddr, batchLanes)
-	e.vVal = resize(e.vVal, batchLanes)
-	e.vTid = resize(e.vTid, batchLanes)
-	e.vIssue = resize(e.vIssue, batchLanes)
-	e.vWord = resize(e.vWord, batchLanes)
-	e.vDone = resize(e.vDone, batchLanes)
-	e.vLane = resize(e.vLane, batchLanes)
-	e.vReady = resize(e.vReady, batchLanes)
-	e.vMax = resize(e.vMax, replicas)
-	e.vPend = resize(e.vPend, replicas)
 	clear(e.pending)
 }
 
 // runBatched is the timed batch executor: waves of threads admitted under
 // the exact scalar injection schedule, static nodes fired node-major over
-// the wave, dynamic nodes walked thread-major for exact hook order.
+// the wave with collapsed timing (done = inject + K for every collapsible
+// node, see compileCollapse), dynamic nodes walked thread-major for exact
+// hook order. Collapsed timing needs every node on a unit of its own; a
+// placement without that runs on the scalar walk.
 //
 // The cancellation poll runs once per wave, which is at least as coarse as
 // the scalar path's per-64-thread stride.
@@ -569,27 +528,11 @@ func (e *Engine) runBatched(ctx context.Context, p *fabric.Placement, threads []
 	if err != nil {
 		return nil, err
 	}
+	if !prog.canCollapse {
+		return e.runScalar(ctx, p, threads, h, st)
+	}
 	e.ensureLanes(prog.n, p.Replicas)
 	depth := e.grid.Config().TokenBufDepth
-
-	// Collapsed mode computes every collapsible node's completion in closed
-	// form (done = inject + K, see compileCollapse) instead of walking its
-	// lanes; it requires the constants to be valid (dedicated units) and no
-	// cross-thread in-order constraint, whose lastDone coupling breaks the
-	// closed form. Reference mode is the original per-lane walk.
-	collapsed := prog.canCollapse && !e.opt.InOrderThreads
-
-	// The wave-vector path batches the single stateful node's hook calls
-	// per wave chunk; it needs the matching vector hook (nil keeps the
-	// per-element walk, so external hook implementations work unchanged).
-	vecNode := false
-	if collapsed && prog.vecIdx >= 0 {
-		if prog.dynamic[prog.vecIdx].exec == xMem {
-			vecNode = h.AccessMemVector != nil
-		} else {
-			vecNode = h.AccessLVVector != nil
-		}
-	}
 
 	base := 0
 	for base < len(threads) {
@@ -597,37 +540,21 @@ func (e *Engine) runBatched(ctx context.Context, p *fabric.Placement, threads []
 			return nil, err
 		}
 		lanes := e.formWave(prog, threads, base, p.Replicas, depth)
-		if collapsed {
+		for l := 0; l < lanes; l++ {
+			e.laneEnd[l] += prog.endK[e.laneRep[l]]
+		}
+		if e.opt.Profile {
+			clear(e.repCnt)
 			for l := 0; l < lanes; l++ {
-				e.laneEnd[l] += prog.endK[e.laneRep[l]]
-			}
-			if e.opt.Profile {
-				clear(e.repCnt)
-				for l := 0; l < lanes; l++ {
-					e.repCnt[e.laneRep[l]]++
-				}
+				e.repCnt[e.laneRep[l]]++
 			}
 		}
 		for i := range prog.static {
-			e.execStaticNode(prog, &prog.static[i], lanes, collapsed, h, st)
+			e.execStaticNode(prog, &prog.static[i], lanes, h, st)
 		}
-		if collapsed {
-			if vecNode {
-				if err := e.execDynWaveVec(prog, lanes, h, st); err != nil {
-					return nil, err
-				}
-			} else {
-				for l := 0; l < lanes; l++ {
-					if err := e.execDynLane(prog, l, 0, len(prog.dynamic), h, st); err != nil {
-						return nil, err
-					}
-				}
-			}
-		} else {
-			for l := 0; l < lanes; l++ {
-				if err := e.execDynLaneRef(prog, l, h, st); err != nil {
-					return nil, err
-				}
+		for l := 0; l < lanes; l++ {
+			if err := e.execDynLane(prog, l, h, st); err != nil {
+				return nil, err
 			}
 		}
 		for l := 0; l < lanes; l++ {
@@ -700,24 +627,22 @@ func (e *Engine) formWave(prog *nodeProg, threads []int, base, replicas, depth i
 }
 
 // execStaticNode fires one pure node for every lane of the wave: a timing
-// pass (unit issue in thread order) and a branch-free value pass. In
-// collapsed mode the timing pass of a collapsible node reduces to its
-// closed form — done = inject + konst, already folded into laneEnd and the
-// consumers' sbase by runBatched/compileCollapse — leaving per-replica
-// profile bookkeeping (the per-lane statistics of a collapsed node are
-// per-replica constants: issue count = lane count, latency = konst, service
-// = unit latency); non-collapsible nodes keep the per-lane walk, reading
-// collapsed inputs through the sbase fold and the filtered edge list since
-// collapsed nodes no longer write their completion planes.
+// pass and a branch-free value pass. The timing pass of a collapsible node
+// reduces to its closed form — done = inject + konst, already folded into
+// laneEnd and the consumers' sbase by runBatched/compileCollapse — leaving
+// per-replica profile bookkeeping (the per-lane statistics of a collapsed
+// node are per-replica constants: one unit slot per lane, latency =
+// konst, service = unit latency). A non-collapsible node (an SCU, or a
+// consumer of one) keeps the per-lane slot allocation in thread order,
+// reading collapsed inputs through the sbase fold and the filtered edge
+// list, since collapsed nodes never write their completion planes.
 //
 //vgiw:hotpath
-func (e *Engine) execStaticNode(prog *nodeProg, pn *progNode, lanes int, collapsed bool, h *Hooks, st *Stats) {
+func (e *Engine) execStaticNode(prog *nodeProg, pn *progNode, lanes int, h *Hooks, st *Stats) {
 	ni := int(pn.id)
 	stride := prog.n + 1
 
-	inOrder := e.opt.InOrderThreads
-	switch {
-	case collapsed && prog.konst[ni] >= 0:
+	if prog.konst[ni] >= 0 {
 		if e.opt.Profile {
 			for r := 0; r < len(e.repCnt); r++ {
 				cnt := e.repCnt[r]
@@ -742,46 +667,13 @@ func (e *Engine) execStaticNode(prog *nodeProg, pn *progNode, lanes int, collaps
 			}
 			return
 		}
-	case pn.exec == xInit:
-		// The initiator completes at injection without claiming an issue
-		// slot; only the profile issue count and in-order bookkeeping move.
-		for l := 0; l < lanes; l++ {
-			e.pdone[l*stride+ni] = e.laneInj[l]
-			e.pvals[l*stride+ni] = uint32(e.laneTid[l])
-		}
-		if inOrder || e.opt.Profile {
-			for l := 0; l < lanes; l++ {
-				r := int(e.laneRep[l])
-				if inOrder {
-					e.lastDone[r*e.nNodes+ni] = e.laneInj[l]
-				}
-				if e.opt.Profile {
-					st.UnitIssues[prog.unit[r*prog.n+ni]]++
-				}
-			}
-		}
-		return
-	default:
+	} else {
 		for l := 0; l < lanes; l++ {
 			r := int(e.laneRep[l])
-			ready := e.laneInj[l]
 			dn := e.pdone[l*stride : l*stride+stride]
-			if collapsed {
-				ready += prog.sbase[r*prog.n+ni]
-				for _, ed := range prog.dedges[r][prog.dOff[ni]:prog.dOff[ni+1]] {
-					if t := dn[ed.src] + ed.lat; t > ready {
-						ready = t
-					}
-				}
-			} else {
-				for _, ed := range prog.edges[r][pn.eo:pn.e1] {
-					if t := dn[ed.src] + ed.lat; t > ready {
-						ready = t
-					}
-				}
-			}
-			if inOrder {
-				if t := e.lastDone[r*e.nNodes+ni]; t > ready {
+			ready := e.laneInj[l] + prog.sbase[r*prog.n+ni]
+			for _, ed := range prog.dedges[r][prog.dOff[ni]:prog.dOff[ni+1]] {
+				if t := dn[ed.src] + ed.lat; t > ready {
 					ready = t
 				}
 			}
@@ -796,9 +688,6 @@ func (e *Engine) execStaticNode(prog *nodeProg, pn *progNode, lanes int, collaps
 			}
 			done := start + pn.lat
 			dn[ni] = done
-			if inOrder {
-				e.lastDone[r*e.nNodes+ni] = done
-			}
 			if done > e.laneEnd[l] {
 				e.laneEnd[l] = done
 			}
@@ -844,19 +733,17 @@ func (e *Engine) execStaticNode(prog *nodeProg, pn *progNode, lanes int, collaps
 	}
 }
 
-// execDynLane walks the dynamic (hook-dependent) nodes [lo, hi) of one lane
-// in topological order — the scalar walk restricted to the nodes that touch
-// stateful hooks, so every memory, live-value and branch callback fires in
-// exact thread-major order. This is the collapsed-mode variant: static
-// inputs arrive pre-folded into each node's sbase constant, the (almost
-// always <= 2) remaining dynamic-source edges are inlined in the
-// per-replica dynNode stream, and the in-order constraint is absent by
-// construction (runBatched routes in-order runs to execDynLaneRef). The
-// wave-vector path calls it twice per lane — the prefix before and the
-// suffix after the batched stateful node.
+// execDynLane walks the dynamic (hook-dependent) nodes of one lane in
+// topological order — the scalar walk restricted to the nodes that touch
+// stateful hooks, so every memory, live-value and branch callback fires one
+// element at a time in exact thread-major order. Static inputs arrive
+// pre-folded into each node's sbase constant, and the (almost always <= 2)
+// remaining dynamic-source edges are inlined in the per-replica dynNode
+// stream. No in-order constraint applies: in-order runs take the scalar
+// walk.
 //
 //vgiw:hotpath
-func (e *Engine) execDynLane(prog *nodeProg, l, lo, hi int, h *Hooks, st *Stats) error {
+func (e *Engine) execDynLane(prog *nodeProg, l int, h *Hooks, st *Stats) error {
 	tid := e.laneTid[l]
 	r := int(e.laneRep[l])
 	inject := e.laneInj[l]
@@ -867,7 +754,7 @@ func (e *Engine) execDynLane(prog *nodeProg, l, lo, hi int, h *Hooks, st *Stats)
 	vals := e.pvals[l*stride : l*stride+stride]
 	dn := e.pdone[l*stride : l*stride+stride]
 
-	for i := lo; i < hi; i++ {
+	for i := range rd {
 		pn := &rd[i]
 		ni := int(pn.id)
 		ready := inject + pn.sbase
@@ -945,333 +832,6 @@ func (e *Engine) execDynLane(prog *nodeProg, l, lo, hi int, h *Hooks, st *Stats)
 
 		vals[ni] = val
 		dn[ni] = done
-		if done > end {
-			end = done
-		}
-		if e.opt.Profile {
-			st.UnitIssues[unit]++
-			if d := done - inject; d > st.NodeLatency[ni] {
-				st.NodeLatency[ni] = d
-			}
-			if d := done - ready; d > st.NodeService[ni] {
-				st.NodeService[ni] = d
-			}
-		}
-	}
-	e.laneEnd[l] = end
-	return nil
-}
-
-// execDynWaveVec executes a wave's dynamic walk with the single stateful
-// node (prog.vecIdx) batched through the vector hooks. Per lane it runs the
-// dynamic prefix, computes the stateful node's ready cycle, and gathers the
-// access into element planes; the whole batch settles in one
-// AccessMemVector/AccessLVVector call, then the per-lane suffix runs. The
-// result is byte-exact with the per-element walk:
-//
-//   - Splitting each lane's walk at the stateful node cannot reorder any
-//     SlotAlloc or SCU-pool stream: collapsed mode guarantees dedicated
-//     units, so every unit still sees exactly its own node's lanes in lane
-//     order.
-//   - The vector hooks are contractually equivalent to the per-element
-//     hooks called in batch order, and batch order is lane order — the
-//     exact order the per-lane walk would have issued them.
-//   - A memory node's issue cycle feeds through its reservation buffer
-//     (Admit), whose result depends on earlier lanes' completion times —
-//     which the batch has not settled yet. Chunking restores exactness:
-//     a lane joins the open chunk only while
-//     LenAfter(maxReady) + chunkPending < cap proves the serial Admit
-//     would have been a passthrough (the serial walk's window at lane l
-//     holds at most the unretired pre-chunk entries — retirement is
-//     cumulative, so LenAfter of the running max ready counts them
-//     exactly — plus the chunk's own unsettled accesses). Then every
-//     chunk member's issue is just Alloc(ready), computable before the
-//     call; after settling, replaying Retire(ready_l); Record(done_l) in
-//     lane order leaves the window byte-identical to the serial walk.
-//     When the window is saturated the chunk degenerates to one element
-//     settled through the real Admit — the serial schedule itself.
-//
-//vgiw:hotpath
-func (e *Engine) execDynWaveVec(prog *nodeProg, lanes int, h *Hooks, st *Stats) error {
-	vi := prog.vecIdx
-	nd := len(prog.dynamic)
-	stride := prog.n + 1
-	pn0 := &prog.rdyn[0][vi]
-	isMem := pn0.exec == xMem
-	ni := int(pn0.id)
-
-	// The whole wave's prefixes and the stateful node's ready cycles settle
-	// upfront. Prefix nodes use dedicated units, so their per-unit Alloc
-	// streams stay in lane order no matter how lanes later regroup around
-	// the batched node, and no prefix node can depend on the batched node's
-	// output (topological order).
-	for l := 0; l < lanes; l++ {
-		if vi > 0 {
-			if err := e.execDynLane(prog, l, 0, vi, h, st); err != nil {
-				return err
-			}
-		}
-		r := int(e.laneRep[l])
-		pn := &prog.rdyn[r][vi]
-		dn := e.pdone[l*stride : l*stride+stride]
-		ready := e.laneInj[l] + pn.sbase
-		if pn.src0 >= 0 {
-			if t := dn[pn.src0] + pn.lat0; t > ready {
-				ready = t
-			}
-			if pn.src1 >= 0 {
-				if t := dn[pn.src1] + pn.lat1; t > ready {
-					ready = t
-				}
-				for _, ed := range prog.dedges[r][pn.xo:pn.x1] {
-					if t := dn[ed.src] + ed.lat; t > ready {
-						ready = t
-					}
-				}
-			}
-		}
-		e.vReady[l] = ready
-	}
-
-	l := 0
-	for l < lanes {
-		a := l
-		nb := 0
-		for r := range e.vPend {
-			e.vPend[r] = 0
-			e.vMax[r] = -1
-		}
-		for l < lanes {
-			r := int(e.laneRep[l])
-			pn := &prog.rdyn[r][vi]
-			unit := int(pn.unit)
-			ready := e.vReady[l]
-			vals := e.pvals[l*stride : l*stride+stride]
-			if isMem && pn.pred >= 0 && vals[pn.pred] == 0 {
-				st.SkippedMemOps++
-				e.pdone[l*stride+ni] = e.units[unit].Alloc(ready) + 1
-				vals[ni] = 0
-				l++
-				continue
-			}
-			if isMem {
-				m := e.vMax[r]
-				if ready > m {
-					m = ready
-				}
-				rb := &e.resBuf[unit]
-				// Retiring up to the running max ready is exactly the
-				// cumulative effect of the serial walk's Admits so far
-				// (retirement is monotone), so after it Len() is the true
-				// serial window size before this lane's access.
-				rb.Retire(m)
-				if rb.Len()+int(e.vPend[r]) >= rb.Cap() {
-					break // window may fill; settle this chunk, retry lane l
-				}
-				e.vMax[r] = m
-				e.vPend[r]++
-				e.vIssue[nb] = e.units[unit].Alloc(ready)
-				e.vLane[nb] = int32(l)
-				e.vAddr[nb] = int64(int32(vals[pn.in0]) + pn.imm)
-				if pn.store {
-					e.vVal[nb] = vals[pn.in1]
-				} else {
-					e.vVal[nb] = 0
-				}
-				e.vTid[nb] = e.laneTid[l]
-				if pn.shared {
-					st.SharedAccesses++
-				} else {
-					st.GlobalAccesses++
-				}
-				nb++
-				l++
-				continue
-			}
-			// Live-value node: no reservation buffer, so the whole wave is
-			// one chunk.
-			e.vIssue[nb] = e.units[unit].Alloc(ready)
-			e.vLane[nb] = int32(l)
-			if pn0.exec == xLVStore {
-				e.vVal[nb] = vals[pn.in0]
-			} else {
-				e.vVal[nb] = 0
-			}
-			e.vTid[nb] = e.laneTid[l]
-			nb++
-			l++
-		}
-		if nb == 0 && l == a {
-			// Saturated reservation window: replicate the serial element —
-			// the real Admit (which may wait on the earliest completion)
-			// followed by a one-element settle.
-			r := int(e.laneRep[l])
-			pn := &prog.rdyn[r][vi]
-			unit := int(pn.unit)
-			vals := e.pvals[l*stride : l*stride+stride]
-			e.vIssue[0] = e.units[unit].Alloc(e.resBuf[unit].Admit(e.vReady[l]))
-			e.vLane[0] = int32(l)
-			e.vAddr[0] = int64(int32(vals[pn.in0]) + pn.imm)
-			if pn.store {
-				e.vVal[0] = vals[pn.in1]
-			} else {
-				e.vVal[0] = 0
-			}
-			e.vTid[0] = e.laneTid[l]
-			if pn.shared {
-				st.SharedAccesses++
-			} else {
-				st.GlobalAccesses++
-			}
-			nb = 1
-			l++
-		}
-		if nb > 0 {
-			if isMem {
-				space := SpaceGlobal
-				if pn0.shared {
-					space = SpaceShared
-				}
-				if err := h.AccessMemVector(space, e.vAddr[:nb], pn0.store, e.vVal[:nb],
-					e.vTid[:nb], e.vIssue[:nb], e.vWord[:nb], e.vDone[:nb]); err != nil {
-					return err
-				}
-				for k := 0; k < nb; k++ {
-					ll := int(e.vLane[k])
-					r := int(e.laneRep[ll])
-					rb := &e.resBuf[prog.rdyn[r][vi].unit]
-					rb.Retire(e.vReady[ll])
-					rb.Record(e.vDone[k])
-					e.pdone[ll*stride+ni] = e.vDone[k]
-					e.pvals[ll*stride+ni] = e.vWord[k]
-				}
-			} else {
-				h.AccessLVVector(int(pn0.lv), e.vTid[:nb], pn0.exec == xLVStore,
-					e.vVal[:nb], e.vIssue[:nb], e.vWord[:nb], e.vDone[:nb])
-				for k := 0; k < nb; k++ {
-					ll := int(e.vLane[k])
-					e.pdone[ll*stride+ni] = e.vDone[k]
-					e.pvals[ll*stride+ni] = e.vWord[k]
-				}
-			}
-		}
-		for q := a; q < l; q++ {
-			done := e.pdone[q*stride+ni]
-			if done > e.laneEnd[q] {
-				e.laneEnd[q] = done
-			}
-			if e.opt.Profile {
-				r := int(e.laneRep[q])
-				st.UnitIssues[prog.rdyn[r][vi].unit]++
-				if d := done - e.laneInj[q]; d > st.NodeLatency[ni] {
-					st.NodeLatency[ni] = d
-				}
-				if d := done - e.vReady[q]; d > st.NodeService[ni] {
-					st.NodeService[ni] = d
-				}
-			}
-			if vi+1 < nd {
-				if err := e.execDynLane(prog, q, vi+1, nd, h, st); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// execDynLaneRef is the reference per-lane dynamic walk used when collapsed
-// timing is off (in-order runs, or placements with shared units): full edge
-// lists against fully-populated completion planes.
-//
-//vgiw:hotpath
-func (e *Engine) execDynLaneRef(prog *nodeProg, l int, h *Hooks, st *Stats) error {
-	tid := e.laneTid[l]
-	r := int(e.laneRep[l])
-	inject := e.laneInj[l]
-	end := e.laneEnd[l]
-	inOrder := e.opt.InOrderThreads
-	edges := prog.edges[r]
-	stride := prog.n + 1
-	vals := e.pvals[l*stride : l*stride+stride]
-	dn := e.pdone[l*stride : l*stride+stride]
-
-	for i := range prog.dynamic {
-		pn := &prog.dynamic[i]
-		ni := int(pn.id)
-		ready := inject
-		for _, ed := range edges[pn.eo:pn.e1] {
-			if t := dn[ed.src] + ed.lat; t > ready {
-				ready = t
-			}
-		}
-		if inOrder {
-			if t := e.lastDone[r*e.nNodes+ni]; t > ready {
-				ready = t
-			}
-		}
-		unit := int(prog.unit[r*prog.n+ni])
-
-		var done int64
-		var val uint32
-		switch pn.exec {
-		case xTerm:
-			done = e.units[unit].Alloc(ready) + 1
-			if h.Branch != nil {
-				h.Branch(tid, vals[pn.in0], done)
-			}
-		case xSplit:
-			done = e.units[unit].Alloc(ready) + 1
-			val = vals[pn.in0]
-		case xJoin:
-			done = e.units[unit].Alloc(ready) + 1
-		case xLVLoad:
-			start := e.units[unit].Alloc(ready)
-			val, done = h.AccessLV(int(pn.lv), tid, false, 0, start)
-		case xLVStore:
-			start := e.units[unit].Alloc(ready)
-			_, done = h.AccessLV(int(pn.lv), tid, true, vals[pn.in0], start)
-		case xMem:
-			if pn.pred >= 0 && vals[pn.pred] == 0 {
-				st.SkippedMemOps++
-				done = e.units[unit].Alloc(ready) + 1
-			} else {
-				addr := int64(int32(vals[pn.in0]) + pn.imm)
-				var value uint32
-				if pn.store {
-					value = vals[pn.in1]
-				}
-				space := SpaceGlobal
-				if pn.shared {
-					space = SpaceShared
-					st.SharedAccesses++
-				} else {
-					st.GlobalAccesses++
-				}
-				start := e.units[unit].Alloc(e.resBuf[unit].Admit(ready))
-				word, d, err := h.AccessMem(space, addr, pn.store, value, tid, start)
-				if err != nil {
-					return err
-				}
-				e.resBuf[unit].Record(d)
-				val, done = word, d
-			}
-		case xSCU:
-			pool := &e.scuPool[unit]
-			start := e.units[unit].Alloc(pool.Admit(ready))
-			pool.Record(start + pn.lat)
-			done = start + pn.lat
-			val = kir.Eval(pn.op, vals[pn.in0], vals[pn.in1], vals[pn.in2], pn.imm)
-		default: // xALU
-			done = e.units[unit].Alloc(ready) + pn.lat
-			val = kir.Eval(pn.op, vals[pn.in0], vals[pn.in1], vals[pn.in2], pn.imm)
-		}
-
-		vals[ni] = val
-		dn[ni] = done
-		if inOrder {
-			e.lastDone[r*e.nNodes+ni] = done
-		}
 		if done > end {
 			end = done
 		}

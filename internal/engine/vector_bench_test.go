@@ -6,7 +6,7 @@ import "testing"
 // the given options (the BenchmarkEngineHotPath scenario, parameterized by
 // executor).
 func benchEngine(b *testing.B, opt Options) {
-	e, p, threads, hooks := hotPathSetup(b, opt, false)
+	e, p, threads, hooks := hotPathSetup(b, opt)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

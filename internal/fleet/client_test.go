@@ -115,8 +115,8 @@ func TestBackoffDelay(t *testing.T) {
 		{0, 0, 100 * time.Millisecond},
 		{1, 0, 200 * time.Millisecond},
 		{3, 0, 800 * time.Millisecond},
-		{4, 0, time.Second},  // capped
-		{10, 0, time.Second}, // stays capped, no overflow
+		{4, 0, time.Second},                                 // capped
+		{10, 0, time.Second},                                // stays capped, no overflow
 		{0, 500 * time.Millisecond, 500 * time.Millisecond}, // hint longer: honored
 		{3, 500 * time.Millisecond, 800 * time.Millisecond}, // hint shorter: schedule wins
 		{0, time.Minute, time.Second},                       // hint beyond cap: capped

@@ -379,7 +379,7 @@ func TestCoordinatorPermanentFailure(t *testing.T) {
 	}
 	tasks := []Task{
 		{Spec: bench.JobSpec{Kernel: "bfs.kernel1"}},
-		{Spec: bench.JobSpec{Kernel: "no.such.kernel"}}, // rejected at normalize
+		{Spec: bench.JobSpec{Kernel: "no.such.kernel"}},   // rejected at normalize
 		{Spec: bench.JobSpec{Source: "this is not kasm"}}, // fails on the worker
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

@@ -16,12 +16,12 @@ func TestParseRetryAfter(t *testing.T) {
 		{"0", 0, true},
 		{"1", time.Second, true},
 		{"120", 2 * time.Minute, true},
-		{" 3 ", 3 * time.Second, true}, // whitespace-trimmed
+		{" 3 ", 3 * time.Second, true},                  // whitespace-trimmed
 		{"999999999999999999999", 24 * time.Hour, true}, // capped, not overflowed
 
 		// HTTP-date form.
 		{"Sat, 08 Aug 2026 12:00:05 GMT", 5 * time.Second, true},
-		{"Sat, 08 Aug 2026 11:59:00 GMT", 0, true}, // past date clamps to now
+		{"Sat, 08 Aug 2026 11:59:00 GMT", 0, true},                  // past date clamps to now
 		{"Saturday, 08-Aug-26 12:00:02 GMT", 2 * time.Second, true}, // RFC 850 form
 
 		// Malformed values: fall back to the client's own backoff.

@@ -8,7 +8,7 @@ import (
 // benchStream builds a deterministic mixed load/store address stream. The
 // conflict knob picks how many distinct cache lines the stream touches: a
 // high-conflict stream hammers a handful of lines (and therefore a handful
-// of banks, maximizing per-bank settlement runs), a low-conflict stream
+// of banks, maximizing bank conflicts), a low-conflict stream
 // strides across the whole space so consecutive accesses land on different
 // banks.
 func benchStream(n int, conflictLines int64, seed int64) (addrs []int64, writes []bool) {
@@ -34,9 +34,9 @@ func benchConfig(banks int) Config {
 
 const memBatch = 64
 
-// BenchmarkMemAccessWord is the serial baseline: the per-word loop the
-// engine's scalar hook path issues, over the same streams the vector
-// benchmark uses.
+// BenchmarkMemAccessWord is the memory-model microbenchmark: the per-word
+// loop behind the engine's memory hook, over low- and high-conflict streams
+// at two bank counts.
 func BenchmarkMemAccessWord(b *testing.B) {
 	for _, bc := range []struct {
 		name          string
@@ -58,40 +58,6 @@ func BenchmarkMemAccessWord(b *testing.B) {
 				for k := 0; k < memBatch; k++ {
 					sys.AccessWord(addrs[k], writes[k], now+int64(k))
 				}
-				now += memBatch
-			}
-		})
-	}
-}
-
-// BenchmarkMemAccessVector runs the identical streams through the batched
-// entry. Low-conflict streams skip the bank sort (adaptive Pass B) and track
-// the serial loop; high-conflict streams are where the per-bank amortization
-// pays.
-func BenchmarkMemAccessVector(b *testing.B) {
-	for _, bc := range []struct {
-		name          string
-		banks         int
-		conflictLines int64
-	}{
-		{"banks8/low", 8, 0},
-		{"banks8/high", 8, 4},
-		{"banks32/low", 32, 0},
-		{"banks32/high", 32, 4},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			sys := NewSystem(benchConfig(bc.banks))
-			addrs, writes := benchStream(memBatch, bc.conflictLines, 42)
-			issues := make([]int64, memBatch)
-			dones := make([]int64, memBatch)
-			now := int64(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k := range issues {
-					issues[k] = now + int64(k)
-				}
-				sys.AccessVector(addrs, writes, issues, dones)
 				now += memBatch
 			}
 		})

@@ -109,12 +109,7 @@ type Cache struct {
 	// not a power of two and the generic divide path must run).
 	setShift int8
 	bankMask int64
-	// Batch scratch for AccessBankedVector's stable bank sort (vector.go),
-	// reused across calls so steady-state batches allocate nothing.
-	vbank []int32
-	vperm []int32
-	vcnt  []int32
-	Stats CacheStats
+	Stats    CacheStats
 }
 
 type combineEntry struct {

@@ -332,26 +332,6 @@ func (o *Outstanding) Retire(ready int64) {
 // Len is the number of operations still in flight.
 func (o *Outstanding) Len() int { return len(o.buf) - o.front }
 
-// LenAfter returns how many operations would remain in flight after retiring
-// every completion <= ready, without mutating the window. The batch executor
-// uses it to prove, before settling a wave's memory accesses in one vector
-// call, that every Admit in the chunk would have been a passthrough.
-func (o *Outstanding) LenAfter(ready int64) int {
-	lo, hi := o.front, len(o.buf)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if o.buf[mid] <= ready {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return len(o.buf) - lo
-}
-
-// Cap returns the window capacity.
-func (o *Outstanding) Cap() int { return o.cap }
-
 // Min returns the earliest in-flight completion time; the buffer must be
 // non-empty.
 func (o *Outstanding) Min() int64 { return o.buf[o.front] }

@@ -118,9 +118,6 @@ type System struct {
 	// translation in AccessWord (negative when the geometry is not a power
 	// of two and the generic multiply/divide must run).
 	lineShift int8
-	// Batch scratch for AccessVector (vector.go), reused across calls.
-	vline []int64
-	vres  []AccessResult
 }
 
 // NewSystem builds a memory system from the configuration.

@@ -18,6 +18,13 @@ func pollEvery(ctx context.Context, n int) error {
 	return nil
 }
 
+// pollInCond polls in the loop condition, so on every iteration.
+func pollInCond(ctx context.Context) {
+	for ctx.Err() == nil { //want:ctxpoll ctx.Err() polled every loop iteration in pollInCond
+		sink++
+	}
+}
+
 // pollStrided uses the modulus idiom: silent.
 func pollStrided(ctx context.Context, n int) error {
 	const stride = 64
@@ -30,6 +37,27 @@ func pollStrided(ctx context.Context, n int) error {
 		sink++
 	}
 	return nil
+}
+
+// pollCountdown uses the countdown idiom (an if with an init statement):
+// silent.
+func pollCountdown(ctx context.Context, n int) error {
+	checkIn := 4096
+	for i := 0; i < n; i++ {
+		if checkIn--; checkIn <= 0 {
+			checkIn = 4096
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		sink++
+	}
+	return nil
+}
+
+// pollOutsideLoop polls once, in no loop: silent.
+func pollOutsideLoop(ctx context.Context) error {
+	return ctx.Err()
 }
 
 // pollCoarse is marked: each iteration is a whole coarse work item, and

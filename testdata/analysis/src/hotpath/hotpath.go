@@ -11,11 +11,25 @@ func hotAppend(xs []int, v int) []int {
 	return append(xs, v) //want:hotpath append (may grow and allocate) in //vgiw:hotpath function hotAppend
 }
 
+// hotMapLit builds a map literal on the hot path.
+//
+//vgiw:hotpath
+func hotMapLit(k string) map[string]int {
+	return map[string]int{k: 1} //want:hotpath map literal in //vgiw:hotpath function hotMapLit
+}
+
 // hotMakeMap allocates a map on the hot path.
 //
 //vgiw:hotpath
 func hotMakeMap() map[int]int {
 	return make(map[int]int) //want:hotpath make(map) in //vgiw:hotpath function hotMakeMap
+}
+
+// hotClosure allocates a closure on the hot path.
+//
+//vgiw:hotpath
+func hotClosure(n int) func() int {
+	return func() int { return n } //want:hotpath function literal (closure allocation) in //vgiw:hotpath function hotClosure
 }
 
 // hotFmt formats on the hot path.

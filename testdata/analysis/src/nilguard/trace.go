@@ -21,7 +21,19 @@ func (s *Sink) Good() int {
 	return s.n
 }
 
-// Len guards inside a one-line return: silent.
+// LateGuard checks nil only after reading the receiver.
+func (s *Sink) LateGuard() int { //want:nilguard exported method (*Sink).LateGuard must start by handling a nil receiver
+	n := s.n
+	if s == nil {
+		return 0
+	}
+	return n
+}
+
+// Enabled guards inside its one return expression: silent.
+func (s *Sink) Enabled() bool { return s != nil && s.n > 0 }
+
+// Len guards with a leading non-nil test: silent.
 func (s *Sink) Len() int {
 	if s != nil {
 		return s.n
@@ -32,4 +44,14 @@ func (s *Sink) Len() int {
 // reset is unexported: the contract only binds the exported surface.
 func (s *Sink) reset() {
 	s.n = 0
+}
+
+// Other is not a Sink, so its methods are out of scope: silent.
+type Other struct {
+	n int
+}
+
+// Count touches the receiver unguarded, which is fine off Sink.
+func (o *Other) Count() int {
+	return o.n
 }
