@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race bench bench-record trace-check serve-check fleet-check gate-check analyze verify-check fuzz-smoke fmt
+.PHONY: check build test vet race bench bench-record trace-check serve-check bench-smoke fleet-check gate-check analyze verify-check fuzz-smoke fmt
 
 # check is the full pre-merge gate, in order: gofmt, go vet, then the repo's
 # own static-analysis suite (`analyze` — determinism taint, lock discipline,
@@ -11,10 +11,10 @@ GO ?= go
 # iteration of each perf-guard benchmark (allocs/op regressions show up
 # even at -benchtime=1x), the trace/metrics schema gate, the metric
 # regression gate against the checked-in baselines, the daemon smoke test,
-# and the fleet sweep gate (3 workers, a mid-sweep SIGKILL, byte-identical
-# merged results). Static gates run first so a bad tree fails in seconds,
-# not after the benches.
-check: fmt vet analyze build race verify-check fuzz-smoke bench trace-check gate-check serve-check fleet-check
+# the benchmark module's own tests, and the fleet sweep gate (3 workers, a
+# mid-sweep SIGKILL, byte-identical merged results). Static gates run first
+# so a bad tree fails in seconds, not after the benches.
+check: fmt vet analyze build race verify-check fuzz-smoke bench trace-check gate-check serve-check bench-smoke fleet-check
 
 # analyze runs cmd/vgiwcheck (internal/analysis) over the whole module in
 # strict mode: every finding must be fixed or carry a justified
@@ -110,6 +110,13 @@ gate-check:
 # back byte-identical (see cmd/vgiwd/main_test.go).
 serve-check:
 	$(GO) test -run TestServeCheck ./cmd/vgiwd
+
+# bench-smoke runs the tests of benchmark/, a module of its own that the
+# root `go test ./...` never reaches: the statistics helpers, the shape of
+# BENCHMARK.json, and every workload timed and traced at smoke-test sizes,
+# output checks included (about 5 s).
+bench-smoke:
+	$(GO) -C benchmark test ./...
 
 # fleet-check is the distributed-sweep acceptance gate: boot three real
 # vgiwd workers sharing one result store, push a registry matrix (plus a

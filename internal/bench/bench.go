@@ -37,16 +37,16 @@ type Options struct {
 	// state and the results are bit-identical to a serial sweep. 0 (the
 	// zero value) means runtime.NumCPU(); 1 forces the serial path.
 	Parallelism int
-	// Cache shares compile/place and workload artifacts across runs. When
-	// nil (and NoCache is false), RunMatrix/RunSuite/LVCSweep create a
-	// private cache for the call; pass one explicitly to share artifacts
-	// across several harness calls (the experiment CLI shares one between
-	// the figure matrix and the LVC sweep).
+	// Cache shares workload, compile/place and baseline-result artifacts
+	// across runs. When nil (and NoCache is false), RunMatrix/RunSuite/
+	// LVCSweep create a private cache for the call; pass one explicitly to
+	// share artifacts across several harness calls (the experiment CLI
+	// shares one between the figure matrix and the LVC sweep).
 	Cache *ArtifactCache
 	// NoCache disables artifact sharing entirely: every run rebuilds its
-	// workload and compiles from scratch. Results are byte-identical with
-	// the cache on or off — this is an escape hatch and the reference
-	// point for the determinism tests.
+	// workload, compiles from scratch and simulates every machine. Results
+	// are byte-identical with the cache on or off — this is an escape hatch
+	// and the reference point for the determinism tests.
 	NoCache bool
 	// Trace, when non-nil, receives cycle-level events from every machine in
 	// the sweep (the sink is mutex-protected, so parallel sweeps may share
@@ -212,10 +212,10 @@ func (k *KernelRun) EnergyEffVsSGMF() float64 {
 }
 
 // RunOne executes one benchmark on all machines, validating each result.
-// Shared artifacts (the workload and the per-architecture compile/place
-// products) come from opt's cache when one is set; each machine still runs
-// against a private memory image, so results are byte-identical to an
-// uncached run.
+// Shared artifacts (the workload, the per-architecture compile/place
+// products and the baselines' validated results) come from opt's cache when
+// one is set; every simulation runs against a private memory image, so
+// results are byte-identical to an uncached run.
 func RunOne(spec kernels.Spec, opt Options) (*KernelRun, error) {
 	return RunOneCtx(context.Background(), spec, opt)
 }
@@ -236,7 +236,7 @@ func RunOneCtx(ctx context.Context, spec kernels.Spec, opt Options) (*KernelRun,
 		opt.SGMF.Engine.Trace = opt.Trace
 	}
 
-	w, wt, err := cache.workload(spec, opt.Scale)
+	w, wt, err := cache.workload(ctx, spec, opt.Scale)
 	if err != nil {
 		return nil, fmt.Errorf("%s: build: %w", spec.Name, err)
 	}
@@ -247,7 +247,7 @@ func RunOneCtx(ctx context.Context, spec kernels.Spec, opt Options) (*KernelRun,
 	if err != nil {
 		return nil, err
 	}
-	prep, ct, err := cache.vgiwPrepared(w, opt.VGIW)
+	prep, ct, err := cache.vgiwPrepared(ctx, w, opt.VGIW)
 	if err != nil {
 		return nil, fmt.Errorf("%s: vgiw compile: %w", spec.Name, err)
 	}
@@ -267,46 +267,22 @@ func RunOneCtx(ctx context.Context, spec kernels.Spec, opt Options) (*KernelRun,
 	out.EnergyVGIW = power.VGIW(rv, opt.Power)
 
 	// SIMT baseline (compiled without fabric-driven splitting, as a native
-	// CUDA compile would be).
-	cks, ct2, err := cache.simtCompiled(w)
+	// CUDA compile would be), simulated once per cache for its config.
+	rs, st, err := cache.simtRun(ctx, w, opt.SIMT)
 	if err != nil {
-		return nil, fmt.Errorf("%s: simt compile: %w", spec.Name, err)
+		return nil, err
 	}
-	out.Stages.Add(ct2)
-	sim0 = time.Now()
-	global = w.Global()
-	rs, err := simt.NewMachine(opt.SIMT).RunCtx(ctx, cks, w.Launch, global)
-	if err != nil {
-		return nil, fmt.Errorf("%s: simt: %w", spec.Name, err)
-	}
-	if err := w.Check(global); err != nil {
-		return nil, fmt.Errorf("%s: simt output: %w", spec.Name, err)
-	}
-	out.Stages.Simulate += time.Since(sim0)
+	out.Stages.Add(st)
 	out.SIMT = rs
 	out.EnergySIMT = power.SIMT(rs, opt.Power)
 
 	// SGMF, when mappable.
 	if spec.SGMF && !opt.SkipSGMF {
-		mg, err := sgmf.NewMachine(opt.SGMF)
+		rg, st, err := cache.sgmfRun(ctx, w, opt.SGMF)
 		if err != nil {
 			return nil, err
 		}
-		mapped, ct3, err := cache.sgmfMapped(w, opt.SGMF)
-		if err != nil {
-			return nil, fmt.Errorf("%s: sgmf: %w", spec.Name, err)
-		}
-		out.Stages.Add(ct3)
-		sim0 = time.Now()
-		global = w.Global()
-		rg, err := mg.RunMappedCtx(ctx, mapped, w.Launch, global)
-		if err != nil {
-			return nil, fmt.Errorf("%s: sgmf: %w", spec.Name, err)
-		}
-		if err := w.Check(global); err != nil {
-			return nil, fmt.Errorf("%s: sgmf output: %w", spec.Name, err)
-		}
-		out.Stages.Simulate += time.Since(sim0)
+		out.Stages.Add(st)
 		out.SGMF = rg
 		out.EnergySGMF = power.SGMF(rg, opt.Power)
 	}

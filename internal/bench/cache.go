@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"context"
+	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"vgiw/internal/fabric"
 	"vgiw/internal/kernels"
 	"vgiw/internal/sgmf"
+	"vgiw/internal/simt"
 )
 
 // Tier identifies an artifact class for the cache's hit/miss accounting.
@@ -24,6 +28,10 @@ const (
 	TierSIMT
 	// TierSGMF: schedule/unroll/if-convert + whole-kernel place (Mapped).
 	TierSGMF
+	// TierSIMTRun: one validated SIMT baseline simulation (simt.Result).
+	TierSIMTRun
+	// TierSGMFRun: one validated SGMF baseline simulation (sgmf.Result).
+	TierSGMFRun
 
 	numTiers
 )
@@ -38,6 +46,10 @@ func (t Tier) String() string {
 		return "simt"
 	case TierSGMF:
 		return "sgmf"
+	case TierSIMTRun:
+		return "simt_run"
+	case TierSGMFRun:
+		return "sgmf_run"
 	}
 	return "unknown"
 }
@@ -65,8 +77,9 @@ func (s *StageTimes) Add(o StageTimes) {
 // hit/miss counters plus the build time spent on misses, split by stage.
 type CacheStats struct {
 	Hits, Misses [numTiers]uint64
-	// Build is the artifact construction time paid on misses (the cost the
-	// hits avoided re-paying).
+	// Build is the time paid on misses (the cost the hits avoided
+	// re-paying): artifact construction in Instance/Compile/Place, and the
+	// result tiers' simulations in Simulate.
 	Build StageTimes
 }
 
@@ -109,10 +122,17 @@ func (s CacheStats) sub(earlier CacheStats) CacheStats {
 // split options but not by LVC capacity, so an LVC design-space sweep
 // compiles and places each kernel exactly once.
 //
+// Two result tiers hold the baselines' validated simulations, keyed by
+// kernel identity plus the whole simt.Config or sgmf.Config minus its trace
+// sink. No VGIW field is in either key, so a sweep over VGIW knobs simulates
+// each kernel's baselines once. They live in process memory only.
+//
 // Values are immutable shared artifacts (see kernels.Workload,
-// core.Prepared, sgmf.Mapped for the per-type contracts); concurrent lookups
-// of the same key share a single build (duplicate suppression), and later
-// callers count as hits.
+// core.Prepared, sgmf.Mapped for the per-type contracts; the result tiers
+// hand every caller its own copy). Concurrent lookups of the same key share
+// a single build (duplicate suppression), and later callers count as hits.
+// A failed or cancelled build is never stored: its waiters retry, and the
+// next caller builds again.
 //
 // A nil *ArtifactCache is valid and means "no sharing": every lookup builds
 // a fresh artifact, which is the -no-cache escape hatch. Results are
@@ -123,11 +143,13 @@ type ArtifactCache struct {
 	entries map[any]*cacheEntry
 
 	hits, misses [numTiers]atomic.Uint64
-	buildNS      [4]atomic.Int64 // instance/compile/place indices; simulate unused
+	buildNS      [4]atomic.Int64 // instance/compile/place/simulate
 }
 
+// cacheEntry is one key's build. done closes when the build returns; val
+// and err are written before that and read only after it.
 type cacheEntry struct {
-	once sync.Once
+	done chan struct{}
 	val  any
 	err  error
 }
@@ -150,38 +172,65 @@ func (c *ArtifactCache) Stats() CacheStats {
 	s.Build.Instance = time.Duration(c.buildNS[0].Load())
 	s.Build.Compile = time.Duration(c.buildNS[1].Load())
 	s.Build.Place = time.Duration(c.buildNS[2].Load())
+	s.Build.Simulate = time.Duration(c.buildNS[3].Load())
 	return s
 }
 
-// get resolves key, building at most once per key across all workers. It
-// reports the artifact, the build's stage times (zero for hits: the caller
-// paid nothing), and whether this caller performed the build.
-func (c *ArtifactCache) get(key any, tier Tier, build func() (any, StageTimes, error)) (any, StageTimes, error) {
+// get resolves key, building at most once at a time per key across all
+// workers. The first caller builds under its own ctx and counts as the miss;
+// callers arriving meanwhile wait for it and count as hits when it succeeds.
+// A waiter whose own ctx ends returns ctx.Err() at once. A failed build
+// (a cancelled simulation included) is removed before its waiters wake, so
+// each of them retries: it builds itself or waits on whoever does. It
+// reports the artifact and the build's stage times (zero for hits: the
+// caller paid nothing). The loop repeats only after a whole failed build,
+// so its ctx check is coarse by construction.
+//
+//vgiw:coarsepoll
+func (c *ArtifactCache) get(ctx context.Context, key any, tier Tier, build func(context.Context) (any, StageTimes, error)) (any, StageTimes, error) {
 	if c == nil {
-		return build()
+		return build(ctx)
 	}
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &cacheEntry{}
-		c.entries[key] = e
+	for {
+		c.mu.Lock()
+		e, ok := c.entries[key]
+		if !ok {
+			e = &cacheEntry{done: make(chan struct{})}
+			c.entries[key] = e
+		}
+		c.mu.Unlock()
+		if !ok {
+			return c.lead(ctx, key, tier, e, build)
+		}
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			return nil, StageTimes{}, ctx.Err()
+		}
+		if e.err == nil {
+			c.hits[tier].Add(1)
+			return e.val, StageTimes{}, nil
+		}
 	}
-	c.mu.Unlock()
-	var built bool
+}
+
+// lead runs the build for the entry it just installed, stores a success and
+// withdraws a failure, then wakes the waiters.
+func (c *ArtifactCache) lead(ctx context.Context, key any, tier Tier, e *cacheEntry, build func(context.Context) (any, StageTimes, error)) (any, StageTimes, error) {
+	c.misses[tier].Add(1)
 	var st StageTimes
-	e.once.Do(func() {
-		built = true
-		e.val, st, e.err = build()
-	})
-	if built {
-		c.misses[tier].Add(1)
-		c.buildNS[0].Add(int64(st.Instance))
-		c.buildNS[1].Add(int64(st.Compile))
-		c.buildNS[2].Add(int64(st.Place))
-		return e.val, st, e.err
+	e.val, st, e.err = build(ctx)
+	c.buildNS[0].Add(int64(st.Instance))
+	c.buildNS[1].Add(int64(st.Compile))
+	c.buildNS[2].Add(int64(st.Place))
+	c.buildNS[3].Add(int64(st.Simulate))
+	if e.err != nil {
+		c.mu.Lock()
+		delete(c.entries, key)
+		c.mu.Unlock()
 	}
-	c.hits[tier].Add(1)
-	return e.val, StageTimes{}, e.err
+	close(e.done)
+	return e.val, st, e.err
 }
 
 // Cache keys. All components are comparable value types, so the key IS the
@@ -210,11 +259,23 @@ type (
 		fabric  fabric.Config
 		checked bool
 	}
+	// The result tiers' configs have their trace sinks cleared: a sink
+	// changes what a run emits, never what it computes.
+	simtRunKey struct {
+		name  string
+		scale int
+		cfg   simt.Config
+	}
+	sgmfRunKey struct {
+		name  string
+		scale int
+		cfg   sgmf.Config
+	}
 )
 
 // workload resolves the tier-2 artifact: one Spec.Build per (kernel, scale).
-func (c *ArtifactCache) workload(spec kernels.Spec, scale int) (*kernels.Workload, StageTimes, error) {
-	v, st, err := c.get(workloadKey{spec.Name, scale}, TierWorkload, func() (any, StageTimes, error) {
+func (c *ArtifactCache) workload(ctx context.Context, spec kernels.Spec, scale int) (*kernels.Workload, StageTimes, error) {
+	v, st, err := c.get(ctx, workloadKey{spec.Name, scale}, TierWorkload, func(context.Context) (any, StageTimes, error) {
 		t0 := time.Now()
 		w, err := kernels.NewWorkload(spec, scale)
 		return w, StageTimes{Instance: time.Since(t0)}, err
@@ -228,9 +289,9 @@ func (c *ArtifactCache) workload(spec kernels.Spec, scale int) (*kernels.Workloa
 // vgiwPrepared resolves the VGIW compile/place artifact. The key carries
 // only the config fields placement depends on — fabric shape and split
 // options — so sweeps over LVC/CVT/memory parameters share one artifact.
-func (c *ArtifactCache) vgiwPrepared(w *kernels.Workload, cfg core.Config) (*core.Prepared, StageTimes, error) {
+func (c *ArtifactCache) vgiwPrepared(ctx context.Context, w *kernels.Workload, cfg core.Config) (*core.Prepared, StageTimes, error) {
 	key := vgiwKey{w.Spec.Name, w.Scale, cfg.Fabric, cfg.ReplicationOff, cfg.SplitForThroughput, cfg.Checked}
-	v, st, err := c.get(key, TierVGIW, func() (any, StageTimes, error) {
+	v, st, err := c.get(ctx, key, TierVGIW, func(context.Context) (any, StageTimes, error) {
 		var st StageTimes
 		m, err := core.NewMachine(cfg)
 		if err != nil {
@@ -255,8 +316,8 @@ func (c *ArtifactCache) vgiwPrepared(w *kernels.Workload, cfg core.Config) (*cor
 
 // simtCompiled resolves the baseline's compile artifact (no fabric fitting,
 // as a native CUDA compile would be; no machine-config dependence at all).
-func (c *ArtifactCache) simtCompiled(w *kernels.Workload) (*compile.CompiledKernel, StageTimes, error) {
-	v, st, err := c.get(simtKey{w.Spec.Name, w.Scale}, TierSIMT, func() (any, StageTimes, error) {
+func (c *ArtifactCache) simtCompiled(ctx context.Context, w *kernels.Workload) (*compile.CompiledKernel, StageTimes, error) {
+	v, st, err := c.get(ctx, simtKey{w.Spec.Name, w.Scale}, TierSIMT, func(context.Context) (any, StageTimes, error) {
 		t0 := time.Now()
 		ck, err := compile.Compile(w.Kernel())
 		return ck, StageTimes{Compile: time.Since(t0)}, err
@@ -268,8 +329,8 @@ func (c *ArtifactCache) simtCompiled(w *kernels.Workload) (*compile.CompiledKern
 }
 
 // sgmfMapped resolves SGMF's compile/place artifact.
-func (c *ArtifactCache) sgmfMapped(w *kernels.Workload, cfg sgmf.Config) (*sgmf.Mapped, StageTimes, error) {
-	v, st, err := c.get(sgmfKey{w.Spec.Name, w.Scale, cfg.Fabric, cfg.Checked}, TierSGMF, func() (any, StageTimes, error) {
+func (c *ArtifactCache) sgmfMapped(ctx context.Context, w *kernels.Workload, cfg sgmf.Config) (*sgmf.Mapped, StageTimes, error) {
+	v, st, err := c.get(ctx, sgmfKey{w.Spec.Name, w.Scale, cfg.Fabric, cfg.Checked}, TierSGMF, func(context.Context) (any, StageTimes, error) {
 		var st StageTimes
 		m, err := sgmf.NewMachine(cfg)
 		if err != nil {
@@ -294,4 +355,86 @@ func (c *ArtifactCache) sgmfMapped(w *kernels.Workload, cfg sgmf.Config) (*sgmf.
 		return nil, st, err
 	}
 	return v.(*sgmf.Mapped), st, nil
+}
+
+// simtRun resolves the SIMT baseline's validated result for w under cfg.
+// The miss path compiles (through the SIMT compile tier), simulates on a
+// private memory image and checks it against the host reference; the
+// returned stage times include that compile when this caller built it.
+// Every caller gets its own copy of the result. A traced run (cfg.Trace
+// set) always simulates and stores nothing: its events are the product.
+func (c *ArtifactCache) simtRun(ctx context.Context, w *kernels.Workload, cfg simt.Config) (*simt.Result, StageTimes, error) {
+	var compiled StageTimes
+	sim := func(ctx context.Context) (any, StageTimes, error) {
+		ck, st, err := c.simtCompiled(ctx, w)
+		compiled = st
+		if err != nil {
+			return nil, StageTimes{}, fmt.Errorf("%s: simt compile: %w", w.Spec.Name, err)
+		}
+		t0 := time.Now()
+		global := w.Global()
+		r, err := simt.NewMachine(cfg).RunCtx(ctx, ck, w.Launch, global)
+		if err != nil {
+			return nil, StageTimes{}, fmt.Errorf("%s: simt: %w", w.Spec.Name, err)
+		}
+		if err := w.Check(global); err != nil {
+			return nil, StageTimes{}, fmt.Errorf("%s: simt output: %w", w.Spec.Name, err)
+		}
+		return r, StageTimes{Simulate: time.Since(t0)}, nil
+	}
+	results := c
+	if cfg.Trace != nil {
+		results = nil
+	}
+	key := cfg
+	key.Trace = nil
+	v, st, err := results.get(ctx, simtRunKey{w.Spec.Name, w.Scale, key}, TierSIMTRun, sim)
+	if err != nil {
+		return nil, StageTimes{}, err
+	}
+	st.Add(compiled)
+	r := *v.(*simt.Result)
+	return &r, st, nil
+}
+
+// sgmfRun is simtRun for the SGMF baseline: it maps through the SGMF
+// compile/place tier on a miss, and a sink in cfg.Engine.Trace makes the
+// run always simulate. The copy it returns has its own Ops map.
+func (c *ArtifactCache) sgmfRun(ctx context.Context, w *kernels.Workload, cfg sgmf.Config) (*sgmf.Result, StageTimes, error) {
+	var mapped StageTimes
+	sim := func(ctx context.Context) (any, StageTimes, error) {
+		mp, st, err := c.sgmfMapped(ctx, w, cfg)
+		mapped = st
+		if err != nil {
+			return nil, StageTimes{}, fmt.Errorf("%s: sgmf: %w", w.Spec.Name, err)
+		}
+		m, err := sgmf.NewMachine(cfg)
+		if err != nil {
+			return nil, StageTimes{}, err
+		}
+		t0 := time.Now()
+		global := w.Global()
+		r, err := m.RunMappedCtx(ctx, mp, w.Launch, global)
+		if err != nil {
+			return nil, StageTimes{}, fmt.Errorf("%s: sgmf: %w", w.Spec.Name, err)
+		}
+		if err := w.Check(global); err != nil {
+			return nil, StageTimes{}, fmt.Errorf("%s: sgmf output: %w", w.Spec.Name, err)
+		}
+		return r, StageTimes{Simulate: time.Since(t0)}, nil
+	}
+	results := c
+	if cfg.Engine.Trace != nil {
+		results = nil
+	}
+	key := cfg
+	key.Engine.Trace = nil
+	v, st, err := results.get(ctx, sgmfRunKey{w.Spec.Name, w.Scale, key}, TierSGMFRun, sim)
+	if err != nil {
+		return nil, StageTimes{}, err
+	}
+	st.Add(mapped)
+	r := *v.(*sgmf.Result)
+	r.Ops = maps.Clone(r.Ops)
+	return &r, st, nil
 }

@@ -2,9 +2,18 @@ package bench
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"vgiw/internal/kernels"
+	"vgiw/internal/mem"
+	"vgiw/internal/trace"
 )
 
 // lvcTestSizes/lvcTestKernels are a small but real slice of the CLI's LVC
@@ -28,13 +37,14 @@ func lvcFingerprint(t *testing.T, opt Options) string {
 	return buf.String()
 }
 
-// TestArtifactCacheDeterminism is the tentpole's safety property: a sweep
+// TestArtifactCacheDeterminism is the cache's safety property: a sweep
 // served from shared artifacts must be byte-identical to one that rebuilds
 // everything per run, serial or parallel. Four full-suite sweeps (cache
-// on/off x serial/8 workers) plus the LVC sweep both ways must all agree on
-// every simulated figure. Run with -race: the cached sweeps share Workload,
-// Prepared, and Mapped values across workers, so this test is also the
-// immutability contract's race detector harness.
+// on/off x serial/8 workers), the LVC sweep both ways and a config matrix
+// whose cells share baseline results must all agree on every simulated
+// figure. Run with -race: the cached sweeps share Workload, Prepared,
+// Mapped and baseline-result values across workers, so this test is also
+// the immutability contract's race detector harness.
 func TestArtifactCacheDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four full-suite sweeps")
@@ -73,6 +83,62 @@ func TestArtifactCacheDeterminism(t *testing.T) {
 	if got := lvcFingerprint(t, lvcOpt); got != lvcRef {
 		t.Errorf("cached parallel LVC sweep diverged:\nwant %s\ngot  %s", lvcRef, got)
 	}
+
+	// A config matrix shares baseline results across configs that differ
+	// only in VGIW knobs; each config's runs must still match NoCache.
+	matrixRef := configMatrixFingerprint(t, true, 1)
+	for _, parallelism := range []int{1, 8} {
+		if got := configMatrixFingerprint(t, false, parallelism); got != matrixRef {
+			t.Errorf("cached config matrix (%d workers) diverged:\nwant %s\ngot  %s", parallelism, matrixRef, got)
+		}
+	}
+}
+
+// configMatrixFingerprint runs kernels x {LVC size, CVT bits, VGIW L1 write
+// policy}, every cell through RunOneCtx on one cache (none under noCache)
+// fanned across parallelism workers, and renders each config's runs in
+// canonical JSON form.
+func configMatrixFingerprint(t *testing.T, noCache bool, parallelism int) string {
+	t.Helper()
+	names := []string{"hotspot.kernel", "nn.euclid", "pf.normalize_weights"}
+	var cfgs []Options
+	for _, kb := range []int{16, 256} {
+		for _, bits := range []int{1 << 12, 1 << 16} {
+			for _, policy := range []mem.WritePolicy{mem.WriteBack, mem.WriteThrough} {
+				opt := DefaultOptions()
+				opt.VGIW.LVC.SizeBytes = kb << 10
+				opt.VGIW.CVTCapacityBits = bits
+				opt.VGIW.Mem.L1.Policy = policy
+				cfgs = append(cfgs, opt)
+			}
+		}
+	}
+	pool := Options{Parallelism: parallelism, NoCache: noCache}.withSweepCache()
+	runs := make([]*KernelRun, len(cfgs)*len(names))
+	errs := make([]error, len(runs))
+	pool.forEach(context.Background(), len(runs), func(i int) {
+		spec, ok := kernels.ByName(names[i%len(names)])
+		if !ok {
+			errs[i] = errors.New(names[i%len(names)] + " not registered")
+			return
+		}
+		opt := cfgs[i/len(names)]
+		opt.Cache, opt.NoCache = pool.Cache, noCache
+		runs[i], errs[i] = RunOneCtx(context.Background(), spec, opt)
+	})
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for i := range cfgs {
+		b, err := json.Marshal(BuildJSON(runs[i*len(names):(i+1)*len(names)], 1).Canonical())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.Write(b)
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }
 
 // TestLVCSweepCompilesOncePerKernel pins the cache-key derivation: the VGIW
@@ -113,7 +179,7 @@ func TestArtifactCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := c.get("key", TierWorkload, func() (any, StageTimes, error) {
+			v, _, err := c.get(context.Background(), "key", TierWorkload, func(context.Context) (any, StageTimes, error) {
 				builds.Add(1)
 				return 42, StageTimes{}, nil
 			})
@@ -134,12 +200,13 @@ func TestArtifactCacheSingleflight(t *testing.T) {
 }
 
 // TestNilCacheBuildsFresh: a nil cache is the -no-cache path — every lookup
-// builds, nothing is shared, and Stats stays zero.
+// builds, every baseline lookup simulates, nothing is shared, and Stats
+// stays zero.
 func TestNilCacheBuildsFresh(t *testing.T) {
 	var c *ArtifactCache
 	var builds int
 	for i := 0; i < 3; i++ {
-		if _, _, err := c.get("key", TierSIMT, func() (any, StageTimes, error) {
+		if _, _, err := c.get(context.Background(), "key", TierSIMT, func(context.Context) (any, StageTimes, error) {
 			builds++
 			return nil, StageTimes{}, nil
 		}); err != nil {
@@ -149,8 +216,271 @@ func TestNilCacheBuildsFresh(t *testing.T) {
 	if builds != 3 {
 		t.Errorf("nil cache ran builder %d times, want 3 (no sharing)", builds)
 	}
+
+	w := testWorkload(t, "nn.euclid")
+	opt := DefaultOptions()
+	for i := 0; i < 2; i++ {
+		rs, st, err := c.simtRun(context.Background(), w, opt.SIMT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rg, gt, err := c.sgmfRun(context.Background(), w, opt.SGMF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Only a caller that simulated pays simulation time.
+		if st.Simulate <= 0 || gt.Simulate <= 0 || rs.Cycles == 0 || rg.Cycles == 0 {
+			t.Errorf("nil cache call %d did not simulate: simt %v (%d cycles), sgmf %v (%d cycles)",
+				i, st.Simulate, rs.Cycles, gt.Simulate, rg.Cycles)
+		}
+	}
 	if s := c.Stats(); s.HitsTotal() != 0 || s.MissesTotal() != 0 {
 		t.Errorf("nil cache reported accounting: %+v", s)
+	}
+}
+
+// testWorkload builds one registry kernel's workload at scale 1.
+func testWorkload(t *testing.T, name string) *kernels.Workload {
+	t.Helper()
+	spec, ok := kernels.ByName(name)
+	if !ok {
+		t.Fatalf("%s not registered", name)
+	}
+	w, err := kernels.NewWorkload(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestBaselineRunsOncePerKernel pins the result tiers' key derivation: no
+// VGIW field is in a baseline's key, so cells that differ only in LVC
+// capacity simulate each kernel's SIMT baseline once and its SGMF baseline
+// (nn.euclid is mappable, hotspot.kernel is not) once. The cells run
+// concurrently on one cache; run with -race.
+func TestBaselineRunsOncePerKernel(t *testing.T) {
+	names := []string{"hotspot.kernel", "nn.euclid"}
+	cells := len(names) * len(lvcTestSizes)
+	cache := NewArtifactCache()
+	runs := make([]*KernelRun, cells)
+	var wg sync.WaitGroup
+	for i := 0; i < cells; i++ {
+		spec, ok := kernels.ByName(names[i/len(lvcTestSizes)])
+		if !ok {
+			t.Fatalf("%s not registered", names[i/len(lvcTestSizes)])
+		}
+		opt := DefaultOptions()
+		opt.Cache = cache
+		opt.VGIW.LVC.SizeBytes = lvcTestSizes[i%len(lvcTestSizes)] << 10
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			kr, err := RunOneCtx(context.Background(), spec, opt)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			runs[i] = kr
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	stats := cache.Stats()
+	if got := stats.Misses[TierSIMTRun]; got != 2 {
+		t.Errorf("TierSIMTRun misses = %d, want 2 (one SIMT simulation per kernel)", got)
+	}
+	if got := stats.Hits[TierSIMTRun]; got != uint64(cells-2) {
+		t.Errorf("TierSIMTRun hits = %d, want %d", got, cells-2)
+	}
+	if got := stats.Misses[TierSGMFRun]; got != 1 {
+		t.Errorf("TierSGMFRun misses = %d, want 1 (nn.euclid only)", got)
+	}
+	if got := stats.Hits[TierSGMFRun]; got != uint64(len(lvcTestSizes)-1) {
+		t.Errorf("TierSGMFRun hits = %d, want %d", got, len(lvcTestSizes)-1)
+	}
+	if stats.Build.Simulate <= 0 {
+		t.Errorf("result-tier simulation time not recorded: %+v", stats.Build)
+	}
+	// Every cell holds its own copy of the shared results.
+	for i := 1; i < len(lvcTestSizes); i++ {
+		a, b := runs[len(lvcTestSizes)], runs[len(lvcTestSizes)+i]
+		if a.SIMT == b.SIMT || a.SGMF == b.SGMF {
+			t.Fatalf("cells share a result pointer")
+		}
+		if a.SIMT.Cycles != b.SIMT.Cycles || a.SGMF.Cycles != b.SGMF.Cycles {
+			t.Errorf("shared baseline results differ across cells")
+		}
+		a.SGMF.Ops[0]++
+		if a.SGMF.Ops[0] == b.SGMF.Ops[0] {
+			t.Errorf("cells share one SGMF Ops map")
+		}
+		a.SGMF.Ops[0]--
+	}
+}
+
+// doneSignal is a context that reports the first call to Done: get asks for
+// it only when it waits on another caller's build.
+type doneSignal struct {
+	context.Context
+	asked chan struct{}
+	once  sync.Once
+}
+
+func (d *doneSignal) Done() <-chan struct{} {
+	d.once.Do(func() { close(d.asked) })
+	return d.Context.Done()
+}
+
+// TestResultTierLeaderCancelled: a cancelled simulation is never stored. A
+// caller waiting on it simulates itself and succeeds; with no waiter the
+// tier holds nothing and the next call misses. The second half drives a
+// real SIMT run under a cancelled context. Run with -race.
+func TestResultTierLeaderCancelled(t *testing.T) {
+	c := NewArtifactCache()
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.get(leaderCtx, "k", TierSIMTRun, func(ctx context.Context) (any, StageTimes, error) {
+			close(started)
+			<-ctx.Done()
+			return nil, StageTimes{}, ctx.Err()
+		})
+		leaderErr <- err
+	}()
+	<-started
+	waiterCtx := &doneSignal{Context: context.Background(), asked: make(chan struct{})}
+	waiterVal := make(chan any, 1)
+	go func() {
+		v, _, err := c.get(waiterCtx, "k", TierSIMTRun, func(context.Context) (any, StageTimes, error) {
+			return 42, StageTimes{}, nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		waiterVal <- v
+	}()
+	select {
+	case <-waiterCtx.asked: // the waiter is blocked on the leader's build
+	case <-time.After(30 * time.Second):
+		t.Fatal("the second caller never waited on the running leader")
+	}
+	cancel()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	select {
+	case v := <-waiterVal:
+		if v != 42 {
+			t.Fatalf("waiter got %v, want its own simulation's 42", v)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the waiter never returned after its leader was cancelled")
+	}
+	if s := c.Stats(); s.Misses[TierSIMTRun] != 2 || s.Hits[TierSIMTRun] != 0 {
+		t.Errorf("accounting = %d misses / %d hits, want 2 / 0 (the waiter simulated)",
+			s.Misses[TierSIMTRun], s.Hits[TierSIMTRun])
+	}
+
+	c = NewArtifactCache()
+	w := testWorkload(t, "hotspot.kernel")
+	cfg := DefaultOptions().SIMT
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := c.simtRun(ctx, w, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled simtRun err = %v, want context.Canceled", err)
+	}
+	c.mu.Lock()
+	_, held := c.entries[simtRunKey{w.Spec.Name, w.Scale, cfg}]
+	c.mu.Unlock()
+	if held {
+		t.Fatal("the tier holds a cancelled simulation")
+	}
+	for i, wantMisses := range []uint64{2, 2} {
+		if _, _, err := c.simtRun(context.Background(), w, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Stats().Misses[TierSIMTRun]; got != wantMisses {
+			t.Errorf("call %d after the cancellation: %d misses, want %d", i, got, wantMisses)
+		}
+	}
+}
+
+// TestResultTierWaiterCancelled: a waiter whose own context ends returns its
+// error at once instead of blocking on another caller's simulation, which
+// runs on and is stored.
+func TestResultTierWaiterCancelled(t *testing.T) {
+	c := NewArtifactCache()
+	started, release := make(chan struct{}), make(chan struct{})
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, _, err := c.get(context.Background(), "k", TierSGMFRun, func(context.Context) (any, StageTimes, error) {
+			close(started)
+			<-release
+			return 7, StageTimes{}, nil
+		})
+		leaderDone <- err
+	}()
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.get(ctx, "k", TierSGMFRun, func(context.Context) (any, StageTimes, error) {
+			t.Error("a waiter with a live leader must not simulate")
+			return nil, StageTimes{}, nil
+		})
+		waiterErr <- err
+	}()
+	select {
+	case err := <-waiterErr:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled waiter err = %v, want context.Canceled", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the cancelled waiter blocked on the running leader")
+	}
+	close(release)
+	if err := <-leaderDone; err != nil {
+		t.Fatal(err)
+	}
+	if v, _, err := c.get(context.Background(), "k", TierSGMFRun, func(context.Context) (any, StageTimes, error) {
+		return nil, StageTimes{}, errors.New("the leader's result was not stored")
+	}); err != nil || v != 7 {
+		t.Errorf("stored result = %v, %v; want 7", v, err)
+	}
+}
+
+// TestTracedRunAlwaysSimulates: a traced run's events are its product, so
+// it simulates the baselines even when an untraced run already filled the
+// result tiers.
+func TestTracedRunAlwaysSimulates(t *testing.T) {
+	spec, ok := kernels.ByName("nn.euclid")
+	if !ok {
+		t.Fatal("nn.euclid not registered")
+	}
+	opt := DefaultOptions()
+	opt.Cache = NewArtifactCache()
+	if _, err := RunOne(spec, opt); err != nil {
+		t.Fatal(err)
+	}
+	opt.Trace = trace.NewSink(trace.CatSIMT | trace.CatSGMF)
+	if _, err := RunOne(spec, opt); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := opt.Trace.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, proc := range []string{spec.Name + "/simt", spec.Name + "/sgmf"} {
+		if !strings.Contains(buf.String(), `"`+proc+`"`) {
+			t.Errorf("traced run after a cached one has no %q process", proc)
+		}
+	}
+	if s := opt.Cache.Stats(); s.Hits[TierSIMTRun] != 0 || s.Hits[TierSGMFRun] != 0 {
+		t.Errorf("traced run was served from the result tiers: %+v", s)
 	}
 }
 

@@ -252,9 +252,10 @@ func LVCSweep(opt Options, sizesKB []int, kernelNames []string) (*report.Table, 
 	nCells := len(specs) * len(sizesKB)
 	cycles := make([]int64, nCells)
 	errs := make([]error, nCells)
-	opt.forEach(context.Background(), nCells, func(cell int) {
+	ctx := context.Background()
+	opt.forEach(ctx, nCells, func(cell int) {
 		spec, kb := specs[cell/len(sizesKB)], sizesKB[cell%len(sizesKB)]
-		cycles[cell], errs[cell] = lvcCell(opt, spec, kb)
+		cycles[cell], errs[cell] = lvcCell(ctx, opt, spec, kb)
 	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
@@ -278,15 +279,15 @@ func LVCSweep(opt Options, sizesKB []int, kernelNames []string) (*report.Table, 
 // The workload and the compile/place artifact come from the sweep's cache
 // (the artifact is LVC-size-independent); only the machine and memory image
 // are private to the cell.
-func lvcCell(opt Options, spec kernels.Spec, kb int) (int64, error) {
+func lvcCell(ctx context.Context, opt Options, spec kernels.Spec, kb int) (int64, error) {
 	cfg := opt.VGIW
 	cfg.LVC.SizeBytes = kb << 10
 	cache := opt.effectiveCache()
-	w, _, err := cache.workload(spec, opt.Scale)
+	w, _, err := cache.workload(ctx, spec, opt.Scale)
 	if err != nil {
 		return 0, fmt.Errorf("%s: build: %w", spec.Name, err)
 	}
-	prep, _, err := cache.vgiwPrepared(w, cfg)
+	prep, _, err := cache.vgiwPrepared(ctx, w, cfg)
 	if err != nil {
 		return 0, fmt.Errorf("%s @%dKB: %w", spec.Name, kb, err)
 	}

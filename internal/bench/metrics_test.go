@@ -107,7 +107,7 @@ func TestTelemetryTableCSVRoundTrip(t *testing.T) {
 	if err := tbl.Write(&human); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"simulate_ms", "TOTAL", "cache hits/misses"} {
+	for _, want := range []string{"simulate_ms", "TOTAL", "cache workload hits/misses", "cache simt_run hits/misses"} {
 		if !strings.Contains(human.String(), want) {
 			t.Errorf("human telemetry output missing %q", want)
 		}
@@ -121,9 +121,9 @@ func TestTelemetryTableCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("telemetry CSV does not re-parse: %v", err)
 	}
-	// Header + one row per kernel + TOTAL + cache row.
-	if len(rec) != len(runs)+3 {
-		t.Fatalf("telemetry CSV has %d records, want %d", len(rec), len(runs)+3)
+	// Header + one row per kernel + TOTAL + one cache row per tier.
+	if want := len(runs) + 2 + int(numTiers); len(rec) != want {
+		t.Fatalf("telemetry CSV has %d records, want %d", len(rec), want)
 	}
 	if rec[0][0] != "kernel" || rec[0][5] != "simulate_ms" {
 		t.Errorf("telemetry CSV header = %v", rec[0])

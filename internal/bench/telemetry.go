@@ -8,8 +8,9 @@ import (
 
 // TelemetryTable renders the harness's host-side performance telemetry: one
 // row per kernel with its wall-clock split by pipeline stage, a TOTAL row,
-// and the sweep's cache accounting. All values are host timing — this table
-// is for regressing the simulator's own performance, not the simulation.
+// and the sweep's cache accounting, one hits/misses row per tier. All values
+// are host timing — this table is for regressing the simulator's own
+// performance, not the simulation.
 func TelemetryTable(s *SuiteResult) *report.Table {
 	t := &report.Table{
 		Title: "Harness telemetry: host time per kernel (ms; artifact builds attributed to the run that built them)",
@@ -24,8 +25,10 @@ func TelemetryTable(s *SuiteResult) *report.Table {
 		durMS(s.Stages.Compile), durMS(s.Stages.Place), durMS(s.Stages.Simulate))
 	// Cache accounting as plain integers among the float-formatted timing
 	// rows (AddRow only reformats float cells).
-	t.AddRow("cache hits/misses",
-		strconv.FormatUint(s.Cache.HitsTotal(), 10),
-		strconv.FormatUint(s.Cache.MissesTotal(), 10), "", "", "")
+	for tier := Tier(0); tier < numTiers; tier++ {
+		t.AddRow("cache "+tier.String()+" hits/misses",
+			strconv.FormatUint(s.Cache.Hits[tier], 10),
+			strconv.FormatUint(s.Cache.Misses[tier], 10), "", "", "")
+	}
 	return t
 }

@@ -14,9 +14,12 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"vgiw/internal/bench"
+	"vgiw/internal/kernels"
 	"vgiw/internal/store"
 	"vgiw/internal/trace"
 )
@@ -409,5 +412,110 @@ func TestTraceEndpointContract(t *testing.T) {
 	}
 	if n == 0 {
 		t.Error("validated trace has no events")
+	}
+}
+
+// TestRepeatDuringStoreFlushIsShared holds open the window between an
+// execution's completion and its store write. An equal spec submitted there
+// attaches to the finished execution — shared, born done, with no deadline
+// timer — instead of executing again, and is served the same bytes.
+func TestRepeatDuringStoreFlushIsShared(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var enterOnce, releaseOnce sync.Once
+	debugBeforeFlush = func() {
+		enterOnce.Do(func() { close(entered) })
+		<-release
+	}
+	t.Cleanup(func() { debugBeforeFlush = nil }) // runs after the server's shutdown
+	s, ts := newStoreServer(t, t.TempDir(), Config{Workers: 2, QueueDepth: 4})
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+
+	spec := `{"kernel":"bfs.kernel1"}`
+	_, first := postJob(t, ts, spec, "")
+	select {
+	case <-entered:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the first execution never reached its store flush")
+	}
+	resp, repeat := postJob(t, ts, spec, "?wait=1")
+	if resp.StatusCode != http.StatusOK || repeat.State != StateDone {
+		t.Fatalf("repeat: status %d state %q", resp.StatusCode, repeat.State)
+	}
+	if !repeat.Shared || repeat.Cached != "" {
+		t.Errorf("repeat: shared %v cached %q, want shared with the finished execution", repeat.Shared, repeat.Cached)
+	}
+	s.mu.Lock()
+	timer := s.jobs[repeat.ID].timer
+	s.mu.Unlock()
+	if timer != nil {
+		t.Error("a job born done started a deadline timer")
+	}
+	releaseOnce.Do(func() { close(release) })
+
+	done := waitState(t, ts, first.ID, StateDone)
+	if !bytes.Equal(repeat.Result, done.Result) {
+		t.Errorf("repeat is not byte-identical:\n%s\nvs\n%s", repeat.Result, done.Result)
+	}
+	for name, want := range map[string]int{
+		"vgiwd/runs_executed": 1, "vgiwd/jobs_completed": 2, "vgiwd/jobs_deduped": 1,
+	} {
+		if got := metricValue(t, ts, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestCacheTierMetrics pins the shared artifact cache's exposition: one
+// hits and one misses counter per tier, present as zeros from the first
+// scrape. An LVC sweep over the registry on one daemon then simulates each
+// kernel's baselines once: no VGIW knob is in their result-tier keys.
+func TestCacheTierMetrics(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 128})
+	tiers := []string{"workload", "vgiw", "simt", "sgmf", "simt_run", "sgmf_run"}
+	metrics := scrapeMetrics(t, ts)
+	for _, tier := range tiers {
+		for _, name := range []string{"vgiwd/cache_hits/" + tier, "vgiwd/cache_misses/" + tier} {
+			if want := metricLine(name, 0); !strings.Contains(metrics, want) {
+				t.Errorf("fresh daemon's metrics missing %q", want)
+			}
+		}
+	}
+
+	sizes := []int{16, 32, 64, 128, 256}
+	names := kernels.Names()
+	var jobs []*Job
+	for _, name := range names {
+		for _, kb := range sizes {
+			j, err := s.Submit(bench.JobSpec{Kernel: name, LVCKB: kb})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, j)
+		}
+	}
+	for _, j := range jobs {
+		if !s.Wait(context.Background(), j) {
+			t.Fatalf("job %s never finished", j.ID)
+		}
+		if v := s.View(j); v.State != StateDone {
+			t.Fatalf("job %s (%s): state %q (%s)", j.ID, j.Spec.Kernel, v.State, v.Reason)
+		}
+	}
+	sgmfKernels := 0
+	for _, spec := range kernels.All() {
+		if spec.SGMF {
+			sgmfKernels++
+		}
+	}
+	for name, want := range map[string]int{
+		"vgiwd/cache_misses/simt_run": len(names),
+		"vgiwd/cache_hits/simt_run":   len(names) * (len(sizes) - 1),
+		"vgiwd/cache_misses/sgmf_run": sgmfKernels,
+		"vgiwd/cache_hits/sgmf_run":   sgmfKernels * (len(sizes) - 1),
+		"vgiwd/runs_executed":         len(names) * len(sizes),
+	} {
+		if got := metricValue(t, ts, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -95,7 +95,7 @@ type Server struct {
 	seq      uint64
 	jobs     map[string]*Job
 	order    []string                     // insertion order, for listing + eviction
-	byKey    map[bench.JobSpec]*execution // in-flight executions, by content key
+	byKey    map[bench.JobSpec]*execution // executions not yet filed in the store, by content key
 
 	queue chan *execution
 	wg    sync.WaitGroup
@@ -263,8 +263,15 @@ func (s *Server) SubmitTenant(spec bench.JobSpec, tenant string) (*Job, error) {
 		exec:    e,
 		done:    make(chan struct{}),
 	}
-	e.refs++
-	j.timer = time.AfterFunc(timeout, func() { s.detach(j, "deadline") })
+	select {
+	case <-e.done:
+		// A finished execution whose store write is still in flight: the
+		// job is born done, so it needs no deadline timer.
+		s.reg.Add("vgiwd/jobs_completed", 1)
+	default:
+		e.refs++
+		j.timer = time.AfterFunc(timeout, func() { s.detach(j, "deadline") })
+	}
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	s.evictLocked()
@@ -481,7 +488,9 @@ func (s *Server) runExecution(e *execution) {
 		}
 	}
 	e.finished = time.Now()
-	delete(s.byKey, e.spec)
+	if err != nil {
+		delete(s.byKey, e.spec)
+	}
 	n := uint64(e.refs)
 	switch {
 	case err == nil:
@@ -495,10 +504,24 @@ func (s *Server) runExecution(e *execution) {
 	close(e.done)
 	s.mu.Unlock()
 	s.reg.Observe("vgiwd/run_ms", e.finished.Sub(e.startedAt).Milliseconds())
-	if err == nil {
-		s.flushToStore(e)
+	if err != nil {
+		return
 	}
+	// A successful execution stays in byKey until its store write returns,
+	// so an equal spec submitted meanwhile shares it instead of missing
+	// both the store and the in-flight map.
+	if debugBeforeFlush != nil {
+		debugBeforeFlush()
+	}
+	s.flushToStore(e)
+	s.mu.Lock()
+	delete(s.byKey, e.spec)
+	s.mu.Unlock()
 }
+
+// debugBeforeFlush, set by tests only, runs after a successful execution
+// is published and before its store write, holding that window open.
+var debugBeforeFlush func()
 
 // flushToStore files a successful execution's result in the persistent
 // store. Failures are counted, not fatal: persistence is an add-on to the
@@ -575,12 +598,21 @@ func (s *Server) foldRunMetrics(met *trace.Registry, runs []*bench.KernelRun) {
 	}
 }
 
-// SnapshotRegistry merges the server's own counters with the accumulated
-// simulation metrics into one registry — the same view /metrics exposes,
-// reusable for the shutdown snapshot the daemon persists to the store.
+// SnapshotRegistry merges the server's own counters, the shared artifact
+// cache's per-tier accounting (vgiwd/cache_hits/<tier> and
+// vgiwd/cache_misses/<tier>, zero until the first lookup) and the
+// accumulated simulation metrics into one registry — the same view /metrics
+// exposes, reusable for the shutdown snapshot the daemon persists to the
+// store.
 func (s *Server) SnapshotRegistry() *trace.Registry {
 	merged := trace.NewRegistry()
 	merged.Merge(s.reg)
+	cs := s.cache.Stats()
+	for t := range cs.Hits {
+		tier := bench.Tier(t).String()
+		merged.Set("vgiwd/cache_hits/"+tier, cs.Hits[t])
+		merged.Set("vgiwd/cache_misses/"+tier, cs.Misses[t])
+	}
 	merged.Merge(s.simReg)
 	return merged
 }

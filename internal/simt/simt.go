@@ -241,6 +241,10 @@ type run struct {
 	// renumbers warp IDs, so an index or ID would silently redirect the
 	// greedy policy to a different warp across compaction.
 
+	// liveWarps counts admitted warps not yet retired (retired ones stay in
+	// warps until compact runs).
+	liveWarps int
+
 	// Shared execution ports: next cycle the ALU array / SFUs / LD-ST
 	// units accept a new warp instruction.
 	portFree [3]int64
@@ -333,14 +337,14 @@ func (r *run) execute() error {
 		// warps away once they dominate the list.
 		for r.nextCTA < r.launch.CTAs() &&
 			len(r.liveCTA) < r.m.cfg.MaxCTAs &&
-			r.liveWarps()+warpsPerCTA <= r.m.cfg.MaxWarps {
+			r.liveWarps+warpsPerCTA <= r.m.cfg.MaxWarps {
 			r.admitCTA(r.nextCTA, warpsPerCTA)
 			r.nextCTA++
 		}
 		if len(r.warps) > 4*r.m.cfg.MaxWarps {
 			r.compact()
 		}
-		if r.liveWarps() == 0 {
+		if r.liveWarps == 0 {
 			if r.nextCTA >= r.launch.CTAs() {
 				return nil
 			}
@@ -384,7 +388,7 @@ func (r *run) execute() error {
 			// scoreboard, an execution port, or a barrier.
 			r.sink.Emit(trace.Event{Name: "stall", Cat: trace.CatSIMT, Phase: trace.PhaseSpan,
 				Track: r.tr.sched, Ts: r.cycle, Dur: next - r.cycle,
-				K1: "warps", V1: int64(r.liveWarps())})
+				K1: "warps", V1: int64(r.liveWarps)})
 		}
 		r.cycle = next
 		r.sampleMem()
@@ -407,16 +411,6 @@ func (r *run) compact() {
 	if r.greedy != nil && r.greedy.done {
 		r.greedy = nil
 	}
-}
-
-func (r *run) liveWarps() int {
-	n := 0
-	for _, w := range r.warps {
-		if !w.done {
-			n++
-		}
-	}
-	return n
 }
 
 func (r *run) admitCTA(cta, warpsPerCTA int) {
@@ -445,6 +439,7 @@ func (r *run) admitCTA(cta, warpsPerCTA int) {
 		w.active = mask
 		w.stack = []stackEntry{{block: 0, instr: 0, rpc: -1, mask: mask}}
 		r.warps = append(r.warps, w)
+		r.liveWarps++
 		r.liveCTA[cta]++
 	}
 }
@@ -827,6 +822,7 @@ func (r *run) retireWarp(w *warp) {
 		return
 	}
 	w.done = true
+	r.liveWarps--
 	r.liveCTA[w.cta]--
 	if r.liveCTA[w.cta] == 0 {
 		delete(r.liveCTA, w.cta)
