@@ -66,12 +66,18 @@ MEM_BENCH = BenchmarkMemAccessWord
 # instant stub worker, so ns/op is pure coordination overhead; it rides the
 # same trajectory file with -threads 0 (threads/sec is an engine notion).
 FLEET_BENCH = BenchmarkCoordinatorDispatch
+# The SIMT layer's row: every registry kernel at scale 1 through the SIMT
+# model alone (compiled outside the timer), with B/op and allocs/op beside
+# ns/op; -threads 0 as for the other non-engine rows.
+SIMT_BENCH = BenchmarkSIMTRun
 bench:
 	$(GO) test -run '^$$' -bench '$(ENGINE_BENCH)' -benchtime 100x ./internal/engine/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 512 -check
 	$(GO) test -run '^$$' -bench '$(MEM_BENCH)' -benchtime 2000x ./internal/mem/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -check
 	$(GO) test -run '^$$' -bench '$(FLEET_BENCH)' -benchtime 20x ./internal/fleet/ | \
+		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -check
+	$(GO) test -run '^$$' -bench '$(SIMT_BENCH)' -benchtime 5x -benchmem ./internal/simt/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -check
 	$(GO) test -run '^$$' -bench BenchmarkRunAllParallel -benchtime 1x ./internal/bench/
 	$(GO) test -run '^$$' -bench BenchmarkSuiteColdVsWarm -benchtime 1x ./internal/bench/
@@ -85,6 +91,8 @@ bench-record:
 	$(GO) test -run '^$$' -bench '$(MEM_BENCH)' -benchtime 20000x -count 3 ./internal/mem/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -record
 	$(GO) test -run '^$$' -bench '$(FLEET_BENCH)' -benchtime 100x -count 3 ./internal/fleet/ | \
+		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -record
+	$(GO) test -run '^$$' -bench '$(SIMT_BENCH)' -benchtime 10x -count 3 -benchmem ./internal/simt/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -record
 
 # trace-check runs one small kernel on all three backends with tracing on,

@@ -284,7 +284,7 @@ func TestCVTReadResetAndBatches(t *testing.T) {
 	if got := c.NextBlock(); got != 1 {
 		t.Fatalf("NextBlock = %d, want 1", got)
 	}
-	ids := c.Drain(1)
+	ids := c.Drain(1, nil)
 	if len(ids) != 3 || ids[0] != 0 || ids[1] != 64 || ids[2] != 129 {
 		t.Fatalf("Drain = %v", ids)
 	}
@@ -301,7 +301,7 @@ func TestCVTReadResetAndBatches(t *testing.T) {
 		t.Errorf("writes = %d, want 4", c.Writes)
 	}
 	c.RegisterBatch(0, 1, 0xFF)
-	ids = c.Drain(0)
+	ids = c.Drain(0, nil)
 	if len(ids) != 8 || ids[0] != 64 {
 		t.Fatalf("batch drain = %v", ids)
 	}
@@ -310,7 +310,7 @@ func TestCVTReadResetAndBatches(t *testing.T) {
 func TestCVTSetAll(t *testing.T) {
 	c := NewCVT(2, 100, 8)
 	c.SetAll(0, 100)
-	ids := c.Drain(0)
+	ids := c.Drain(0, nil)
 	if len(ids) != 100 {
 		t.Fatalf("drained %d ids, want 100", len(ids))
 	}
@@ -318,6 +318,30 @@ func TestCVTSetAll(t *testing.T) {
 		if id != i {
 			t.Fatalf("ids[%d] = %d", i, id)
 		}
+	}
+}
+
+// TestCVTDrainReusesBuffer: Drain appends to the caller's buffer, so a
+// buffer with room is filled in place and a drain allocates nothing.
+func TestCVTDrainReusesBuffer(t *testing.T) {
+	c := NewCVT(2, 256, 8)
+	buf := make([]int, 0, 256)
+	for _, tid := range []int{200, 3, 64} {
+		c.Register(1, tid)
+	}
+	got := c.Drain(1, append(buf, -1))
+	if len(got) != 4 || got[0] != -1 || got[1] != 3 || got[2] != 64 || got[3] != 200 || &got[0] != &buf[:1][0] {
+		t.Fatalf("Drain into a reused buffer = %v", got)
+	}
+	if c.Reads != 3 {
+		t.Errorf("reads = %d, want 3 (three words touched)", c.Reads)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		c.SetAll(0, 256)
+		buf = c.Drain(0, buf[:0])
+	})
+	if allocs != 0 || len(buf) != 256 {
+		t.Errorf("drain with a reused buffer: %v allocs, %d ids; want 0 allocs, 256 ids", allocs, len(buf))
 	}
 }
 
@@ -345,6 +369,27 @@ func TestLVCRoundTripAndTiming(t *testing.T) {
 	v, _ = l.Access(2, 10, false, 0, d2)
 	if v != 0 {
 		t.Errorf("after reset read %d, want 0", v)
+	}
+}
+
+// TestLVCLineMapping pins the live-value matrix's word-to-line mapping for
+// a power-of-two line (the shift path) and a 96-byte line (the division
+// path): the first and last word of a line share it, the next word does not.
+func TestLVCLineMapping(t *testing.T) {
+	for _, lineBytes := range []int{128, 96} {
+		cfg := DefaultLVCConfig()
+		cfg.LineBytes = lineBytes
+		cfg.SizeBytes = lineBytes * cfg.Ways * 16
+		l := NewLVC(cfg, newTestSystem(DefaultConfig()), 1, 256)
+		per := lineBytes / 4 // words per line
+		now := int64(0)
+		for _, w := range []int{0, per - 1, per, 2*per - 1, 2 * per} {
+			_, now = l.Access(0, w, false, 0, now)
+		}
+		if got := l.Stats().Misses(); got != 3 {
+			t.Errorf("%dB lines: %d misses over words 0, %d, %d, %d, %d; want 3 (one per line)",
+				lineBytes, got, per-1, per, 2*per-1, 2*per)
+		}
 	}
 }
 
@@ -437,7 +482,7 @@ func TestCVTQuickProperties(t *testing.T) {
 			c.Register(1, int(r))
 			want[int(r)] = true
 		}
-		got := c.Drain(1)
+		got := c.Drain(1, nil)
 		if len(got) != len(want) {
 			return false
 		}

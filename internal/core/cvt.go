@@ -67,11 +67,12 @@ func (c *CVT) RegisterBatch(block, wordIdx int, bitmap uint64) {
 	c.Writes++
 }
 
-// Drain reads-and-resets a block's vector, returning the pending
-// tile-relative thread IDs in ascending order. Every scanned non-empty word
-// counts as one read (empty words are skipped by the per-word valid bits).
-func (c *CVT) Drain(block int) []int {
-	var out []int
+// Drain reads-and-resets a block's vector, appending the pending
+// tile-relative thread IDs to out in ascending order and returning the
+// extended slice, so callers can reuse one buffer across drains. Every
+// scanned non-empty word counts as one read (empty words are skipped by the
+// per-word valid bits).
+func (c *CVT) Drain(block int, out []int) []int {
 	v := c.vecs[block]
 	for wi, w := range v {
 		if w == 0 {

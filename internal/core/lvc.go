@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"vgiw/internal/mem"
 	"vgiw/internal/trace"
 )
@@ -14,6 +16,13 @@ type LVC struct {
 	sys     *mem.System
 	matrix  [][]uint32 // [liveValueID][threadID]
 	threads int
+
+	// The cache geometry Access needs, resolved once: lineShift is the log2
+	// of lineBytes, or -1 when the line is not a power of two and Access
+	// must divide.
+	lineBytes int64
+	lineShift int
+	hitLat    int64
 
 	sink  *trace.Sink
 	track trace.TrackID
@@ -44,7 +53,12 @@ func NewLVC(cfg mem.CacheConfig, sys *mem.System, numLVs, threads int) *LVC {
 	for i := range matrix {
 		matrix[i] = make([]uint32, threads)
 	}
-	return &LVC{cache: NewLVCache(cfg), sys: sys, matrix: matrix, threads: threads}
+	l := &LVC{cache: NewLVCache(cfg), sys: sys, matrix: matrix, threads: threads,
+		lineBytes: int64(cfg.LineBytes), lineShift: -1, hitLat: cfg.HitLat}
+	if lb := cfg.LineBytes; lb > 0 && lb&(lb-1) == 0 {
+		l.lineShift = bits.TrailingZeros(uint(lb))
+	}
+	return l
 }
 
 // NewLVCache builds the cache component (exposed for tests).
@@ -75,14 +89,19 @@ func (l *LVC) Access(lv, tid int, write bool, value uint32, now int64) (uint32, 
 	// so the 16 LVUs reach distinct banks in parallel (§3.4: "accessed at
 	// word granularity, in contrast to a GPGPU's vector register file").
 	word := int64(lv)*int64(l.threads) + int64(tid)
-	lineAddr := word * 4 / int64(l.cache.Config().LineBytes)
+	var lineAddr int64
+	if l.lineShift >= 0 {
+		lineAddr = word * 4 >> l.lineShift // word is never negative
+	} else {
+		lineAddr = word * 4 / l.lineBytes
+	}
 	res := l.cache.AccessBanked(lineAddr, word, write, now)
-	done := res.Ready + l.cache.Config().HitLat
+	done := res.Ready + l.hitLat
 	if res.Writeback >= 0 {
 		l.sys.AccessViaL2(res.Writeback, true, res.Ready)
 	}
 	if !res.Hit {
-		done = l.sys.AccessViaL2(lineAddr, false, res.Ready) + l.cache.Config().HitLat
+		done = l.sys.AccessViaL2(lineAddr, false, res.Ready) + l.hitLat
 	}
 	if l.sink.Enabled(trace.CatLVC) {
 		name := "lvc.hit"

@@ -60,8 +60,8 @@ type Machine struct {
 	grid *fabric.Grid
 	eng  *engine.Engine
 
-	// threadScratch is the reusable coalesced-vector buffer handed to the
-	// engine each block run (the engine only reads it during the call).
+	// threadScratch is the reusable coalesced-vector buffer: CVT.Drain fills
+	// it each block run, and the engine only reads it during the call.
 	threadScratch []int
 
 	// tr is the per-run trace track layout (zero when tracing is off).
@@ -364,7 +364,8 @@ func (m *Machine) runTile(ctx context.Context, ck *compile.CompiledKernel, place
 		// threads through an empty jump block to its successor (the
 		// terminator CVU already delivered the successor ID).
 		if blk := k.Blocks[b]; len(blk.Instrs) == 0 {
-			rel := cvt.Drain(b)
+			rel := cvt.Drain(b, m.threadScratch[:0])
+			m.threadScratch = rel
 			switch blk.Term.Kind {
 			case kir.TermRet:
 				continue
@@ -380,10 +381,9 @@ func (m *Machine) runTile(ctx context.Context, ck *compile.CompiledKernel, place
 				cvt.Register(b, r)
 			}
 		}
-		rel := cvt.Drain(b)
-		threads := m.threadScratch[:0]
-		for _, r := range rel {
-			threads = append(threads, base+r)
+		threads := cvt.Drain(b, m.threadScratch[:0])
+		for i := range threads {
+			threads[i] += base // tile-relative to global thread ID
 		}
 		m.threadScratch = threads
 		if sink.Enabled(trace.CatCVT) {

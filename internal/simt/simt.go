@@ -132,12 +132,15 @@ type stackEntry struct {
 }
 
 type warp struct {
-	id    int
-	cta   int
-	lanes []int // global thread IDs (one per lane; -1 for absent)
+	id   int
+	cta  int
+	tid0 int // global thread ID of lane 0; lane l runs thread tid0+l
 
-	regs     [][]uint32 // [lane][reg]
-	regReady []int64    // scoreboard: cycle each register's value is ready
+	// regs is the warp's register file, register-major: lane l's copy of
+	// register r is regs[r*WarpSize+l], so each operand of a warp
+	// instruction is one contiguous column (run.col).
+	regs     []uint32
+	regReady []int64 // scoreboard: cycle each register's value is ready
 
 	stack   []stackEntry
 	active  uint32 // lanes that have not returned
@@ -146,19 +149,25 @@ type warp struct {
 	atBarrier bool
 	done      bool
 
-	// Issue-readiness cache: the scoreboard half of earliestIssue (readyAt
-	// folded with the operand regReady of the warp's next instruction),
-	// memoized until the warp issues or a barrier release bumps readyAt.
-	// Those are the only events that change it — regReady is per-warp and
-	// only the warp's own issues write it. The execution-port half is global
-	// and read live. issuePort is the next instruction's port, -1 for
-	// terminators (which need no port).
+	// Issue-readiness memo: the scoreboard half of earliestIssue (readyAt
+	// folded with the operand regReady of the warp's next instruction) and
+	// the port that instruction needs (-1 for terminators, which need none).
+	// It is valid while the run's gate entry for this warp holds issueReady;
+	// the warp's own issues and barrier releases are the only events that
+	// change the answer, and they mark the entry stale.
 	issueReady int64
 	issuePort  int
-	issueValid bool
 }
 
 func (w *warp) top() *stackEntry { return &w.stack[len(w.stack)-1] }
+
+// warpSlab is the per-warp storage a retired warp hands to the next
+// admitted one: its register slab, scoreboard and stack.
+type warpSlab struct {
+	regs     []uint32
+	regReady []int64
+	stack    []stackEntry
+}
 
 // Machine is the SM simulator.
 type Machine struct {
@@ -177,6 +186,22 @@ func (m *Machine) Run(ck *compile.CompiledKernel, launch kir.Launch, global []ui
 // ctx every ctxCheckCycles scheduling rounds and returns ctx.Err() once the
 // context is done, so a deadline or cancel preempts a running kernel.
 func (m *Machine) RunCtx(ctx context.Context, ck *compile.CompiledKernel, launch kir.Launch, global []uint32) (*Result, error) {
+	r, err := m.newRun(ctx, ck, launch, global)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.execute(); err != nil {
+		return nil, err
+	}
+	r.res.Cycles = r.cycle
+	r.res.MemStats = r.sys.Stats()
+	r.sys.Release() // stats snapshotted; recycle the cache directories
+	return r.res, nil
+}
+
+// newRun validates the launch and builds the state of one kernel execution,
+// before any CTA is admitted.
+func (m *Machine) newRun(ctx context.Context, ck *compile.CompiledKernel, launch kir.Launch, global []uint32) (*run, error) {
 	k := ck.Kernel
 	if err := launch.Validate(); err != nil {
 		return nil, err
@@ -186,15 +211,23 @@ func (m *Machine) RunCtx(ctx context.Context, ck *compile.CompiledKernel, launch
 			k.Name, k.NumParams, len(launch.Params))
 	}
 	r := &run{
-		m:      m,
-		ctx:    ctx,
-		k:      k,
-		ipdom:  ck.IPDom,
-		launch: launch,
-		global: global,
-		sys:    mem.NewSystem(m.cfg.Mem),
-		res:    &Result{Kernel: k.Name, Threads: launch.Threads()},
-		sink:   m.cfg.Trace,
+		m:         m,
+		ctx:       ctx,
+		k:         k,
+		ipdom:     ck.IPDom,
+		launch:    launch,
+		global:    global,
+		sys:       mem.NewSystem(m.cfg.Mem),
+		res:       &Result{Kernel: k.Name, Threads: launch.Threads()},
+		ws:        m.cfg.WarpSize,
+		lineWords: int64(m.cfg.Mem.L1.LineBytes / 4),
+		lineShift: -1,
+		liveCTA:   make([]int, launch.CTAs()),
+		barriers:  make([]int, launch.CTAs()),
+		sink:      m.cfg.Trace,
+	}
+	if lw := r.lineWords; lw > 0 && lw&(lw-1) == 0 {
+		r.lineShift = bits.TrailingZeros64(uint64(lw))
 	}
 	if r.sink.Enabled(trace.CatSIMT | trace.CatMem) {
 		pid := r.sink.AllocProcess(k.Name + "/simt")
@@ -211,13 +244,7 @@ func (m *Machine) RunCtx(ctx context.Context, ck *compile.CompiledKernel, launch
 	for i := range r.shared {
 		r.shared[i] = make([]uint32, k.SharedWds)
 	}
-	if err := r.execute(); err != nil {
-		return nil, err
-	}
-	r.res.Cycles = r.cycle
-	r.res.MemStats = r.sys.Stats()
-	r.sys.Release() // stats snapshotted; recycle the cache directories
-	return r.res, nil
+	return r, nil
 }
 
 type run struct {
@@ -231,19 +258,37 @@ type run struct {
 	sys    *mem.System
 	res    *Result
 
-	warps    []*warp
+	ws int // lanes per warp (cfg.WarpSize)
+	// lineWords is the L1 line size in words; lineShift is its log2, or -1
+	// when it is not a power of two and execMem must divide.
+	lineWords int64
+	lineShift int
+
+	warps []*warp
+	// gate is the dense issue gate, parallel to warps (gate[w.id] belongs to
+	// w): never for a retired or barrier-waiting warp, gateStale while the
+	// warp's issue memo must be recomputed, and otherwise the memoized
+	// w.issueReady. Each entry is a lower bound on the cycle its warp can
+	// issue, so the schedulers and the next-event scan reject a candidate
+	// with one load; debugVerifyIssueCache checks every entry against the
+	// state it mirrors.
+	gate     []int64
 	nextCTA  int
-	liveCTA  map[int]int // cta -> live warps
-	barriers map[int]int // cta -> warps waiting
-	cycle    int64
-	lastPick int   // LRR rotation cursor (index into warps; reset by compact)
-	greedy   *warp // GTO greedy target, tracked by identity: compact()
+	liveCTA  []int // per CTA: live warps
+	barriers []int // per CTA: warps waiting at the barrier
+	// residentCTAs counts CTAs with live warps.
+	residentCTAs int
+	cycle        int64
+	lastPick     int   // LRR rotation cursor (index into warps; reset by compact)
+	greedy       *warp // GTO greedy target, tracked by identity: compact()
 	// renumbers warp IDs, so an index or ID would silently redirect the
 	// greedy policy to a different warp across compaction.
 
 	// liveWarps counts admitted warps not yet retired (retired ones stay in
 	// warps until compact runs).
 	liveWarps int
+	// free holds the storage of retired warps for the next admissions.
+	free []warpSlab
 
 	// Shared execution ports: next cycle the ALU array / SFUs / LD-ST
 	// units accept a new warp instruction.
@@ -260,6 +305,15 @@ type run struct {
 	tr            simtTracks
 	lastMemSample int64
 }
+
+const (
+	// never is a cycle no event reaches: the bound the next-event scan
+	// starts from, and the gate of a warp that cannot issue.
+	never int64 = 1<<62 - 1
+	// gateStale sits below every cycle, so the scheduler always looks past
+	// the gate of a warp whose issue memo must be recomputed.
+	gateStale int64 = -1
+)
 
 // simtTracks lays out one SIMT run's trace tracks: the issue stream
 // (issue spans + stall gaps), divergence-stack activity, and memory-system
@@ -313,12 +367,10 @@ func portOf(op kir.Op) int {
 // execute drives the warp schedulers until every CTA has completed.
 func (r *run) execute() error {
 	ctaSize := r.launch.CTASize()
-	warpsPerCTA := (ctaSize + r.m.cfg.WarpSize - 1) / r.m.cfg.WarpSize
+	warpsPerCTA := (ctaSize + r.ws - 1) / r.ws
 	if warpsPerCTA > r.m.cfg.MaxWarps {
 		return fmt.Errorf("simt: CTA of %d threads exceeds %d resident warps", ctaSize, r.m.cfg.MaxWarps)
 	}
-	r.liveCTA = make(map[int]int)
-	r.barriers = make(map[int]int)
 
 	// Cooperative cancellation: one ctx poll per ctxCheckCycles scheduling
 	// rounds keeps the per-cycle cost negligible while bounding cancellation
@@ -336,7 +388,7 @@ func (r *run) execute() error {
 		// Admit resident CTAs up to the occupancy limits; compact retired
 		// warps away once they dominate the list.
 		for r.nextCTA < r.launch.CTAs() &&
-			len(r.liveCTA) < r.m.cfg.MaxCTAs &&
+			r.residentCTAs < r.m.cfg.MaxCTAs &&
 			r.liveWarps+warpsPerCTA <= r.m.cfg.MaxWarps {
 			r.admitCTA(r.nextCTA, warpsPerCTA)
 			r.nextCTA++
@@ -367,17 +419,22 @@ func (r *run) execute() error {
 			r.sampleMem()
 			continue
 		}
-		// Nothing issuable this cycle: jump to the next event.
-		next := int64(1<<62 - 1)
-		for _, w := range r.warps {
-			if w.done || w.atBarrier {
+		// Nothing issuable this cycle: jump to the next event. A gate at or
+		// past the best time so far cannot win (the port only delays it
+		// further), which also skips retired and barrier-waiting warps.
+		if debugVerifyIssueCache {
+			r.verifyGates()
+		}
+		next := never
+		for i, g := range r.gate {
+			if g >= next {
 				continue
 			}
-			if t := r.earliestIssue(w); t < next {
+			if t := r.earliestIssue(r.warps[i]); t < next {
 				next = t
 			}
 		}
-		if next >= 1<<62-1 {
+		if next >= never {
 			return fmt.Errorf("simt: deadlock at cycle %d (all warps blocked)", r.cycle)
 		}
 		if next <= r.cycle {
@@ -395,74 +452,108 @@ func (r *run) execute() error {
 	}
 }
 
-// compact drops retired warps and renumbers the rest. The GTO greedy target
-// is held by pointer, so it survives renumbering; only a retired target is
-// dropped.
+// compact drops retired warps and renumbers the rest, carrying their gate
+// entries along. The GTO greedy target is held by pointer, so it survives
+// renumbering; only a retired target is dropped.
 func (r *run) compact() {
 	live := r.warps[:0]
-	for _, w := range r.warps {
+	gate := r.gate[:0]
+	for i, w := range r.warps {
 		if !w.done {
 			w.id = len(live)
 			live = append(live, w)
+			gate = append(gate, r.gate[i])
 		}
 	}
 	r.warps = live
+	r.gate = gate
 	r.lastPick = 0
 	if r.greedy != nil && r.greedy.done {
 		r.greedy = nil
 	}
 }
 
+// admitCTA makes a CTA resident. Warps take their storage from retired
+// warps when there is any, zeroed so a recycled warp starts as a fresh one
+// does: a lane that reads a register its thread never wrote sees 0.
 func (r *run) admitCTA(cta, warpsPerCTA int) {
 	ctaSize := r.launch.CTASize()
-	base := cta * ctaSize
 	for wi := 0; wi < warpsPerCTA; wi++ {
 		w := &warp{
-			id:       len(r.warps),
-			cta:      cta,
-			lanes:    make([]int, r.m.cfg.WarpSize),
-			regs:     make([][]uint32, r.m.cfg.WarpSize),
-			regReady: make([]int64, r.k.NumRegs),
-			readyAt:  r.cycle,
+			id:      len(r.warps),
+			cta:     cta,
+			tid0:    cta*ctaSize + wi*r.ws,
+			readyAt: r.cycle,
 		}
-		var mask uint32
-		for l := 0; l < r.m.cfg.WarpSize; l++ {
-			t := wi*r.m.cfg.WarpSize + l
-			if t < ctaSize {
-				w.lanes[l] = base + t
-				w.regs[l] = make([]uint32, r.k.NumRegs)
-				mask |= 1 << l
-			} else {
-				w.lanes[l] = -1
-			}
+		if n := len(r.free); n > 0 {
+			s := r.free[n-1]
+			r.free = r.free[:n-1]
+			clear(s.regs)
+			clear(s.regReady)
+			w.regs, w.regReady, w.stack = s.regs, s.regReady, s.stack[:0]
+		} else {
+			w.regs = make([]uint32, r.k.NumRegs*r.ws)
+			w.regReady = make([]int64, r.k.NumRegs)
 		}
+		// Lanes past the CTA's last thread never activate.
+		mask := ^uint32(0) >> (32 - min(r.ws, ctaSize-wi*r.ws))
 		w.active = mask
-		w.stack = []stackEntry{{block: 0, instr: 0, rpc: -1, mask: mask}}
+		w.stack = append(w.stack, stackEntry{block: 0, instr: 0, rpc: -1, mask: mask})
 		r.warps = append(r.warps, w)
+		r.gate = append(r.gate, gateStale)
 		r.liveWarps++
 		r.liveCTA[cta]++
 	}
+	r.residentCTAs++
 }
 
-// debugVerifyIssueCache, set by tests only, recomputes the scoreboard scan
-// on every cached earliestIssue read and panics if the memoized value ever
-// diverges from the fresh one.
+// col is the warp's column of register reg: one word per lane.
+func (r *run) col(w *warp, reg kir.Reg) []uint32 {
+	i := int(reg) * r.ws
+	return w.regs[i : i+r.ws : i+r.ws]
+}
+
+// debugVerifyIssueCache, set by tests only, makes the scheduler check every
+// issue-gate entry against the warp state it mirrors (retirement, barrier
+// wait, and the issue memo recomputed from scratch) before reading the gate,
+// and panic on any drift.
 var debugVerifyIssueCache bool
+
+// verifyGates is the debugVerifyIssueCache check.
+func (r *run) verifyGates() {
+	if len(r.gate) != len(r.warps) {
+		panic(fmt.Sprintf("simt: %d gate entries for %d warps", len(r.gate), len(r.warps)))
+	}
+	for i, w := range r.warps {
+		g := r.gate[i]
+		switch {
+		case w.id != i:
+			panic(fmt.Sprintf("simt: warp at index %d has id %d", i, w.id))
+		case w.done || w.atBarrier:
+			if g != never {
+				panic(fmt.Sprintf("simt: warp %d (done %v, at barrier %v) has an open gate %d", i, w.done, w.atBarrier, g))
+			}
+		case g == never:
+			panic(fmt.Sprintf("simt: issuable warp %d has a closed gate", i))
+		case g != gateStale:
+			ready, port := r.scoreboardReady(w)
+			if g != w.issueReady || ready != w.issueReady || port != w.issuePort {
+				panic(fmt.Sprintf("simt: stale issue gate for warp %d: gate %d, cached (%d, port %d), fresh (%d, port %d)",
+					i, g, w.issueReady, w.issuePort, ready, port))
+			}
+		}
+	}
+}
 
 // earliestIssue computes when the warp's next instruction could issue. The
 // scoreboard half is memoized per warp (the scheduler polls every stalled
 // warp each idle cycle, but the answer only changes when the warp issues or
 // a barrier release bumps readyAt); the shared execution ports are read live.
+// The warp must be able to issue: neither retired nor waiting at a barrier.
 func (r *run) earliestIssue(w *warp) int64 {
-	if !w.issueValid {
+	if r.gate[w.id] == gateStale {
 		w.issueReady, w.issuePort = r.scoreboardReady(w)
-		w.issueValid = true
-	} else if debugVerifyIssueCache {
-		ready, port := r.scoreboardReady(w)
-		if ready != w.issueReady || port != w.issuePort {
-			panic(fmt.Sprintf("simt: stale issue cache for warp %d: cached (%d, port %d), fresh (%d, port %d)",
-				w.id, w.issueReady, w.issuePort, ready, port))
-		}
+		r.gate[w.id] = w.issueReady
 	}
 	t := w.issueReady
 	if w.issuePort >= 0 {
@@ -481,7 +572,7 @@ func (r *run) scoreboardReady(w *warp) (int64, int) {
 	e := w.top()
 	blk := r.k.Blocks[e.block]
 	if e.instr < len(blk.Instrs) {
-		in := blk.Instrs[e.instr]
+		in := &blk.Instrs[e.instr]
 		for i := 0; i < in.Op.NumSrc(); i++ {
 			if rr := w.regReady[in.Src[i]]; rr > t {
 				t = rr
@@ -497,38 +588,45 @@ func (r *run) scoreboardReady(w *warp) (int64, int) {
 	return t, -1
 }
 
-// pickWarp selects a ready warp according to the configured policy.
+// pickWarp selects a ready warp according to the configured policy. A
+// candidate whose gate lies past the current cycle is rejected unread.
 func (r *run) pickWarp() *warp {
 	n := len(r.warps)
 	if n == 0 {
 		return nil
 	}
+	if debugVerifyIssueCache {
+		r.verifyGates()
+	}
 	if r.m.cfg.Scheduler == SchedGTO {
 		// Greedy: stay on the last issued warp while it remains ready.
-		if w := r.greedy; w != nil && !w.done && !w.atBarrier && r.earliestIssue(w) <= r.cycle {
+		if w := r.greedy; w != nil && r.gate[w.id] <= r.cycle && r.earliestIssue(w) <= r.cycle {
 			return w
 		}
 		// Then oldest: lowest warp ID that is ready (admission order is
 		// age order, and compact preserves it).
-		for _, w := range r.warps {
-			if w.done || w.atBarrier {
+		for i, g := range r.gate {
+			if g > r.cycle {
 				continue
 			}
-			if r.earliestIssue(w) <= r.cycle {
+			if w := r.warps[i]; r.earliestIssue(w) <= r.cycle {
 				r.greedy = w
 				return w
 			}
 		}
 		return nil
 	}
-	// Loose round robin.
-	for i := 0; i < n; i++ {
-		w := r.warps[(r.lastPick+1+i)%n]
-		if w.done || w.atBarrier {
+	// Loose round robin, starting after the last pick.
+	i := r.lastPick
+	for range n {
+		if i++; i >= n {
+			i = 0
+		}
+		if r.gate[i] > r.cycle {
 			continue
 		}
-		if r.earliestIssue(w) <= r.cycle {
-			r.lastPick = w.id
+		if w := r.warps[i]; r.earliestIssue(w) <= r.cycle {
+			r.lastPick = i
 			return w
 		}
 	}
@@ -540,34 +638,37 @@ func (r *run) issue(w *warp) error {
 	e := w.top()
 	blk := r.k.Blocks[e.block]
 	if e.instr < len(blk.Instrs) {
-		return r.issueInstr(w, blk.Instrs[e.instr])
+		return r.issueInstr(w, &blk.Instrs[e.instr])
 	}
-	return r.issueTerm(w, blk.Term)
+	return r.issueTerm(w, &blk.Term)
 }
 
 // countRF charges register-file traffic for one issued warp instruction.
 func (r *run) countRF(reads, writes int) {
-	ws := uint64(r.m.cfg.WarpSize)
+	ws := uint64(r.ws)
 	r.res.RFReads += uint64(reads) * ws
 	r.res.RFWrites += uint64(writes) * ws
 	r.res.RFWarpAccesses += uint64(reads + writes)
 }
 
-func (r *run) issueInstr(w *warp, in kir.Instr) error {
+func (r *run) issueInstr(w *warp, in *kir.Instr) error {
+	op := in.Op
 	e := w.top()
 	mask := e.mask
 	lanesOn := bits.OnesCount32(mask)
 	r.res.WarpInstrs++
 	r.res.ThreadInstrs += uint64(lanesOn)
 	r.res.MaskedLanes += uint64(bits.OnesCount32(w.active &^ mask))
-	r.countRF(in.Op.NumSrc(), boolInt(in.Op.HasDst()))
+	hasDst := op.HasDst()
+	r.countRF(op.NumSrc(), boolInt(hasDst))
 
-	lat := engine.OpLatency(in.Op)
+	lat := engine.OpLatency(op)
 	occupancy := r.m.cfg.ALUOccupancy
 	done := r.cycle + lat
 
-	switch {
-	case in.Op.IsMemory():
+	port := portOf(op)
+	switch port {
+	case portMEM:
 		r.res.MemOps += uint64(lanesOn)
 		var trans int
 		var err error
@@ -581,72 +682,139 @@ func (r *run) issueInstr(w *warp, in kir.Instr) error {
 		if t := int64(trans); t > occupancy {
 			occupancy = t
 		}
-	case in.Op.Class() == kir.ClassSCU:
+	case portSFU:
 		occupancy = r.m.cfg.SFUOccupancy
 		r.res.SFUOps += uint64(lanesOn)
 		r.execALU(w, in, mask)
 	default:
 		r.res.ALUOps += uint64(lanesOn)
-		if in.Op.IsFloat() {
+		if op.IsFloat() {
 			r.res.FPOps += uint64(lanesOn)
 		}
 		r.execALU(w, in, mask)
 	}
 
-	if in.Op.HasDst() {
+	if hasDst {
 		w.regReady[in.Dst] = done + r.m.cfg.PipelineLat
 	}
-	r.portFree[portOf(in.Op)] = r.cycle + occupancy
+	r.portFree[port] = r.cycle + occupancy
 	w.readyAt = r.cycle + 1
 	e.instr++
-	w.issueValid = false // next instruction, new readyAt, new regReady[dst]
+	r.gate[w.id] = gateStale // next instruction, new readyAt, new regReady[dst]
 	if r.sink.Enabled(trace.CatSIMT) {
 		// One span per issued warp instruction: issue to execution-complete
 		// (the op name labels the span; the register writeback lands
 		// PipelineLat later).
-		r.sink.Emit(trace.Event{Name: in.Op.String(), Cat: trace.CatSIMT, Phase: trace.PhaseSpan,
+		r.sink.Emit(trace.Event{Name: op.String(), Cat: trace.CatSIMT, Phase: trace.PhaseSpan,
 			Track: r.tr.sched, Ts: r.cycle, Dur: done - r.cycle,
 			K1: "warp", V1: int64(w.id), K2: "block", V2: int64(e.block), K3: "lanes", V3: int64(lanesOn)})
 	}
 	return nil
 }
 
-func (r *run) execALU(w *warp, in kir.Instr, mask uint32) {
-	for l := 0; l < r.m.cfg.WarpSize; l++ {
-		if mask&(1<<l) == 0 {
-			continue
-		}
-		regs := w.regs[l]
-		switch {
-		case in.Op == kir.OpParam:
-			regs[in.Dst] = r.launch.Params[in.Imm]
-		case in.Op.IsGeometry():
-			regs[in.Dst] = r.launch.Geometry(in.Op, w.lanes[l])
+// execALU evaluates a non-memory instruction on the active lanes. The
+// operand and destination columns are resolved once per instruction, and
+// the lane loops visit only the set bits of the mask.
+func (r *run) execALU(w *warp, in *kir.Instr, mask uint32) {
+	op := in.Op
+	dst := r.col(w, in.Dst)
+	switch {
+	case op == kir.OpParam:
+		fill(dst, mask, r.launch.Params[in.Imm])
+	case op.IsGeometry():
+		r.execGeometry(w, op, dst, mask)
+	default:
+		switch op.NumSrc() {
+		case 0:
+			fill(dst, mask, kir.Eval(op, 0, 0, 0, in.Imm))
+		case 1:
+			a := r.col(w, in.Src[0])
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m)
+				dst[l] = kir.Eval(op, a[l], 0, 0, in.Imm)
+			}
+		case 2:
+			a, b := r.col(w, in.Src[0]), r.col(w, in.Src[1])
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m)
+				dst[l] = kir.Eval(op, a[l], b[l], 0, in.Imm)
+			}
 		default:
-			var a, b, c uint32
-			n := in.Op.NumSrc()
-			if n > 0 {
-				a = regs[in.Src[0]]
+			a, b, c := r.col(w, in.Src[0]), r.col(w, in.Src[1]), r.col(w, in.Src[2])
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m)
+				dst[l] = kir.Eval(op, a[l], b[l], c[l], in.Imm)
 			}
-			if n > 1 {
-				b = regs[in.Src[1]]
-			}
-			if n > 2 {
-				c = regs[in.Src[2]]
-			}
-			regs[in.Dst] = kir.Eval(in.Op, a, b, c, in.Imm)
 		}
 	}
+}
+
+// execGeometry writes a thread coordinate into the active lanes. A warp
+// never spans CTAs and its lanes are consecutive thread IDs, so the CTA
+// coordinates and dimensions are one value per instruction, and TIDX/TIDY
+// step from lane 0's coordinates (x fastest) without a divide per lane.
+func (r *run) execGeometry(w *warp, op kir.Op, dst []uint32, mask uint32) {
+	switch op {
+	case kir.OpTID:
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			dst[l] = uint32(w.tid0 + l)
+		}
+	case kir.OpTIDX, kir.OpTIDY:
+		bx := uint32(r.launch.BlockX)
+		x, y := r.launch.Geometry(kir.OpTIDX, w.tid0), r.launch.Geometry(kir.OpTIDY, w.tid0)
+		for l := 0; mask>>l != 0; l++ {
+			if mask&(1<<l) != 0 {
+				if op == kir.OpTIDX {
+					dst[l] = x
+				} else {
+					dst[l] = y
+				}
+			}
+			if x++; x == bx {
+				x, y = 0, y+1
+			}
+		}
+	default:
+		fill(dst, mask, r.launch.Geometry(op, w.tid0))
+	}
+}
+
+// fill writes v into the active lanes of a column.
+func fill(dst []uint32, mask uint32, v uint32) {
+	for m := mask; m != 0; m &= m - 1 {
+		dst[bits.TrailingZeros32(m)] = v
+	}
+}
+
+// addID appends id unless ids already holds it. Neighbouring lanes usually
+// share a line, so the last id is checked first.
+func addID(ids []int64, id int64) []int64 {
+	if n := len(ids); n > 0 && ids[n-1] == id {
+		return ids
+	}
+	for _, v := range ids {
+		if v == id {
+			return ids
+		}
+	}
+	return append(ids, id)
 }
 
 // execMem performs a coalesced memory access for the active lanes and
 // returns the completion cycle of the slowest transaction plus the number of
 // transactions generated (line transactions for global memory, conflicting
 // bank groups for shared memory).
-func (r *run) execMem(w *warp, in kir.Instr, mask uint32) (int64, int, error) {
+func (r *run) execMem(w *warp, in *kir.Instr, mask uint32) (int64, int, error) {
 	write := in.Op.IsStore()
-	sharedSpace := in.Op.IsShared()
-	lineWords := int64(r.m.cfg.Mem.L1.LineBytes / 4)
+	addrs := r.col(w, in.Src[0])
+	// data is the stored column for a store, the loaded one for a load.
+	var data []uint32
+	if write {
+		data = r.col(w, in.Src[1])
+	} else {
+		data = r.col(w, in.Dst)
+	}
 
 	done := r.cycle + 1
 	// ids collects the distinct line (global) or bank (shared) numbers the
@@ -654,48 +822,24 @@ func (r *run) execMem(w *warp, in kir.Instr, mask uint32) (int64, int, error) {
 	// is at most 32 lanes wide, and unlike a map the resulting access order
 	// is reproducible (bank/port timing depends on it).
 	ids := r.memScratch[:0]
-	addID := func(id int64) {
-		for _, v := range ids {
-			if v == id {
-				return
-			}
-		}
-		ids = append(ids, id)
-	}
-	for l := 0; l < r.m.cfg.WarpSize; l++ {
-		if mask&(1<<l) == 0 {
-			continue
-		}
-		regs := w.regs[l]
-		addr := int64(int32(regs[in.Src[0]]) + in.Imm)
-		if sharedSpace {
-			sh := r.shared[w.cta]
+	if in.Op.IsShared() {
+		sh := r.shared[w.cta]
+		banks := int64(r.m.cfg.Mem.SharedBanks)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			addr := int64(int32(addrs[l]) + in.Imm)
 			if addr < 0 || addr >= int64(len(sh)) {
 				return 0, 0, fmt.Errorf("simt: thread %d: shared access out of bounds: %d (size %d)",
-					w.lanes[l], addr, len(sh))
+					w.tid0+l, addr, len(sh))
 			}
 			if write {
-				sh[addr] = regs[in.Src[1]]
+				sh[addr] = data[l]
 			} else {
-				regs[in.Dst] = sh[addr]
+				data[l] = sh[addr]
 			}
-			addID(addr % int64(r.m.cfg.Mem.SharedBanks))
-			continue
+			ids = addID(ids, addr%banks)
 		}
-		if addr < 0 || addr >= int64(len(r.global)) {
-			return 0, 0, fmt.Errorf("simt: thread %d: global access out of bounds: %d (size %d)",
-				w.lanes[l], addr, len(r.global))
-		}
-		if write {
-			r.global[addr] = regs[in.Src[1]]
-		} else {
-			regs[in.Dst] = r.global[addr]
-		}
-		addID(addr / lineWords)
-	}
-	r.memScratch = ids
-
-	if sharedSpace {
+		r.memScratch = ids
 		// Bank conflicts serialize; each distinct bank is one transaction.
 		r.res.ShTrans += uint64(len(ids))
 		for _, b := range ids {
@@ -705,6 +849,25 @@ func (r *run) execMem(w *warp, in kir.Instr, mask uint32) (int64, int, error) {
 		}
 		return done, len(ids), nil
 	}
+	for m := mask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		addr := int64(int32(addrs[l]) + in.Imm)
+		if addr < 0 || addr >= int64(len(r.global)) {
+			return 0, 0, fmt.Errorf("simt: thread %d: global access out of bounds: %d (size %d)",
+				w.tid0+l, addr, len(r.global))
+		}
+		if write {
+			r.global[addr] = data[l]
+		} else {
+			data[l] = r.global[addr]
+		}
+		if r.lineShift >= 0 {
+			ids = addID(ids, addr>>r.lineShift)
+		} else {
+			ids = addID(ids, addr/r.lineWords)
+		}
+	}
+	r.memScratch = ids
 	// Coalescing: one transaction per distinct 128B line (Fermi-style).
 	r.res.L1Trans += uint64(len(ids))
 	for _, line := range ids {
@@ -717,10 +880,13 @@ func (r *run) execMem(w *warp, in kir.Instr, mask uint32) (int64, int, error) {
 
 // issueTerm executes a block terminator: branch resolution, divergence-stack
 // maintenance, reconvergence pops, barrier arrival, and thread retirement.
-func (r *run) issueTerm(w *warp, t kir.Terminator) error {
+func (r *run) issueTerm(w *warp, t *kir.Terminator) error {
 	e := w.top()
 	r.res.WarpInstrs++
 	r.res.ThreadInstrs += uint64(bits.OnesCount32(e.mask))
+	// Control moves and readyAt changes; retirement or a barrier wait below
+	// closes the gate again.
+	r.gate[w.id] = gateStale
 
 	switch t.Kind {
 	case kir.TermRet:
@@ -743,17 +909,14 @@ func (r *run) issueTerm(w *warp, t kir.Terminator) error {
 
 	case kir.TermBranch:
 		r.countRF(1, 0) // the condition register read
-		var maskThen, maskElse uint32
-		for l := 0; l < r.m.cfg.WarpSize; l++ {
-			if e.mask&(1<<l) == 0 {
-				continue
-			}
-			if w.regs[l][t.Cond] != 0 {
+		cond := r.col(w, t.Cond)
+		var maskThen uint32
+		for m := e.mask; m != 0; m &= m - 1 {
+			if l := bits.TrailingZeros32(m); cond[l] != 0 {
 				maskThen |= 1 << l
-			} else {
-				maskElse |= 1 << l
 			}
 		}
+		maskElse := e.mask &^ maskThen
 		switch {
 		case maskElse == 0:
 			e.block, e.instr = t.Then, 0
@@ -779,7 +942,6 @@ func (r *run) issueTerm(w *warp, t kir.Terminator) error {
 	}
 
 	w.readyAt = r.cycle + 1 + r.m.cfg.BranchLat
-	w.issueValid = false // control moved and readyAt changed
 	r.checkBarrier(w)
 	return nil
 }
@@ -817,15 +979,20 @@ func (r *run) popEmpty(w *warp) {
 	}
 }
 
+// retireWarp closes the warp's gate and hands its storage to the next
+// admission; a retired warp's registers, scoreboard and stack are never read
+// again.
 func (r *run) retireWarp(w *warp) {
 	if w.done {
 		return
 	}
 	w.done = true
+	r.gate[w.id] = never
+	r.free = append(r.free, warpSlab{w.regs, w.regReady, w.stack})
+	w.regs, w.regReady, w.stack = nil, nil, nil
 	r.liveWarps--
-	r.liveCTA[w.cta]--
-	if r.liveCTA[w.cta] == 0 {
-		delete(r.liveCTA, w.cta)
+	if r.liveCTA[w.cta]--; r.liveCTA[w.cta] == 0 {
+		r.residentCTAs--
 	}
 	r.releaseBarrier(w.cta)
 }
@@ -842,6 +1009,7 @@ func (r *run) checkBarrier(w *warp) {
 	}
 	r.barriers[w.cta]++
 	w.atBarrier = true
+	r.gate[w.id] = never
 	r.res.Barriers++
 	if r.sink.Enabled(trace.CatSIMT) {
 		r.sink.Emit(trace.Event{Name: "barrier.wait", Cat: trace.CatSIMT, Phase: trace.PhaseInstant,
@@ -859,13 +1027,13 @@ func (r *run) releaseBarrier(cta int) {
 	if r.barriers[cta] < r.liveCTA[cta] {
 		return
 	}
-	for _, w := range r.warps {
+	for i, w := range r.warps {
 		if w.cta == cta && w.atBarrier {
 			w.atBarrier = false
 			if w.readyAt < r.cycle+1 {
 				w.readyAt = r.cycle + 1
 			}
-			w.issueValid = false // readyAt may have moved
+			r.gate[i] = gateStale // readyAt may have moved
 		}
 	}
 	if r.sink.Enabled(trace.CatSIMT) {

@@ -417,3 +417,55 @@ func TestSIMTSchedulerPolicies(t *testing.T) {
 		t.Error("policy names wrong")
 	}
 }
+
+// TestSIMTUnwrittenRegisterReadsZero: a lane that reads a register no
+// instruction of its thread wrote sees zero, as in the reference
+// interpreter, even when its warp's register slab was recycled from a
+// retired warp that wrote that register.
+func TestSIMTUnwrittenRegisterReadsZero(t *testing.T) {
+	build := func() *kir.Kernel {
+		b := kir.NewBuilder("unwritten")
+		b.SetParams(2)
+		entry := b.NewBlock("entry")
+		set := b.NewBlock("set")
+		exit := b.NewBlock("exit")
+		b.SetBlock(entry)
+		tid := b.Tid()
+		v := b.Load(b.Add(b.Param(0), tid), 0)
+		b.Branch(b.SetLT(v, b.Const(10)), set, exit)
+		b.SetBlock(set)
+		r := b.AddI(v, 100)
+		b.Jump(exit)
+		b.SetBlock(exit)
+		b.Store(b.Add(b.Param(1), b.Tid()), 0, r)
+		b.Ret()
+		return b.MustBuild()
+	}
+	// Early CTAs take the writing path, later ones read r unwritten, and
+	// one resident CTA at a time makes every later warp reuse a slab.
+	const n = 32 * 8
+	input := func() []uint32 {
+		m := make([]uint32, 2*n)
+		for i := 0; i < n; i++ {
+			m[i] = uint32(i / 4) // below 10 only in the first CTA
+		}
+		return m
+	}
+	launch := kir.Launch1D(n/32, 32, 0, n)
+	ref := reference(t, build, launch, input())
+	ck, err := compile.Compile(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.MaxCTAs = 1
+	got := input()
+	if _, err := NewMachine(cfg).Run(ck, launch, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("mem[%d]: simt %d, ref %d", i, got[i], ref[i])
+		}
+	}
+}
