@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race bench bench-record trace-check serve-check bench-smoke fleet-check gate-check analyze verify-check fuzz-smoke fmt
+.PHONY: check build test vet race bench bench-record trace-check serve-check bench-smoke gate-check analyze verify-check fuzz-smoke fmt
 
 # check is the full pre-merge gate, in order: gofmt, go vet, then the repo's
 # own static-analysis suite (`analyze` — determinism taint, lock discipline,
@@ -11,10 +11,9 @@ GO ?= go
 # iteration of each perf-guard benchmark (allocs/op regressions show up
 # even at -benchtime=1x), the trace/metrics schema gate, the metric
 # regression gate against the checked-in baselines, the daemon smoke test,
-# the benchmark module's own tests, and the fleet sweep gate (3 workers, a
-# mid-sweep SIGKILL, byte-identical merged results). Static gates run first
-# so a bad tree fails in seconds, not after the benches.
-check: fmt vet analyze build race verify-check fuzz-smoke bench trace-check gate-check serve-check bench-smoke fleet-check
+# and the benchmark module's own tests. Static gates run first so a bad tree
+# fails in seconds, not after the benches.
+check: fmt vet analyze build race verify-check fuzz-smoke bench trace-check gate-check serve-check bench-smoke
 
 # analyze runs cmd/vgiwcheck (internal/analysis) over the whole module in
 # strict mode: every finding must be fixed or carry a justified
@@ -61,11 +60,6 @@ ENGINE_BENCH = BenchmarkEngineHotPath|BenchmarkEngineVector|BenchmarkEngineFast
 # conflict rates) rides the same trajectory file; -threads 0 skips the
 # threads/sec derivation, which only makes sense for the engine scenarios.
 MEM_BENCH = BenchmarkMemAccessWord
-# The fleet coordinator microbenchmark pushes a 64-job matrix through the
-# full dispatch path (ledger, scheduling, HTTP round-trip) against an
-# instant stub worker, so ns/op is pure coordination overhead; it rides the
-# same trajectory file with -threads 0 (threads/sec is an engine notion).
-FLEET_BENCH = BenchmarkCoordinatorDispatch
 # The SIMT layer's row: every registry kernel at scale 1 through the SIMT
 # model alone (compiled outside the timer), with B/op and allocs/op beside
 # ns/op; -threads 0 as for the other non-engine rows.
@@ -74,8 +68,6 @@ bench:
 	$(GO) test -run '^$$' -bench '$(ENGINE_BENCH)' -benchtime 100x ./internal/engine/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 512 -check
 	$(GO) test -run '^$$' -bench '$(MEM_BENCH)' -benchtime 2000x ./internal/mem/ | \
-		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -check
-	$(GO) test -run '^$$' -bench '$(FLEET_BENCH)' -benchtime 20x ./internal/fleet/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -check
 	$(GO) test -run '^$$' -bench '$(SIMT_BENCH)' -benchtime 5x -benchmem ./internal/simt/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -check
@@ -89,8 +81,6 @@ bench-record:
 	$(GO) test -run '^$$' -bench '$(ENGINE_BENCH)' -benchtime 100x -count 3 ./internal/engine/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 512 -record
 	$(GO) test -run '^$$' -bench '$(MEM_BENCH)' -benchtime 20000x -count 3 ./internal/mem/ | \
-		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -record
-	$(GO) test -run '^$$' -bench '$(FLEET_BENCH)' -benchtime 100x -count 3 ./internal/fleet/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -record
 	$(GO) test -run '^$$' -bench '$(SIMT_BENCH)' -benchtime 10x -count 3 -benchmem ./internal/simt/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -record
@@ -125,15 +115,6 @@ serve-check:
 # output checks included (about 5 s).
 bench-smoke:
 	$(GO) -C benchmark test ./...
-
-# fleet-check is the distributed-sweep acceptance gate: boot three real
-# vgiwd workers sharing one result store, push a registry matrix (plus a
-# duplicate spec) through vgiwctl, and require the merged report to be
-# byte-identical to a single-process RunMatrix with every unique key
-# executed exactly once fleet-wide — then repeat with one worker SIGKILLed
-# mid-sweep (see cmd/vgiwctl/main_test.go).
-fleet-check:
-	$(GO) test -run TestFleetCheck ./cmd/vgiwctl
 
 # fmt fails when any Go file is not gofmt-clean, listing the offenders.
 fmt:

@@ -10,7 +10,7 @@
 //
 // With no package arguments the whole module under -root is analyzed.
 // Package arguments are directories relative to the module root (e.g.
-// internal/fleet); their module-internal dependencies are still loaded
+// internal/server); their module-internal dependencies are still loaded
 // and analyzed (cross-package facts need them) but only the named
 // packages are reported on.
 //

@@ -6,10 +6,10 @@
 // gates `make check` on it.
 //
 // Why it exists: every guarantee this repo sells — byte-identical parallel
-// sweeps, fleet-wide exactly-once merges, store/restart byte-identity —
-// rests on determinism and lock discipline that -race and goldens can only
-// police at runtime, one execution at a time. The passes here prove the
-// same properties at analysis time, over every path:
+// sweeps, daemon results equal to in-process ones, store/restart
+// byte-identity — rests on determinism and lock discipline that -race and
+// goldens can only police at runtime, one execution at a time. The passes
+// here prove the same properties at analysis time, over every path:
 //
 //   - det: values taken from a map iteration (or a multi-way select) must
 //     not reach a serialized output (json/csv/fmt writers, json-tagged
@@ -155,7 +155,7 @@ func DefaultPasses() []*Pass {
 // returns the surviving diagnostics sorted by position. Only diagnostics
 // positioned in files belonging to units with Report set are returned —
 // dependency units are still analyzed so their facts and suppressions
-// exist, but a `vgiwcheck internal/fleet` run reports on fleet alone.
+// exist, but a `vgiwcheck internal/server` run reports on server alone.
 func (a *Analyzer) Run(prog *Program) []Diagnostic {
 	facts := NewFacts()
 	var raw []Diagnostic

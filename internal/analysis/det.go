@@ -4,8 +4,8 @@
 // Go randomizes map iteration per run, and a multi-way select picks among
 // ready cases pseudo-randomly — both are exactly the nondeterminism the
 // repo's guarantees (byte-identical parallel sweeps, store/restart
-// byte-identity, fleet-wide merged reports) cannot absorb. The pass runs a
-// function-local, flow-approximate taint analysis:
+// byte-identity, daemon results equal to in-process ones) cannot absorb.
+// The pass runs a function-local, flow-approximate taint analysis:
 //
 //   - Sources: `range` over a map; appends inside a multi-way select
 //     clause. Values accumulated from a source (append to a pre-existing

@@ -1,7 +1,7 @@
 // The golife pass: every `go` statement must be tied to something that can
 // stop it or wait for it — a context, a WaitGroup, or a stop/work channel.
 // An untied goroutine is how SIGTERM drains hang, leak tests flake, and
-// fleet workers die with work in flight. The evidence accepted:
+// daemon workers die with work in flight. The evidence accepted:
 //
 //   - the goroutine body mentions a context.Context;
 //   - it mentions a sync.WaitGroup (Done on spawn paths, Wait on drains);

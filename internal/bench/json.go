@@ -165,42 +165,13 @@ func (s *SuiteResult) Report(scale int) JSONReport {
 // durMS renders a host duration in milliseconds with microsecond precision.
 func durMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
-// MergeReport rebuilds a suite-level report from per-kernel JSONRun rows —
-// the fleet coordinator's half of BuildJSON. The rows typically arrive as
-// single-run reports from N vgiwd workers; merging them in matrix order and
-// recomputing the geomeans here yields a report whose simulated content is
-// byte-identical to a single-process BuildJSON over the same runs: the row
-// floats round-trip exactly through JSON, and the geomean inclusion rules
-// below mirror BuildJSON's (every run contributes to the Fermi-relative
-// aggregates; the SGMF aggregate takes runs that executed on SGMF, and
-// Geomean skips non-positive values either way).
-func MergeReport(runs []JSONRun, scale int) JSONReport {
-	rep := JSONReport{Scale: scale, Runs: runs}
-	var sp, effS, effC, spSGMF, lvc []float64
-	for _, jr := range runs {
-		if jr.SGMFCycles != 0 {
-			spSGMF = append(spSGMF, jr.SpeedupVsSGMF)
-		}
-		sp = append(sp, jr.Speedup)
-		effS = append(effS, jr.EffSystem)
-		effC = append(effC, jr.EffCore)
-		lvc = append(lvc, jr.LVCOverRF)
-	}
-	rep.GeomeanSpeedup = Geomean(sp)
-	rep.GeomeanEffSystem = Geomean(effS)
-	rep.GeomeanEffCore = Geomean(effC)
-	rep.GeomeanVsSGMF = Geomean(spSGMF)
-	rep.MeanLVCOverRF = mean(lvc)
-	return rep
-}
-
 // Canonical returns a copy of the report with every host-side telemetry
 // field zeroed: wall clock, per-stage splits, allocation counts, cache
 // accounting, and the per-run elapsed/stage timings. What remains is exactly
 // the simulated content, which is deterministic — so two canonical reports
-// over the same matrix are byte-identical regardless of which host (or how
-// many fleet workers) produced the runs. The determinism tests and the fleet
-// byte-identity gate compare canonical forms.
+// over the same matrix are byte-identical regardless of which host, how
+// many workers, or which path (one process or one vgiwd) produced the runs.
+// The determinism tests and the daemon crosscheck compare canonical forms.
 func (r JSONReport) Canonical() JSONReport {
 	r.WallClockMS = 0
 	r.Parallelism = 0

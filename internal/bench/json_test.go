@@ -1,64 +1,6 @@
 package bench
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-
-	"vgiw/internal/kernels"
-)
-
-// TestMergeReportMatchesBuildJSON is the merge half of the fleet
-// byte-identity contract: per-kernel reports produced independently (as N
-// vgiwd workers would), round-tripped through JSON, and merged with
-// MergeReport must marshal byte-identically to a single BuildJSON over the
-// same runs, once both sides are reduced to their canonical (host-telemetry-
-// free) form. The kernel set deliberately includes an SGMF-mappable kernel
-// and a non-mappable one, so the SGMF geomean inclusion rule is exercised.
-func TestMergeReportMatchesBuildJSON(t *testing.T) {
-	names := []string{"bfs.kernel1", "bfs.kernel2"} // kernel2 is SGMF-mappable
-	opt := DefaultOptions()
-	var runs []*KernelRun
-	var rows []JSONRun
-	for _, name := range names {
-		spec, ok := kernels.ByName(name)
-		if !ok {
-			t.Fatalf("unknown kernel %q", name)
-		}
-		kr, err := RunOne(spec, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs = append(runs, kr)
-
-		// One worker's view: a single-run report, serialized and parsed back
-		// exactly as the coordinator receives it over HTTP.
-		wire, err := json.Marshal(BuildJSON([]*KernelRun{kr}, opt.Scale))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep JSONReport
-		if err := json.Unmarshal(wire, &rep); err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Runs) != 1 {
-			t.Fatalf("single-kernel report has %d runs", len(rep.Runs))
-		}
-		rows = append(rows, rep.Runs[0])
-	}
-
-	local, err := json.Marshal(BuildJSON(runs, opt.Scale).Canonical())
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := json.Marshal(MergeReport(rows, opt.Scale).Canonical())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(local, merged) {
-		t.Errorf("merged report differs from single-process report:\n%s\nvs\n%s", merged, local)
-	}
-}
+import "testing"
 
 // TestCanonicalStripsHostTelemetry pins that Canonical zeroes every
 // host-side field (and only copies, never mutates, the receiver's rows).

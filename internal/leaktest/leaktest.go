@@ -17,7 +17,7 @@
 //		...
 //	}
 //
-// Whole-suite use (wired into internal/server and internal/fleet):
+// Whole-suite use (wired into internal/server):
 //
 //	func TestMain(m *testing.M) { leaktest.Main(m) }
 package leaktest
@@ -86,7 +86,6 @@ func benign(stack string) bool {
 		"net.(*Resolver)",
 		"net/http.(*persistConn).readLoop",
 		"net/http.(*persistConn).writeLoop",
-		"net/http.setupRewindBody",
 	} {
 		if strings.Contains(stack, marker) {
 			return true

@@ -89,7 +89,7 @@ func TestBenignFilters(t *testing.T) {
 			t.Errorf("stack not filtered as benign:\n%s", stack)
 		}
 	}
-	if benign("goroutine 12 [chan receive]:\nvgiw/internal/fleet.(*Coordinator).probe(0xc0001a2000)\n") {
+	if benign("goroutine 12 [chan receive]:\nvgiw/internal/server.(*Server).worker(0xc0001a2000)\n") {
 		t.Error("application goroutine wrongly filtered as benign")
 	}
 }

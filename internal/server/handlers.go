@@ -56,7 +56,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
-	j, err := s.SubmitTenant(spec, r.Header.Get(TenantHeader))
+	j, err := s.Submit(spec)
 	switch {
 	case errors.Is(err, errQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))

@@ -1,9 +1,8 @@
-// Package server turns the experiment harness into a multi-tenant
-// simulation service: an HTTP/JSON job API with a bounded queue, admission
-// control, per-job deadlines, singleflight result dedup, live Prometheus
-// metrics, and graceful drain. It is the shape of an inference-serving
-// frontend — queue, backpressure, deadlines, drain — grafted onto the
-// simulators.
+// Package server turns the experiment harness into a simulation service:
+// an HTTP/JSON job API with a bounded queue, admission control, per-job
+// deadlines, singleflight result dedup, live Prometheus metrics, and
+// graceful drain. It is the shape of an inference-serving frontend —
+// queue, backpressure, deadlines, drain — grafted onto the simulators.
 package server
 
 import (
@@ -57,7 +56,6 @@ type execution struct {
 type Job struct {
 	ID      string
 	Spec    bench.JobSpec // as submitted (normalized, deadline included)
-	Tenant  string        // who submitted it (X-VGIW-Tenant; "default" for bare clients)
 	Shared  bool          // attached to an execution another job started
 	created time.Time
 
@@ -112,17 +110,12 @@ func terminal(state string) bool {
 	return state == StateDone || state == StateFailed || state == StateCancelled
 }
 
-// Terminal reports whether the view's state is one clients can stop
-// polling on.
-func (v *JobView) Terminal() bool { return terminal(v.State) }
-
 // JobView is the wire form of a job's status.
 type JobView struct {
 	ID      string        `json:"id"`
 	State   string        `json:"state"`
 	Reason  string        `json:"reason,omitempty"`
 	Spec    bench.JobSpec `json:"spec"`
-	Tenant  string        `json:"tenant,omitempty"` // submitting tenant (never part of the content key)
 	Shared  bool          `json:"shared,omitempty"` // deduped onto an in-flight execution
 	Created time.Time     `json:"created"`
 	Started *time.Time    `json:"started,omitempty"`

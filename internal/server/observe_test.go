@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -120,6 +121,52 @@ func TestStoreRoundTrip(t *testing.T) {
 	getJSON(t, tsB, "/v1/history/diff?from="+he.Key+"&to="+he.Key, &diff)
 	if len(diff.Changed) != 0 || diff.Unchanged == 0 {
 		t.Errorf("self-diff: changed=%d unchanged=%d", len(diff.Changed), diff.Unchanged)
+	}
+}
+
+// TestRequestHeadersNeverCreateMetricNames pins that clients cannot grow
+// the daemon's registry: the metric names are fixed by the code, so a
+// thousand store hits, each carrying a different X-VGIW-Tenant header, add
+// no name to it.
+func TestRequestHeadersNeverCreateMetricNames(t *testing.T) {
+	dir := t.TempDir()
+	body := `{"kernel":"bfs.kernel1"}`
+	warm, tsWarm := newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 4})
+	if resp, v := postJob(t, tsWarm, body, "?wait=1"); resp.StatusCode != http.StatusOK || v.State != StateDone {
+		t.Fatalf("warm-up: status %d state %q", resp.StatusCode, v.State)
+	}
+	// Draining flushes the result to the store, so every submission to the
+	// second server below is a store hit.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := warm.Shutdown(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	s, ts := newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 4})
+	names := len(s.Metrics().Flat())
+	hits := s.Metrics().Counter("vgiwd/store_hits")
+	const n = 1000
+	for i := 0; i < n; i++ {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-VGIW-Tenant", fmt.Sprintf("tenant-%04d", i))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := decodeView(t, resp); resp.StatusCode != http.StatusOK || v.Cached != "store" {
+			t.Fatalf("submission %d: status %d cached %q, want a 200 store hit", i, resp.StatusCode, v.Cached)
+		}
+	}
+	if got := s.Metrics().Counter("vgiwd/store_hits") - hits; got != n {
+		t.Errorf("store_hits grew by %d, want %d", got, n)
+	}
+	if got := len(s.Metrics().Flat()); got != names {
+		t.Errorf("%d store hits took the registry from %d to %d metric names", n, names, got)
 	}
 }
 

@@ -145,56 +145,11 @@ var errQueueFull = errors.New("server: queue full")
 // errDraining is returned by Submit once Shutdown has begun.
 var errDraining = errors.New("server: draining")
 
-// TenantHeader is the request header carrying the submitting tenant's id,
-// and DefaultTenant is what a bare client (no header) is filed under — so
-// per-tenant accounting always has a real key.
-const (
-	TenantHeader  = "X-VGIW-Tenant"
-	DefaultTenant = "default"
-)
-
-// ValidTenant reports whether a tenant id is acceptable: 1–64 characters
-// from [A-Za-z0-9._-]. Tenant ids become metric-name components, so the
-// charset is restricted to keep the exposition parseable and to bound what
-// an arbitrary client can inject into it.
-func ValidTenant(t string) bool {
-	if len(t) == 0 || len(t) > 64 {
-		return false
-	}
-	for i := 0; i < len(t); i++ {
-		c := t[i]
-		switch {
-		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
-			c == '.', c == '_', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// errBadTenant is returned by SubmitTenant for ids ValidTenant rejects.
-var errBadTenant = errors.New("server: invalid tenant id (want 1-64 chars of [A-Za-z0-9._-])")
-
-// Submit admits one job under the default tenant. See SubmitTenant.
-func (s *Server) Submit(spec bench.JobSpec) (*Job, error) {
-	return s.SubmitTenant(spec, "")
-}
-
-// SubmitTenant admits one job: it normalizes the spec, dedups it against
+// Submit admits one job: it normalizes the spec, dedups it against
 // in-flight executions by content key, and otherwise enqueues a new
 // execution — non-blocking, so a full queue rejects with errQueueFull (the
 // HTTP layer's 429) instead of stalling the client or growing without bound.
-// The tenant id ("" = DefaultTenant) is job metadata for quotas and metric
-// labels; it is never part of the content key, so jobs from different
-// tenants still dedup onto one execution.
-func (s *Server) SubmitTenant(spec bench.JobSpec, tenant string) (*Job, error) {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	if !ValidTenant(tenant) {
-		return nil, errBadTenant
-	}
+func (s *Server) Submit(spec bench.JobSpec) (*Job, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
@@ -218,7 +173,7 @@ func (s *Server) SubmitTenant(spec bench.JobSpec, tenant string) (*Job, error) {
 	// produced it (possibly in a previous process). Traced jobs always run —
 	// a stored result carries no event sink to stream or export.
 	if s.store != nil && !spec.Trace {
-		if j, ok := s.admitFromStoreLocked(spec, key, tenant); ok {
+		if j, ok := s.admitFromStoreLocked(spec, key); ok {
 			return j, nil
 		}
 	}
@@ -257,7 +212,6 @@ func (s *Server) SubmitTenant(spec bench.JobSpec, tenant string) (*Job, error) {
 	j := &Job{
 		ID:      fmt.Sprintf("j%06d", s.seq),
 		Spec:    spec,
-		Tenant:  tenant,
 		Shared:  shared,
 		created: time.Now(),
 		exec:    e,
@@ -276,7 +230,6 @@ func (s *Server) SubmitTenant(spec bench.JobSpec, tenant string) (*Job, error) {
 	s.order = append(s.order, j.ID)
 	s.evictLocked()
 	s.reg.Add("vgiwd/jobs_admitted", 1)
-	s.reg.Add("vgiwd/tenant_admitted/"+tenant, 1)
 	s.reg.Set("vgiwd/queue_depth", uint64(len(s.queue)))
 	return j, nil
 }
@@ -286,7 +239,7 @@ func (s *Server) SubmitTenant(spec bench.JobSpec, tenant string) (*Job, error) {
 // deadline timer — the result already exists) and reports true. Store errors
 // are counted and fall through to a real execution: a corrupt entry must
 // never wedge the job path. Caller holds the server mutex.
-func (s *Server) admitFromStoreLocked(spec, key bench.JobSpec, tenant string) (*Job, bool) {
+func (s *Server) admitFromStoreLocked(spec, key bench.JobSpec) (*Job, bool) {
 	ent, err := s.store.Get(store.Key(key))
 	if err != nil {
 		s.reg.Add("vgiwd/store_errors", 1)
@@ -312,7 +265,6 @@ func (s *Server) admitFromStoreLocked(spec, key bench.JobSpec, tenant string) (*
 	j := &Job{
 		ID:      fmt.Sprintf("j%06d", s.seq),
 		Spec:    spec,
-		Tenant:  tenant,
 		created: now,
 		exec:    e,
 		done:    make(chan struct{}),
@@ -321,7 +273,6 @@ func (s *Server) admitFromStoreLocked(spec, key bench.JobSpec, tenant string) (*
 	s.order = append(s.order, j.ID)
 	s.evictLocked()
 	s.reg.Add("vgiwd/jobs_admitted", 1)
-	s.reg.Add("vgiwd/tenant_admitted/"+tenant, 1)
 	s.reg.Add("vgiwd/jobs_completed", 1)
 	return j, true
 }
@@ -382,7 +333,6 @@ func (s *Server) View(j *Job) JobView {
 		State:   state,
 		Reason:  reason,
 		Spec:    j.Spec,
-		Tenant:  j.Tenant,
 		Shared:  j.Shared,
 		Created: j.created,
 	}

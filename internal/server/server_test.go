@@ -15,8 +15,8 @@ import (
 	"time"
 
 	"vgiw/internal/bench"
-	"vgiw/internal/kernels"
 	"vgiw/internal/leaktest"
+	"vgiw/internal/trace"
 )
 
 // newTestServer builds a server + httptest frontend and registers shutdown
@@ -330,59 +330,51 @@ func TestForcedDrainPreempts(t *testing.T) {
 	}
 }
 
-// TestKernelResultCrosschecksHarness proves the daemon's kernel-job result
-// is the same document vgiw-experiments produces for the same spec — every
-// simulated field byte-compatible, with only the host-timing telemetry
-// (elapsed/stage milliseconds, inherently wall-clock) allowed to differ.
+// TestKernelResultCrosschecksHarness proves the daemon's result document is
+// the one the harness produces in-process for the same spec: a single-kernel
+// job, and a suite job over the whole kernel registry (metrics registry
+// included). Both sides are compared in JSONReport.Canonical() form, so
+// only host telemetry may differ.
 func TestKernelResultCrosschecksHarness(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 
-	resp, v := postJob(t, ts, `{"kernel":"bfs.kernel2","lvc_kb":16,"mem":"writethrough"}`, "?wait=1")
-	if resp.StatusCode != http.StatusOK || v.State != StateDone {
-		t.Fatalf("status %d state %q (reason %q), want 200/done", resp.StatusCode, v.State, v.Reason)
-	}
+	for _, body := range []string{
+		`{"kernel":"bfs.kernel2","lvc_kb":16,"mem":"writethrough"}`,
+		`{"suite":true}`,
+	} {
+		resp, v := postJob(t, ts, body, "?wait=1")
+		if resp.StatusCode != http.StatusOK || v.State != StateDone {
+			t.Fatalf("%s: status %d state %q (reason %q), want 200/done", body, resp.StatusCode, v.State, v.Reason)
+		}
 
-	spec := bench.JobSpec{Kernel: "bfs.kernel2", LVCKB: 16, Mem: "writethrough"}
-	opt, err := spec.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Parallelism = 2
-	ks, _ := kernels.ByName(spec.Kernel)
-	kr, err := bench.RunOne(ks, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bench.BuildJSON([]*bench.KernelRun{kr}, opt.Scale)
+		var spec bench.JobSpec
+		if err := json.Unmarshal([]byte(body), &spec); err != nil {
+			t.Fatal(err)
+		}
+		opt, err := spec.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, err := bench.RunMatrix(spec.Specs(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bench.BuildJSON(runs, opt.Scale)
+		if spec.Suite {
+			want.MetricsSchema = trace.MetricsSchema
+			want.Metrics = bench.CollectMetrics(runs).Flat()
+		}
 
-	var got bench.JSONReport
-	if err := json.Unmarshal(v.Result, &got); err != nil {
-		t.Fatalf("daemon result is not a JSONReport: %v\n%s", err, v.Result)
+		var got bench.JSONReport
+		if err := json.Unmarshal(v.Result, &got); err != nil {
+			t.Fatalf("%s: daemon result is not a JSONReport: %v\n%s", body, err, v.Result)
+		}
+		gb, _ := json.Marshal(got.Canonical())
+		wb, _ := json.Marshal(want.Canonical())
+		if !bytes.Equal(gb, wb) {
+			t.Errorf("%s: daemon result diverges from harness run:\ndaemon: %s\nharness: %s", body, gb, wb)
+		}
 	}
-	stripHostTimings(&got)
-	stripHostTimings(&want)
-	gb, _ := json.Marshal(got)
-	wb, _ := json.Marshal(want)
-	if !bytes.Equal(gb, wb) {
-		t.Errorf("daemon result diverges from harness run:\ndaemon: %s\nharness: %s", gb, wb)
-	}
-}
-
-// stripHostTimings zeroes the wall-clock telemetry fields that legitimately
-// differ between two executions of the same simulation.
-func stripHostTimings(r *bench.JSONReport) {
-	for i := range r.Runs {
-		r.Runs[i].ElapsedMS = 0
-		r.Runs[i].InstanceMS = 0
-		r.Runs[i].CompileMS = 0
-		r.Runs[i].PlaceMS = 0
-		r.Runs[i].SimulateMS = 0
-	}
-	r.WallClockMS = 0
-	r.StageInstanceMS = 0
-	r.StageCompileMS = 0
-	r.StagePlaceMS = 0
-	r.StageSimulateMS = 0
 }
 
 // TestTraceEndpoint runs a traced job and fetches its Chrome trace.

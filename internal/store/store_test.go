@@ -3,8 +3,12 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -185,5 +189,127 @@ func TestNilStoreIsDisabled(t *testing.T) {
 	}
 	if s.Dir() != "" {
 		t.Error("nil store has a dir")
+	}
+}
+
+// TestSharedStoreConcurrentWriters opens two handles on one directory, as
+// two daemons sharing a -store-dir do, and races Puts of overlapping keys
+// against Gets and Lists. A read sees nothing or one complete, self-checked
+// write; List never surfaces a temp file, and none is left behind.
+func TestSharedStoreConcurrentWriters(t *testing.T) {
+	dir := t.TempDir()
+	var handles []*Store
+	for range 2 {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, s)
+	}
+	specs := []bench.JobSpec{
+		{Kernel: "bfs.kernel1", Scale: 1},
+		{Kernel: "bfs.kernel2", Scale: 1},
+		{Kernel: "bfs.kernel1", Scale: 2},
+	}
+	const writersPerHandle, rounds = 2, 40
+	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	entry := func(spec bench.JobSpec, writer, round int) *Entry {
+		return &Entry{
+			Spec:    spec,
+			Result:  json.RawMessage(fmt.Sprintf(`{"writer":%d,"round":%d}`, writer, round)),
+			Created: base.Add(time.Duration(writer*rounds+round) * time.Second),
+		}
+	}
+	// written maps each key to the Created stamp of every Result filed
+	// under it, so a read can be matched to the write it observed.
+	written := map[string]map[string]time.Time{}
+	for _, spec := range specs {
+		m := map[string]time.Time{}
+		for w := range writersPerHandle * len(handles) {
+			for r := range rounds {
+				e := entry(spec, w, r)
+				m[string(e.Result)] = e.Created
+			}
+		}
+		written[Key(spec)] = m
+	}
+	check := func(e *Entry) error {
+		stamps, ok := written[e.Key]
+		if !ok {
+			return fmt.Errorf("entry under unexpected key %q", e.Key)
+		}
+		created, ok := stamps[string(e.Result)]
+		if !ok || !e.Created.Equal(created) || Key(e.Spec) != e.Key || e.Kind != "kernel" {
+			return fmt.Errorf("entry %s matches no write: result %s created %v", e.Key, e.Result, e.Created)
+		}
+		return nil
+	}
+
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for h, s := range handles {
+		for i := range writersPerHandle {
+			w := h*writersPerHandle + i
+			writers.Add(1)
+			go func() {
+				defer writers.Done()
+				for r := range rounds {
+					for _, spec := range specs {
+						if err := s.Put(entry(spec, w, r)); err != nil {
+							t.Errorf("writer %d: %v", w, err)
+							return
+						}
+					}
+				}
+			}()
+		}
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				seen, err := s.List()
+				for _, spec := range specs {
+					e, gerr := s.Get(Key(spec))
+					if e != nil {
+						seen = append(seen, e)
+					}
+					err = errors.Join(err, gerr)
+				}
+				for _, e := range seen {
+					err = errors.Join(err, check(e))
+				}
+				if err != nil {
+					t.Errorf("handle %d: %v", h, err)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if strings.HasPrefix(f.Name(), ".tmp-") {
+			t.Errorf("temp file %s left behind", f.Name())
+		}
+	}
+	list, err := handles[1].List()
+	if err != nil || len(list) != len(specs) {
+		t.Fatalf("final List: %d entries, err %v; want %d", len(list), err, len(specs))
+	}
+	for _, e := range list {
+		if err := check(e); err != nil {
+			t.Error(err)
+		}
 	}
 }
