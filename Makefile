@@ -52,38 +52,42 @@ race:
 # double occasionally as simulated time advances, so a single iteration can
 # observe one such allocation; 100 amortize it and the report must read
 # 0 allocs/op (TestEngineHotPathZeroAllocDisabledSink is the hard gate).
-# Their output is piped through benchrecord -check, which warns (but never
-# fails — wall-clock numbers are too noisy for a hard gate) when ns/op
-# regresses >10% against the last entry recorded in BENCH_engine.json.
+# The engine benchmarks report threads/s beside ns/op; the ledger records
+# both.
 ENGINE_BENCH = BenchmarkEngineHotPath|BenchmarkEngineVector|BenchmarkEngineFast
 # The memory-model microbenchmark (AccessWord across bank counts and
-# conflict rates) rides the same trajectory file; -threads 0 skips the
-# threads/sec derivation, which only makes sense for the engine scenarios.
+# conflict rates) rides the same trajectory file.
 MEM_BENCH = BenchmarkMemAccessWord
 # The SIMT layer's row: every registry kernel at scale 1 through the SIMT
 # model alone (compiled outside the timer), with B/op and allocs/op beside
-# ns/op; -threads 0 as for the other non-engine rows.
+# ns/op.
 SIMT_BENCH = BenchmarkSIMTRun
+# bench runs every benchmark with nothing piped after it, so one that fails,
+# panics or does not build fails `make check`. Its ns/op is not compared:
+# the BENCH_engine.json rows come from different hosts, so a comparison
+# would track the host, not the code. To compare on demand, pipe a run into
+# benchgate, which reports any row that moved more than 10% either way:
+#   go test -run '^$' -bench BenchmarkEngine -benchtime 100x ./internal/engine/ | \
+#       go run ./cmd/benchgate -baseline BENCH_engine.json -current - -tolerance 0.10
 bench:
-	$(GO) test -run '^$$' -bench '$(ENGINE_BENCH)' -benchtime 100x ./internal/engine/ | \
-		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 512 -check
-	$(GO) test -run '^$$' -bench '$(MEM_BENCH)' -benchtime 2000x ./internal/mem/ | \
-		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -check
-	$(GO) test -run '^$$' -bench '$(SIMT_BENCH)' -benchtime 5x -benchmem ./internal/simt/ | \
-		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -check
+	$(GO) test -run '^$$' -bench '$(ENGINE_BENCH)' -benchtime 100x ./internal/engine/
+	$(GO) test -run '^$$' -bench '$(MEM_BENCH)' -benchtime 2000x ./internal/mem/
+	$(GO) test -run '^$$' -bench '$(SIMT_BENCH)' -benchtime 5x -benchmem ./internal/simt/
 	$(GO) test -run '^$$' -bench BenchmarkRunAllParallel -benchtime 1x ./internal/bench/
 	$(GO) test -run '^$$' -bench BenchmarkSuiteColdVsWarm -benchtime 1x ./internal/bench/
 
-# bench-record appends the engine benchmark results (tagged with the current
-# commit) to the BENCH_engine.json trajectory. Run it on a quiet machine;
-# entries are append-only history.
+# bench-record adds one row per benchmark, tagged with the current commit and
+# the fastest of three runs, to the BENCH_engine.json trajectory; rows already
+# there are left byte-for-byte as they were. Run it on a quiet machine.
+# benchgate exits non-zero when a run fails, so a broken benchmark records
+# nothing and fails the target.
 bench-record:
 	$(GO) test -run '^$$' -bench '$(ENGINE_BENCH)' -benchtime 100x -count 3 ./internal/engine/ | \
-		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 512 -record
+		$(GO) run ./cmd/benchgate -baseline BENCH_engine.json -current - -update
 	$(GO) test -run '^$$' -bench '$(MEM_BENCH)' -benchtime 20000x -count 3 ./internal/mem/ | \
-		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -record
+		$(GO) run ./cmd/benchgate -baseline BENCH_engine.json -current - -update
 	$(GO) test -run '^$$' -bench '$(SIMT_BENCH)' -benchtime 10x -count 3 -benchmem ./internal/simt/ | \
-		$(GO) run ./cmd/benchrecord -file BENCH_engine.json -threads 0 -record
+		$(GO) run ./cmd/benchgate -baseline BENCH_engine.json -current - -update
 
 # trace-check runs one small kernel on all three backends with tracing on,
 # validates the Chrome trace-event export, and diffs the metric-name schema

@@ -52,7 +52,6 @@ func main() {
 		traceOut = flag.String("trace", "", "write a cycle-level Chrome trace-event JSON (Perfetto-loadable) to this file")
 		traceCat = flag.String("trace-filter", "", "comma-separated trace categories (vgiw,cvt,lvc,simt,sgmf,engine,mem; default all)")
 		metrics  = flag.String("metrics", "", "write the flat metrics registry (one \"name value\" line per metric) to this file")
-		noCache  = flag.Bool("no-cache", false, "use the legacy build-per-run path instead of the shared workload artifact (results are identical)")
 		fast     = flag.Bool("fast", false, "functional-only engine mode: identical results and op counts, no cycle accounting (vgiw/sgmf; cycle metrics read 0)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (at exit) to this file")
@@ -108,8 +107,7 @@ func main() {
 
 	rc := runCfg{
 		arch: *arch, scale: *scale,
-		blocks: *blocks, grid: *grid, timeline: *timeline, noCache: *noCache,
-		fast: *fast,
+		blocks: *blocks, grid: *grid, timeline: *timeline, fast: *fast,
 	}
 	if *traceOut != "" {
 		mask, err := trace.ParseCats(*traceCat)
@@ -197,7 +195,6 @@ type runCfg struct {
 	blocks   bool
 	grid     bool
 	timeline bool
-	noCache  bool
 	fast     bool
 	sink     *trace.Sink
 	reg      *trace.Registry
@@ -262,29 +259,15 @@ func resolveSpecs(arg string) ([]kernels.Spec, error) {
 }
 
 // runOne builds and runs one kernel on one architecture, writing the report
-// to w and validating the output against the host reference. By default the
-// kernel and memory image come from a frozen workload artifact (the same
-// checkout path the harness cache uses); -no-cache takes the legacy
-// build-per-run path. Results are identical either way.
+// to w and validating the output against the host reference.
 func runOne(w io.Writer, spec kernels.Spec, rc runCfg) error {
-	var inst *kernels.Instance
-	if rc.noCache {
-		built, err := spec.Build(rc.scale)
-		if err != nil {
-			return fmt.Errorf("build: %w", err)
-		}
-		inst = built
-	} else {
-		wl, err := kernels.NewWorkload(spec, rc.scale)
-		if err != nil {
-			return fmt.Errorf("build: %w", err)
-		}
-		inst = wl.Instance()
+	inst, err := spec.Build(rc.scale)
+	if err != nil {
+		return fmt.Errorf("build: %w", err)
 	}
 	fmt.Fprintf(w, "kernel %s: %d threads, %d blocks, %d instructions\n",
 		spec.Name, inst.Launch.Threads(), len(inst.Kernel.Blocks), inst.Kernel.NumInstrs())
 
-	var err error
 	switch rc.arch {
 	case "vgiw":
 		err = runVGIW(w, inst, rc)

@@ -33,16 +33,6 @@ type Trajectory struct {
 	Entries []TrajectoryEntry `json:"entries"`
 }
 
-// Latest returns the most recent entry recorded under the bench name.
-func (t *Trajectory) Latest(bench string) (TrajectoryEntry, bool) {
-	for i := len(t.Entries) - 1; i >= 0; i-- {
-		if t.Entries[i].Bench == bench {
-			return t.Entries[i], true
-		}
-	}
-	return TrajectoryEntry{}, false
-}
-
 // Record folds freshly measured results into the trajectory idempotently:
 // an existing entry with the same (commit, bench) key is replaced in place —
 // re-running `make bench-record` on one commit refines that commit's numbers

@@ -85,8 +85,8 @@ func TestTrajectoryRecordIdempotent(t *testing.T) {
 	if len(traj.Entries) != 3 || traj.Entries[2].Commit != "bbb" {
 		t.Fatalf("new commit did not append: %+v", traj.Entries)
 	}
-	if e, ok := traj.Latest("BenchmarkX"); !ok || e.NsPerOp != 70 {
-		t.Errorf("Latest(BenchmarkX) = %+v, %v", e, ok)
+	if s := (&Baseline{Trajectory: &traj}).Series(); s["BenchmarkX"] != 70 || s["BenchmarkY"] != 50 {
+		t.Errorf("Series() = %v, want X at its newest row and Y at its own", s)
 	}
 	if traj.Schema != BenchSchema {
 		t.Errorf("schema = %q", traj.Schema)

@@ -334,11 +334,6 @@ func RunAll(opt Options) ([]*KernelRun, error) {
 	return RunMatrix(kernels.All(), opt)
 }
 
-// RunAllCtx executes the full registry with cooperative cancellation.
-func RunAllCtx(ctx context.Context, opt Options) ([]*KernelRun, error) {
-	return RunMatrixCtx(ctx, kernels.All(), opt)
-}
-
 // SuiteResult is a full-registry sweep plus host-side performance metadata
 // (wall clock, parallelism, allocation count) for the JSON export, so the
 // simulator's own performance trajectory is regressable across PRs.

@@ -35,7 +35,8 @@ type JobSpec struct {
 	Scale int `json:"scale,omitempty"`
 	// SkipSGMF disables the SGMF runs.
 	SkipSGMF bool `json:"skip_sgmf,omitempty"`
-	// LVCKB overrides the live-value cache capacity, in KiB (0 = default 64).
+	// LVCKB overrides the live-value cache capacity, in KiB (0 = default 64;
+	// at most 65536).
 	LVCKB int `json:"lvc_kb,omitempty"`
 	// CVTBits overrides the control vector table bit budget (0 = default 2^16).
 	CVTBits int `json:"cvt_bits,omitempty"`
@@ -63,6 +64,12 @@ type JobSpec struct {
 	// artifact attests more than an unverified one.
 	Verify bool `json:"verify,omitempty"`
 }
+
+// maxLVCKB caps JobSpec.LVCKB at 1024× the paper's 64 KB LVC. Every
+// documented sweep uses 16–256 KiB; the cap keeps the byte size (LVCKB<<10)
+// from overflowing and a job from asking the cache model for billions of
+// lines.
+const maxLVCKB = 65536
 
 // Normalize validates the spec and fills defaults in place, so that equal
 // normalized specs describe identical simulations.
@@ -96,6 +103,9 @@ func (s *JobSpec) Normalize() error {
 	}
 	if s.LVCKB < 0 || s.CVTBits < 0 {
 		return fmt.Errorf("spec: negative LVC/CVT capacity")
+	}
+	if s.LVCKB > maxLVCKB {
+		return fmt.Errorf("spec: lvc_kb %d out of range [0,%d]", s.LVCKB, maxLVCKB)
 	}
 	switch s.Mem {
 	case "", "writeback", "writethrough":

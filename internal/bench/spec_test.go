@@ -27,7 +27,9 @@ func TestJobSpecRejects(t *testing.T) {
 		{Suite: true, Scale: 65},
 		{Suite: true, Mem: "writeback2"},
 		{Suite: true, TimeoutMS: -1},
-		{Suite: true, TraceFilter: "vgiw"}, // filter without trace
+		{Suite: true, TraceFilter: "vgiw"},    // filter without trace
+		{Kernel: "nn.euclid", LVCKB: 1 << 53}, // LVCKB<<10 wraps negative
+		{Kernel: "nn.euclid", LVCKB: 1 << 30}, // 2^33 cache lines
 	}
 	for i, s := range bad {
 		if err := s.Normalize(); err == nil {

@@ -17,8 +17,8 @@ import (
 //
 //   - scalar vs batched must agree on EVERYTHING — final global memory and
 //     the entire Result, including cycle counts, per-block schedules, memory
-//     and LVC statistics, and the profiled per-node latency/service/issue
-//     vectors (Profile is forced on so those are populated and compared).
+//     and LVC statistics, and the profiled per-unit issue counts (Profile
+//     is forced on so those are populated and compared).
 //   - fast mode must agree on final global memory and on every cycle-
 //     independent count (ops by class, FP ops, token traffic, access and
 //     live-value counters); its cycle-level fields are all zero by contract.

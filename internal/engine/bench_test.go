@@ -68,19 +68,9 @@ func hotPathSetup(tb testing.TB, opt Options) (*Engine, *fabric.Placement, []int
 // filtered-sink variant pins the tracing overhead contract: a sink whose mask
 // excludes CatEngine must also cost 0 allocs/op.
 func BenchmarkEngineHotPath(b *testing.B) {
-	run := func(b *testing.B, opt Options) {
-		e, p, threads, hooks := hotPathSetup(b, opt)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.RunVector(p, threads, 0, hooks); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("no-sink", func(b *testing.B) { run(b, Options{}) })
+	b.Run("no-sink", func(b *testing.B) { benchEngine(b, Options{}) })
 	b.Run("filtered-sink", func(b *testing.B) {
-		run(b, Options{Trace: trace.NewSink(trace.CatVGIW)})
+		benchEngine(b, Options{Trace: trace.NewSink(trace.CatVGIW)})
 	})
 }
 

@@ -92,7 +92,8 @@ type Options struct {
 	// previous thread's completion at every node couples threads in a way
 	// the batched executor's closed-form timing does not model.
 	InOrderThreads bool
-	// Profile records per-node latency statistics into Stats.NodeLatency.
+	// Profile gives every run a fresh Stats (never the recycled buffer) and
+	// counts executions per physical unit into Stats.UnitIssues.
 	Profile bool
 	// Trace, when non-nil, receives per-node firing events (trace.CatEngine)
 	// on the track named by Hooks.TraceTrack. A nil sink (or one whose
@@ -161,13 +162,6 @@ type Stats struct {
 	GlobalAccesses, SharedAccesses uint64
 	// SkippedMemOps counts predicated-off memory operations (SGMF).
 	SkippedMemOps uint64
-	// NodeLatency records, per node ID, the max completion minus injection
-	// (per-thread latency contribution) — populated only when Profile is
-	// set in Options.
-	NodeLatency []int64
-	// NodeService records, per node ID, the max completion minus operand
-	// readiness (queueing + service time at the unit). Profile only.
-	NodeService []int64
 	// UnitIssues counts executions per physical unit ID. Profile only.
 	UnitIssues []uint64
 }
@@ -181,12 +175,6 @@ func (s *Stats) Cycles() int64 { return s.EndCycle - s.StartCycle }
 // retained pointer would be retroactively overwritten by the next run.
 func (s *Stats) Clone() *Stats {
 	c := *s
-	if s.NodeLatency != nil {
-		c.NodeLatency = append([]int64(nil), s.NodeLatency...)
-	}
-	if s.NodeService != nil {
-		c.NodeService = append([]int64(nil), s.NodeService...)
-	}
 	if s.UnitIssues != nil {
 		c.UnitIssues = append([]uint64(nil), s.UnitIssues...)
 	}
@@ -282,8 +270,6 @@ func (e *Engine) RunVector(p *fabric.Placement, threads []int, startCycle int64,
 // context is done, so a caller's deadline or cancel preempts a running
 // vector rather than waiting for it to drain.
 func (e *Engine) RunVectorCtx(ctx context.Context, p *fabric.Placement, threads []int, startCycle int64, h *Hooks) (*Stats, error) {
-	g := p.Graph
-	nNodes := len(g.Nodes)
 	cfg := e.grid.Config()
 
 	// Profiled runs hand out a fresh Stats (callers keep one per block);
@@ -301,11 +287,9 @@ func (e *Engine) RunVectorCtx(ctx context.Context, p *fabric.Placement, threads 
 	if len(threads) == 0 {
 		return st, nil
 	}
-	// Profile buffers are sized once per run, not lazily per node visit
-	// (profiled runs get a fresh Stats, so the slices start nil).
+	// The profile buffer is sized once per run, not lazily per node visit
+	// (profiled runs get a fresh Stats, so the slice starts nil).
 	if e.opt.Profile {
-		st.NodeLatency = make([]int64, nNodes)
-		st.NodeService = make([]int64, nNodes)
 		st.UnitIssues = make([]uint64, e.grid.NumUnits())
 	}
 
@@ -491,12 +475,6 @@ func (e *Engine) runThread(p *fabric.Placement, r, tid int, inject int64, h *Hoo
 		}
 		if e.opt.Profile {
 			st.UnitIssues[unit]++
-			if d := done - inject; d > st.NodeLatency[n.ID] {
-				st.NodeLatency[n.ID] = d
-			}
-			if d := done - ready; d > st.NodeService[n.ID] {
-				st.NodeService[n.ID] = d
-			}
 		}
 		e.vals[n.ID] = val
 		e.done[n.ID] = done

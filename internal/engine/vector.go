@@ -630,9 +630,9 @@ func (e *Engine) formWave(prog *nodeProg, threads []int, base, replicas, depth i
 // pass and a branch-free value pass. The timing pass of a collapsible node
 // reduces to its closed form — done = inject + konst, already folded into
 // laneEnd and the consumers' sbase by runBatched/compileCollapse — leaving
-// per-replica profile bookkeeping (the per-lane statistics of a collapsed
-// node are per-replica constants: one unit slot per lane, latency =
-// konst, service = unit latency). A non-collapsible node (an SCU, or a
+// per-replica profile bookkeeping (a collapsed node issues one unit slot
+// per lane, so its unit's count grows by the replica's lane count). A
+// non-collapsible node (an SCU, or a
 // consumer of one) keeps the per-lane slot allocation in thread order,
 // reading collapsed inputs through the sbase fold and the filtered edge
 // list, since collapsed nodes never write their completion planes.
@@ -644,21 +644,8 @@ func (e *Engine) execStaticNode(prog *nodeProg, pn *progNode, lanes int, h *Hook
 
 	if prog.konst[ni] >= 0 {
 		if e.opt.Profile {
-			for r := 0; r < len(e.repCnt); r++ {
-				cnt := e.repCnt[r]
-				if cnt == 0 {
-					continue
-				}
+			for r, cnt := range e.repCnt {
 				st.UnitIssues[prog.unit[r*prog.n+ni]] += uint64(cnt)
-				if pn.exec == xInit {
-					continue // the initiator records no latency/service
-				}
-				if k := prog.konst[r*prog.n+ni]; k > st.NodeLatency[ni] {
-					st.NodeLatency[ni] = k
-				}
-				if pn.lat > st.NodeService[ni] {
-					st.NodeService[ni] = pn.lat
-				}
 			}
 		}
 		if pn.exec == xInit {
@@ -693,12 +680,6 @@ func (e *Engine) execStaticNode(prog *nodeProg, pn *progNode, lanes int, h *Hook
 			}
 			if e.opt.Profile {
 				st.UnitIssues[unit]++
-				if d := done - e.laneInj[l]; d > st.NodeLatency[ni] {
-					st.NodeLatency[ni] = d
-				}
-				if d := done - ready; d > st.NodeService[ni] {
-					st.NodeService[ni] = d
-				}
 			}
 		}
 	}
@@ -837,12 +818,6 @@ func (e *Engine) execDynLane(prog *nodeProg, l int, h *Hooks, st *Stats) error {
 		}
 		if e.opt.Profile {
 			st.UnitIssues[unit]++
-			if d := done - inject; d > st.NodeLatency[ni] {
-				st.NodeLatency[ni] = d
-			}
-			if d := done - ready; d > st.NodeService[ni] {
-				st.NodeService[ni] = d
-			}
 		}
 	}
 	e.laneEnd[l] = end

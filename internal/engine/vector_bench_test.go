@@ -3,8 +3,8 @@ package engine
 import "testing"
 
 // benchEngine streams the hot-path thread vector through a warm engine under
-// the given options (the BenchmarkEngineHotPath scenario, parameterized by
-// executor).
+// the given options and reports the threads/s column the BENCH_engine.json
+// ledger records beside ns/op.
 func benchEngine(b *testing.B, opt Options) {
 	e, p, threads, hooks := hotPathSetup(b, opt)
 	b.ReportAllocs()
@@ -14,6 +14,7 @@ func benchEngine(b *testing.B, opt Options) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(threads)*b.N)/b.Elapsed().Seconds(), "threads/s")
 }
 
 // BenchmarkEngineVector pits the batched (default) executor against the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vgiw/internal/compile"
-	"vgiw/internal/kir"
 )
 
 // Placement maps every node of every replica of a dataflow graph to a
@@ -156,17 +155,6 @@ func PlaceMax(g *Grid, graph *compile.BlockDFG) (*Placement, error) {
 
 func graphName(graph *compile.BlockDFG) string {
 	return fmt.Sprintf("block%d", graph.BlockID)
-}
-
-// UnitStats summarizes fabric occupancy for a placement.
-func (p *Placement) UnitStats(g *Grid) map[kir.UnitClass]int {
-	used := make(map[kir.UnitClass]int)
-	for _, unitOf := range p.UnitOf {
-		for _, u := range unitOf {
-			used[g.Units[u].Class]++
-		}
-	}
-	return used
 }
 
 // Fits returns a predicate reporting whether a graph fits this grid at

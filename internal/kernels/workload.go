@@ -66,15 +66,3 @@ func (w *Workload) Words() int { return len(w.image) }
 // baseImage exposes the shared image for tests that verify run mutations
 // never leak back into the cache.
 func (w *Workload) baseImage() []uint32 { return w.image }
-
-// Instance materializes a fresh runnable Instance from the shared artifact:
-// a private kernel copy and a private memory image, with the shared launch
-// and validator. Equivalent to Spec.Build but without re-synthesizing inputs.
-func (w *Workload) Instance() *Instance {
-	return &Instance{
-		Kernel: w.Kernel(),
-		Launch: w.Launch,
-		Global: w.Global(),
-		Check:  w.Check,
-	}
-}

@@ -59,9 +59,9 @@ func TestWorkloadKernelIsolation(t *testing.T) {
 	}
 }
 
-// TestWorkloadInstanceMatchesBuild: the artifact path must hand out the same
-// instance a fresh Spec.Build would (deterministic generators), so cached and
-// uncached runs start from identical state.
+// TestWorkloadInstanceMatchesBuild: the artifact path must hand out the
+// launch and memory image a fresh Spec.Build would (deterministic
+// generators), so cached and uncached runs start from identical state.
 func TestWorkloadInstanceMatchesBuild(t *testing.T) {
 	spec := All()[0]
 	w, err := NewWorkload(spec, 1)
@@ -72,16 +72,16 @@ func TestWorkloadInstanceMatchesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := w.Instance()
-	if !reflect.DeepEqual(inst.Launch, fresh.Launch) {
-		t.Errorf("launch mismatch: %+v vs %+v", inst.Launch, fresh.Launch)
+	if !reflect.DeepEqual(w.Launch, fresh.Launch) {
+		t.Errorf("launch mismatch: %+v vs %+v", w.Launch, fresh.Launch)
 	}
-	if len(inst.Global) != len(fresh.Global) {
-		t.Fatalf("image sizes differ: %d vs %d", len(inst.Global), len(fresh.Global))
+	global := w.Global()
+	if len(global) != len(fresh.Global) {
+		t.Fatalf("image sizes differ: %d vs %d", len(global), len(fresh.Global))
 	}
-	for i := range inst.Global {
-		if inst.Global[i] != fresh.Global[i] {
-			t.Fatalf("image word %d differs: %d vs %d", i, inst.Global[i], fresh.Global[i])
+	for i := range global {
+		if global[i] != fresh.Global[i] {
+			t.Fatalf("image word %d differs: %d vs %d", i, global[i], fresh.Global[i])
 		}
 	}
 }

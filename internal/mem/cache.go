@@ -213,9 +213,6 @@ func (c *Cache) Release() {
 // Config returns the cache configuration.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
-// LineAddr maps a byte address to its line address.
-func (c *Cache) LineAddr(addr int64) int64 { return addr / int64(c.cfg.LineBytes) }
-
 // AccessResult describes the outcome of a cache access.
 type AccessResult struct {
 	Hit       bool

@@ -7,10 +7,14 @@ package mem
 // stalled on memory (§3.5) — a simple monotonic next-free counter would
 // serialize everything behind the slowest thread.
 //
-// Busy cycles are kept as disjoint inclusive spans; allocations are mostly
-// sequential, so the span list stays short. If pathological interleavings
-// fragment it, the list is compacted pessimistically (adjacent spans merge
-// across their gap), which can only over-estimate contention.
+// Busy cycles are kept as disjoint inclusive spans. The list is bounded:
+// once it would exceed maxSpans, compact merges every consecutive pair of
+// spans, whatever the gap between them, which marks the free cycles in those
+// gaps busy. So "smallest free cycle >= ready" holds exactly only until an
+// allocator first passes maxSpans spans; the gaps a compaction closes stay
+// busy, and from then on the model over-estimates contention. Registry
+// kernels pass the bound routinely, so it is part of the simulated results,
+// not a rare fallback.
 //
 // The trailing span — the one almost every allocation extends — lives in
 // dedicated fields (tailLo, tailEnd) rather than at the end of the slice, so
@@ -36,7 +40,8 @@ type SlotAlloc struct {
 
 type span struct{ lo, hi int64 }
 
-// maxSpans bounds the span list; beyond it, smallest gaps are merged away.
+// maxSpans bounds the span list; beyond it, compact merges every
+// consecutive pair of spans, closing each gap whatever its size.
 const maxSpans = 128
 
 // Alloc claims and returns the smallest free cycle >= ready. The body is

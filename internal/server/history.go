@@ -122,8 +122,8 @@ type HistoryDiff struct {
 	Unchanged   int           `json:"unchanged"`
 }
 
-// DiffSnapshots compares two metric maps, name-sorted. Shared by the HTTP
-// diff endpoint and benchgate's offline gate.
+// DiffSnapshots compares two metric maps, name-sorted, for the HTTP diff
+// endpoint (GET /v1/history/diff).
 func DiffSnapshots(from, to map[string]uint64, prefix string) (changed []MetricDelta, onlyFrom, onlyTo []string, unchanged int) {
 	for name, fv := range from {
 		if !strings.HasPrefix(name, prefix) {

@@ -285,18 +285,6 @@ func (s *Server) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Cancel detaches a job by ID (the DELETE handler). It reports whether the
-// job existed.
-func (s *Server) Cancel(id string) bool {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if ok {
-		s.detach(j, "cancelled")
-	}
-	return ok
-}
-
 // detach removes one job from its execution: the job becomes terminal
 // ("cancelled" with the given cause) and, when it was the execution's last
 // attached job, the execution's context is cancelled so the simulator

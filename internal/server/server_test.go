@@ -454,6 +454,8 @@ func TestBadSpecsRejected(t *testing.T) {
 		`{"kernel":"bfs.kernel1","unknown_field":1}`,
 		`{"kernel":"bfs.kernel1","suite":true}`,
 		`{"kernel":"bfs.kernel1","trace_filter":"vgiw"}`,
+		`{"kernel":"nn.euclid","lvc_kb":9007199254740992}`,
+		`{"kernel":"nn.euclid","lvc_kb":1073741824}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
