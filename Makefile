@@ -31,10 +31,12 @@ verify-check:
 	$(GO) test ./internal/verify/ ./internal/fabric/ -run 'Test'
 	$(GO) test ./internal/compile/ -run 'TestBrokenPassCaught|TestCheckedCompileCatchesMutation|TestVerifyGraphCatchesCorruption|TestRegistryPipelinesChecked|TestCheckSelectChain'
 
-# fuzz-smoke runs the parser/verifier/interp fuzzer briefly — enough to
-# catch gross regressions without holding up the gate.
+# fuzz-smoke runs the parser/verifier/interp fuzzer and the job-spec
+# decode/normalize fuzzer briefly — enough to catch gross regressions
+# without holding up the gate.
 fuzz-smoke:
 	$(GO) test ./internal/verify/ -run '^$$' -fuzz FuzzKasmVerify -fuzztime 5s
+	$(GO) test ./internal/bench/ -run '^$$' -fuzz FuzzJobSpec -fuzztime 5s
 
 build:
 	$(GO) build ./...

@@ -37,7 +37,7 @@ type Options struct {
 	// state and the results are bit-identical to a serial sweep. 0 (the
 	// zero value) means runtime.NumCPU(); 1 forces the serial path.
 	Parallelism int
-	// Cache shares workload, compile/place and baseline-result artifacts
+	// Cache shares workload, compile/place and simulation-result artifacts
 	// across runs. When nil (and NoCache is false), RunMatrix/RunSuite/
 	// LVCSweep create a private cache for the call; pass one explicitly to
 	// share artifacts across several harness calls (the experiment CLI
@@ -213,7 +213,7 @@ func (k *KernelRun) EnergyEffVsSGMF() float64 {
 
 // RunOne executes one benchmark on all machines, validating each result.
 // Shared artifacts (the workload, the per-architecture compile/place
-// products and the baselines' validated results) come from opt's cache when
+// products and every machine's validated result) come from opt's cache when
 // one is set; every simulation runs against a private memory image, so
 // results are byte-identical to an uncached run.
 func RunOne(spec kernels.Spec, opt Options) (*KernelRun, error) {
@@ -242,27 +242,13 @@ func RunOneCtx(ctx context.Context, spec kernels.Spec, opt Options) (*KernelRun,
 	}
 	out.Stages.Add(wt)
 
-	// VGIW.
-	mv, err := core.NewMachine(opt.VGIW)
+	// VGIW, simulated once per cache for its effective machine.
+	rv, vt, err := cache.vgiwRun(ctx, w, opt.VGIW)
 	if err != nil {
 		return nil, err
 	}
-	prep, ct, err := cache.vgiwPrepared(ctx, w, opt.VGIW)
-	if err != nil {
-		return nil, fmt.Errorf("%s: vgiw compile: %w", spec.Name, err)
-	}
-	out.Stages.Add(ct)
-	out.Blocks = len(prep.CK.Kernel.Blocks)
-	sim0 := time.Now()
-	global := w.Global()
-	rv, err := mv.RunPreparedCtx(ctx, prep, w.Launch, global)
-	if err != nil {
-		return nil, fmt.Errorf("%s: vgiw: %w", spec.Name, err)
-	}
-	if err := w.Check(global); err != nil {
-		return nil, fmt.Errorf("%s: vgiw output: %w", spec.Name, err)
-	}
-	out.Stages.Simulate += time.Since(sim0)
+	out.Stages.Add(vt)
+	out.Blocks = len(rv.ReplicasOf) // one replication factor per compiled block
 	out.VGIW = rv
 	out.EnergyVGIW = power.VGIW(rv, opt.Power)
 

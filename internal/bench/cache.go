@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,6 +33,8 @@ const (
 	TierSIMTRun
 	// TierSGMFRun: one validated SGMF baseline simulation (sgmf.Result).
 	TierSGMFRun
+	// TierVGIWRun: one validated VGIW simulation (core.Result).
+	TierVGIWRun
 
 	numTiers
 )
@@ -50,6 +53,8 @@ func (t Tier) String() string {
 		return "simt_run"
 	case TierSGMFRun:
 		return "sgmf_run"
+	case TierVGIWRun:
+		return "vgiw_run"
 	}
 	return "unknown"
 }
@@ -122,10 +127,14 @@ func (s CacheStats) sub(earlier CacheStats) CacheStats {
 // split options but not by LVC capacity, so an LVC design-space sweep
 // compiles and places each kernel exactly once.
 //
-// Two result tiers hold the baselines' validated simulations, keyed by
-// kernel identity plus the whole simt.Config or sgmf.Config minus its trace
-// sink. No VGIW field is in either key, so a sweep over VGIW knobs simulates
-// each kernel's baselines once. They live in process memory only.
+// Three result tiers hold validated simulations. The baselines' are keyed
+// by kernel identity plus the whole simt.Config or sgmf.Config minus its
+// trace sink; no VGIW field is in either key, so a sweep over VGIW knobs
+// simulates each kernel's baselines once. VGIW's is keyed by kernel identity
+// plus core.EffectiveConfig, so LVC and CVT capacities that yield the same
+// machine share one simulation. That key is the one a client can vary
+// freely, so the VGIW tier holds at most maxVGIWRuns results and drops the
+// oldest beyond that. The result tiers live in process memory only.
 //
 // Values are immutable shared artifacts (see kernels.Workload,
 // core.Prepared, sgmf.Mapped for the per-type contracts; the result tiers
@@ -141,6 +150,10 @@ func (s CacheStats) sub(earlier CacheStats) CacheStats {
 type ArtifactCache struct {
 	mu      sync.Mutex
 	entries map[any]*cacheEntry
+	// vgiwRuns lists the stored TierVGIWRun keys, oldest first; it never
+	// holds more than maxRuns.
+	vgiwRuns []any
+	maxRuns  int
 
 	hits, misses [numTiers]atomic.Uint64
 	buildNS      [4]atomic.Int64 // instance/compile/place/simulate
@@ -154,9 +167,18 @@ type cacheEntry struct {
 	err  error
 }
 
+// maxVGIWRuns bounds the VGIW result tier, in results. The documented LVC
+// sweep needs 34. A registry kernel's result holds 6 KB on average and
+// 25 KB at most at scales 1–4, so a full tier stays within tens of MB.
+const maxVGIWRuns = 1024
+
 // NewArtifactCache creates an empty cache.
-func NewArtifactCache() *ArtifactCache {
-	return &ArtifactCache{entries: make(map[any]*cacheEntry)}
+func NewArtifactCache() *ArtifactCache { return newArtifactCache(maxVGIWRuns) }
+
+// newArtifactCache creates an empty cache whose VGIW result tier holds at
+// most maxRuns results.
+func newArtifactCache(maxRuns int) *ArtifactCache {
+	return &ArtifactCache{entries: make(map[any]*cacheEntry), maxRuns: maxRuns}
 }
 
 // Stats snapshots the accounting counters.
@@ -215,7 +237,9 @@ func (c *ArtifactCache) get(ctx context.Context, key any, tier Tier, build func(
 }
 
 // lead runs the build for the entry it just installed, stores a success and
-// withdraws a failure, then wakes the waiters.
+// withdraws a failure, then wakes the waiters. A stored VGIW result beyond
+// the tier's bound drops the oldest one; callers holding that entry keep
+// their value.
 func (c *ArtifactCache) lead(ctx context.Context, key any, tier Tier, e *cacheEntry, build func(context.Context) (any, StageTimes, error)) (any, StageTimes, error) {
 	c.misses[tier].Add(1)
 	var st StageTimes
@@ -224,11 +248,18 @@ func (c *ArtifactCache) lead(ctx context.Context, key any, tier Tier, e *cacheEn
 	c.buildNS[1].Add(int64(st.Compile))
 	c.buildNS[2].Add(int64(st.Place))
 	c.buildNS[3].Add(int64(st.Simulate))
-	if e.err != nil {
-		c.mu.Lock()
+	c.mu.Lock()
+	switch {
+	case e.err != nil:
 		delete(c.entries, key)
-		c.mu.Unlock()
+	case tier == TierVGIWRun:
+		c.vgiwRuns = append(c.vgiwRuns, key)
+		if len(c.vgiwRuns) > c.maxRuns {
+			delete(c.entries, c.vgiwRuns[0])
+			c.vgiwRuns = c.vgiwRuns[1:]
+		}
 	}
+	c.mu.Unlock()
 	close(e.done)
 	return e.val, st, e.err
 }
@@ -270,6 +301,12 @@ type (
 		name  string
 		scale int
 		cfg   sgmf.Config
+	}
+	// vgiwRunKey's config is core.EffectiveConfig's.
+	vgiwRunKey struct {
+		name  string
+		scale int
+		cfg   core.Config
 	}
 )
 
@@ -436,5 +473,51 @@ func (c *ArtifactCache) sgmfRun(ctx context.Context, w *kernels.Workload, cfg sg
 	st.Add(mapped)
 	r := *v.(*sgmf.Result)
 	r.Ops = maps.Clone(r.Ops)
+	return &r, st, nil
+}
+
+// vgiwRun resolves the VGIW machine's validated result for w under cfg. It
+// places through the VGIW compile/place tier (always: the key depends on the
+// compiled kernel), then looks the result up under cfg's effective config.
+// The miss path builds the machine, simulates on a private memory image and
+// checks it against the host reference. Every caller gets its own copy,
+// with its own Ops and ReplicasOf maps and BlockRuns slice. A traced or
+// profiled run always simulates and stores nothing: its events or per-block
+// stats are the product.
+func (c *ArtifactCache) vgiwRun(ctx context.Context, w *kernels.Workload, cfg core.Config) (*core.Result, StageTimes, error) {
+	prep, st, err := c.vgiwPrepared(ctx, w, cfg)
+	if err != nil {
+		return nil, st, fmt.Errorf("%s: vgiw compile: %w", w.Spec.Name, err)
+	}
+	sim := func(ctx context.Context) (any, StageTimes, error) {
+		m, err := core.NewMachine(cfg)
+		if err != nil {
+			return nil, StageTimes{}, err
+		}
+		t0 := time.Now()
+		global := w.Global()
+		r, err := m.RunPreparedCtx(ctx, prep, w.Launch, global)
+		if err != nil {
+			return nil, StageTimes{}, fmt.Errorf("%s: vgiw: %w", w.Spec.Name, err)
+		}
+		if err := w.Check(global); err != nil {
+			return nil, StageTimes{}, fmt.Errorf("%s: vgiw output: %w", w.Spec.Name, err)
+		}
+		return r, StageTimes{Simulate: time.Since(t0)}, nil
+	}
+	results := c
+	if cfg.Engine.Trace != nil || cfg.Engine.Profile {
+		results = nil
+	}
+	key := vgiwRunKey{w.Spec.Name, w.Scale, core.EffectiveConfig(cfg, prep, w.Launch)}
+	v, rt, err := results.get(ctx, key, TierVGIWRun, sim)
+	if err != nil {
+		return nil, StageTimes{}, err
+	}
+	st.Add(rt)
+	r := *v.(*core.Result)
+	r.Ops = maps.Clone(r.Ops)
+	r.ReplicasOf = maps.Clone(r.ReplicasOf)
+	r.BlockRuns = slices.Clone(r.BlockRuns)
 	return &r, st, nil
 }

@@ -5,16 +5,22 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"vgiw/internal/core"
 	"vgiw/internal/kernels"
 	"vgiw/internal/mem"
 	"vgiw/internal/trace"
 )
+
+// raceEnabled is set in -race builds (race_test.go), where the simulators
+// run several times slower.
+var raceEnabled bool
 
 // lvcTestSizes/lvcTestKernels are a small but real slice of the CLI's LVC
 // design-space sweep.
@@ -200,8 +206,8 @@ func TestArtifactCacheSingleflight(t *testing.T) {
 }
 
 // TestNilCacheBuildsFresh: a nil cache is the -no-cache path — every lookup
-// builds, every baseline lookup simulates, nothing is shared, and Stats
-// stays zero.
+// builds, every result lookup simulates, nothing is shared, and Stats stays
+// zero.
 func TestNilCacheBuildsFresh(t *testing.T) {
 	var c *ArtifactCache
 	var builds int
@@ -228,10 +234,14 @@ func TestNilCacheBuildsFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rv, vt, err := c.vgiwRun(context.Background(), w, opt.VGIW)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Only a caller that simulated pays simulation time.
-		if st.Simulate <= 0 || gt.Simulate <= 0 || rs.Cycles == 0 || rg.Cycles == 0 {
-			t.Errorf("nil cache call %d did not simulate: simt %v (%d cycles), sgmf %v (%d cycles)",
-				i, st.Simulate, rs.Cycles, gt.Simulate, rg.Cycles)
+		if st.Simulate <= 0 || gt.Simulate <= 0 || vt.Simulate <= 0 || rs.Cycles == 0 || rg.Cycles == 0 || rv.Cycles == 0 {
+			t.Errorf("nil cache call %d did not simulate: simt %v (%d cycles), sgmf %v (%d cycles), vgiw %v (%d cycles)",
+				i, st.Simulate, rs.Cycles, gt.Simulate, rg.Cycles, vt.Simulate, rv.Cycles)
 		}
 	}
 	if s := c.Stats(); s.HitsTotal() != 0 || s.MissesTotal() != 0 {
@@ -406,6 +416,86 @@ func TestResultTierLeaderCancelled(t *testing.T) {
 			t.Errorf("call %d after the cancellation: %d misses, want %d", i, got, wantMisses)
 		}
 	}
+
+	// The same for a VGIW simulation, which must also stay out of the
+	// tier's bound.
+	vcfg := DefaultOptions().VGIW
+	if _, _, err := c.vgiwRun(ctx, w, vcfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled vgiwRun err = %v, want context.Canceled", err)
+	}
+	if n, runs := vgiwRunEntries(c); n != 0 || runs != 0 {
+		t.Fatalf("the tier holds a cancelled simulation: %d entries, %d in its bound", n, runs)
+	}
+	if _, _, err := c.vgiwRun(context.Background(), w, vcfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().Misses[TierVGIWRun]; got != 2 {
+		t.Errorf("VGIW call after the cancellation: %d misses, want 2", got)
+	}
+}
+
+// vgiwRunEntries counts the VGIW result tier's entries and the keys its
+// bound tracks.
+func vgiwRunEntries(c *ArtifactCache) (entries, bounded int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k := range c.entries {
+		if _, ok := k.(vgiwRunKey); ok {
+			entries++
+		}
+	}
+	return entries, len(c.vgiwRuns)
+}
+
+// TestVGIWRunTierBound pushes more distinct effective configs than the
+// bound through one cache: the tier keeps the newest bound results, and an
+// evicted key simulates again, to an identical Result.
+func TestVGIWRunTierBound(t *testing.T) {
+	if got := NewArtifactCache().maxRuns; got != maxVGIWRuns {
+		t.Fatalf("NewArtifactCache bounds the VGIW tier at %d, want %d", got, maxVGIWRuns)
+	}
+	const bound = 3
+	c := newArtifactCache(bound)
+	w := testWorkload(t, "nn.euclid")
+	ctx := context.Background()
+	cfgs := make([]core.Config, bound+2)
+	first := make([]*core.Result, len(cfgs))
+	for i := range cfgs {
+		cfgs[i] = DefaultOptions().VGIW
+		cfgs[i].Mem.L1.HitLat += int64(i) // distinct machines
+		r, _, err := c.vgiwRun(ctx, w, cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		first[i] = r
+		if n, runs := vgiwRunEntries(c); n != min(i+1, bound) || runs != n {
+			t.Fatalf("after %d configs the tier holds %d entries (%d bounded), want %d", i+1, n, runs, min(i+1, bound))
+		}
+	}
+	if first[0].Cycles == first[len(first)-1].Cycles {
+		t.Fatal("the configs do not make distinct machines")
+	}
+	// The newest results are held; the oldest was dropped and simulates
+	// again, to an identical result.
+	if _, _, err := c.vgiwRun(ctx, w, cfgs[len(cfgs)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Hits[TierVGIWRun] != 1 || s.Misses[TierVGIWRun] != uint64(len(cfgs)) {
+		t.Fatalf("accounting = %d hits / %d misses, want 1 / %d", s.Hits[TierVGIWRun], s.Misses[TierVGIWRun], len(cfgs))
+	}
+	again, _, err := c.vgiwRun(ctx, w, cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Misses[TierVGIWRun] != uint64(len(cfgs)+1) {
+		t.Errorf("the evicted config did not simulate again: %d misses, want %d", s.Misses[TierVGIWRun], len(cfgs)+1)
+	}
+	if !reflect.DeepEqual(again, first[0]) {
+		t.Errorf("re-simulated result differs: %d cycles, first %d", again.Cycles, first[0].Cycles)
+	}
+	if n, runs := vgiwRunEntries(c); n != bound || runs != bound {
+		t.Errorf("the tier holds %d entries (%d bounded), want %d", n, runs, bound)
+	}
 }
 
 // TestResultTierWaiterCancelled: a waiter whose own context ends returns its
@@ -454,8 +544,9 @@ func TestResultTierWaiterCancelled(t *testing.T) {
 }
 
 // TestTracedRunAlwaysSimulates: a traced run's events are its product, so
-// it simulates the baselines even when an untraced run already filled the
-// result tiers.
+// it simulates every machine even when an untraced run already filled the
+// result tiers, and stores nothing. So does a profiled VGIW run, whose
+// per-block stats are its product.
 func TestTracedRunAlwaysSimulates(t *testing.T) {
 	spec, ok := kernels.ByName("nn.euclid")
 	if !ok {
@@ -466,7 +557,7 @@ func TestTracedRunAlwaysSimulates(t *testing.T) {
 	if _, err := RunOne(spec, opt); err != nil {
 		t.Fatal(err)
 	}
-	opt.Trace = trace.NewSink(trace.CatSIMT | trace.CatSGMF)
+	opt.Trace = trace.NewSink(trace.CatSIMT | trace.CatSGMF | trace.CatVGIW)
 	if _, err := RunOne(spec, opt); err != nil {
 		t.Fatal(err)
 	}
@@ -474,13 +565,30 @@ func TestTracedRunAlwaysSimulates(t *testing.T) {
 	if err := opt.Trace.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, proc := range []string{spec.Name + "/simt", spec.Name + "/sgmf"} {
+	for _, proc := range []string{spec.Name + "/vgiw", spec.Name + "/simt", spec.Name + "/sgmf"} {
 		if !strings.Contains(buf.String(), `"`+proc+`"`) {
 			t.Errorf("traced run after a cached one has no %q process", proc)
 		}
 	}
-	if s := opt.Cache.Stats(); s.Hits[TierSIMTRun] != 0 || s.Hits[TierSGMFRun] != 0 {
+	if s := opt.Cache.Stats(); s.Hits[TierSIMTRun] != 0 || s.Hits[TierSGMFRun] != 0 || s.Hits[TierVGIWRun] != 0 {
 		t.Errorf("traced run was served from the result tiers: %+v", s)
+	}
+
+	opt.Trace = nil
+	opt.VGIW.Engine.Profile = true
+	kr, err := RunOne(spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kr.VGIW.BlockRuns) == 0 || kr.VGIW.BlockRuns[0].Stats == nil {
+		t.Error("profiled run has no per-block stats")
+	}
+	if s := opt.Cache.Stats(); s.Hits[TierVGIWRun] != 0 || s.Misses[TierVGIWRun] != 1 {
+		t.Errorf("profiled run went through the VGIW tier: %d hits / %d misses, want 0 / 1",
+			s.Hits[TierVGIWRun], s.Misses[TierVGIWRun])
+	}
+	if n, runs := vgiwRunEntries(opt.Cache); n != 1 || runs != 1 {
+		t.Errorf("the VGIW tier holds %d entries (%d bounded) after traced and profiled runs, want the untraced run's 1", n, runs)
 	}
 }
 
@@ -513,4 +621,79 @@ func BenchmarkSuiteColdVsWarm(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestVGIWRunTierExact is the VGIW result tier's safety property: a result
+// served under an effective config must equal a fresh run of the caller's
+// own config. Every registry kernel runs at scale 1 over LVC sizes that
+// cover the CTA-floor eviction regime (the tile's live values overflow a
+// small LVC) and set counts that are not powers of two, two CVT budgets and
+// both LVC write policies, all through one cache. Sizes ascend within each
+// (kernel, budget, policy), so a size that can evict is looked up before a
+// conflict-free size with the same tile: if the key dropped the capacity of
+// an LVC that evicts, the later size would be served the wrong run. The
+// kernels fan out across the CPUs; under -race the grid keeps two sizes and
+// one budget.
+func TestVGIWRunTierExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("about a thousand VGIW simulations")
+	}
+	sizesKB := []int{1, 2, 3, 4, 12, 16, 17, 48, 100, 256}
+	budgets := []int{1 << 12, 1 << 16}
+	if raceEnabled {
+		// hotspot.kernel's LVC evicts at 4 KB but not at 16, at one tile.
+		sizesKB, budgets = []int{4, 16}, budgets[1:]
+	}
+	ctx := context.Background()
+	c := NewArtifactCache()
+	specs := kernels.All()
+	var configs atomic.Int64
+	Options{}.forEach(ctx, len(specs), func(i int) {
+		spec := specs[i]
+		w, _, err := c.workload(ctx, spec, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for _, bits := range budgets {
+			for _, policy := range []mem.WritePolicy{mem.WriteBack, mem.WriteThrough} {
+				for _, kb := range sizesKB {
+					cfg := core.DefaultConfig()
+					cfg.CVTCapacityBits = bits
+					cfg.LVC.Policy = policy
+					cfg.LVC.SizeBytes = kb << 10
+					got, _, err := c.vgiwRun(ctx, w, cfg)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					prep, _, err := c.vgiwPrepared(ctx, w, cfg)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					m, err := core.NewMachine(cfg)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					want, err := m.RunPrepared(prep, w.Launch, w.Global())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s, %d CVT bits, LVC %v %d KB: the tier served %d cycles, a fresh run gives %d",
+							spec.Name, bits, policy, kb, got.Cycles, want.Cycles)
+					}
+					configs.Add(1)
+				}
+			}
+		}
+	})
+	s := c.Stats()
+	t.Logf("%d configs: %d VGIW simulations, %d tier hits", configs.Load(), s.Misses[TierVGIWRun], s.Hits[TierVGIWRun])
+	if s.Hits[TierVGIWRun] == 0 {
+		t.Error("no config was served from the tier")
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"vgiw/internal/core"
 	"vgiw/internal/kernels"
 	"vgiw/internal/report"
 )
@@ -233,11 +232,13 @@ func median(vals []float64) float64 {
 // LVCSweep is the LVC design-space exploration the paper omits ("for
 // brevity, we do not present a full design space exploration of the LVC size
 // and only show results for a 64KB LVC", §3.4): VGIW cycles on the
-// live-value-heavy kernels across LVC sizes. The kernel×size cells run
-// against private machines and memory images, so the sweep fans out across
-// the options' worker pool; the compile/place artifact's cache key excludes
-// the LVC capacity, so each kernel is compiled and placed exactly once for
-// the whole sweep.
+// live-value-heavy kernels across LVC sizes. The kernel×size cells fan out
+// across the options' worker pool and go through the same cache lookups as
+// RunOneCtx's VGIW run. The compile/place artifact's key excludes the LVC
+// capacity, so each kernel is compiled and placed exactly once for the whole
+// sweep; the VGIW result tier's key holds the capacity only where it can
+// evict, so sizes that yield the same machine, for the sweep or for a figure
+// run sharing its cache, are simulated once.
 func LVCSweep(opt Options, sizesKB []int, kernelNames []string) (*report.Table, error) {
 	opt = opt.withSweepCache()
 	specs := make([]kernels.Spec, len(kernelNames))
@@ -275,10 +276,8 @@ func LVCSweep(opt Options, sizesKB []int, kernelNames []string) (*report.Table, 
 	return t, nil
 }
 
-// lvcCell runs one kernel at one LVC size and returns its VGIW cycle count.
-// The workload and the compile/place artifact come from the sweep's cache
-// (the artifact is LVC-size-independent); only the machine and memory image
-// are private to the cell.
+// lvcCell returns one kernel's VGIW cycle count at one LVC size, from the
+// sweep's VGIW result tier.
 func lvcCell(ctx context.Context, opt Options, spec kernels.Spec, kb int) (int64, error) {
 	cfg := opt.VGIW
 	cfg.LVC.SizeBytes = kb << 10
@@ -287,21 +286,9 @@ func lvcCell(ctx context.Context, opt Options, spec kernels.Spec, kb int) (int64
 	if err != nil {
 		return 0, fmt.Errorf("%s: build: %w", spec.Name, err)
 	}
-	prep, _, err := cache.vgiwPrepared(ctx, w, cfg)
+	res, _, err := cache.vgiwRun(ctx, w, cfg)
 	if err != nil {
-		return 0, fmt.Errorf("%s @%dKB: %w", spec.Name, kb, err)
-	}
-	m, err := core.NewMachine(cfg)
-	if err != nil {
-		return 0, err
-	}
-	global := w.Global()
-	res, err := m.RunPrepared(prep, w.Launch, global)
-	if err != nil {
-		return 0, fmt.Errorf("%s @%dKB: %w", spec.Name, kb, err)
-	}
-	if err := w.Check(global); err != nil {
-		return 0, fmt.Errorf("%s @%dKB: %w", spec.Name, kb, err)
+		return 0, fmt.Errorf("LVC %d KB: %w", kb, err)
 	}
 	return res.Cycles, nil
 }

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"vgiw/internal/kernels"
 	"vgiw/internal/mem"
@@ -71,8 +74,25 @@ type JobSpec struct {
 // lines.
 const maxLVCKB = 65536
 
+// DecodeJobSpec reads a request body that holds one job spec: a single JSON
+// object with no unknown fields and nothing but whitespace after it. It does
+// not normalize. On error it returns the zero spec.
+func DecodeJobSpec(r io.Reader) (JobSpec, error) {
+	var s JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return JobSpec{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return JobSpec{}, errors.New("trailing data after the job spec")
+	}
+	return s, nil
+}
+
 // Normalize validates the spec and fills defaults in place, so that equal
-// normalized specs describe identical simulations.
+// normalized specs describe identical simulations. A spec it rejects is
+// left as it was.
 func (s *JobSpec) Normalize() error {
 	modes := 0
 	if s.Kernel != "" {
@@ -95,11 +115,12 @@ func (s *JobSpec) Normalize() error {
 			return fmt.Errorf("spec: unknown kernel %q", s.Kernel)
 		}
 	}
-	if s.Scale == 0 {
-		s.Scale = 1
+	scale := s.Scale
+	if scale == 0 {
+		scale = 1
 	}
-	if s.Scale < 1 || s.Scale > 64 {
-		return fmt.Errorf("spec: scale %d out of range [1,64]", s.Scale)
+	if scale < 1 || scale > 64 {
+		return fmt.Errorf("spec: scale %d out of range [1,64]", scale)
 	}
 	if s.LVCKB < 0 || s.CVTBits < 0 {
 		return fmt.Errorf("spec: negative LVC/CVT capacity")
@@ -118,6 +139,7 @@ func (s *JobSpec) Normalize() error {
 	if !s.Trace && s.TraceFilter != "" {
 		return fmt.Errorf("spec: trace_filter set without trace")
 	}
+	s.Scale = scale
 	return nil
 }
 

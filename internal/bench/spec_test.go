@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"vgiw/internal/mem"
@@ -19,23 +21,78 @@ func TestJobSpecNormalizeDefaults(t *testing.T) {
 	}
 }
 
+// rejectedSpecs are specs Normalize must refuse.
+var rejectedSpecs = []JobSpec{
+	{},                                   // no mode
+	{Kernel: "bfs.kernel1", Suite: true}, // two modes
+	{Kernel: "no.such.kernel"},
+	{Suite: true, Scale: 65},
+	{Suite: true, Mem: "writeback2"},
+	{Suite: true, TimeoutMS: -1},
+	{Suite: true, TraceFilter: "vgiw"},    // filter without trace
+	{Kernel: "nn.euclid", LVCKB: 1 << 53}, // LVCKB<<10 wraps negative
+	{Kernel: "nn.euclid", LVCKB: 1 << 30}, // 2^33 cache lines
+}
+
 func TestJobSpecRejects(t *testing.T) {
-	bad := []JobSpec{
-		{},                                   // no mode
-		{Kernel: "bfs.kernel1", Suite: true}, // two modes
-		{Kernel: "no.such.kernel"},
-		{Suite: true, Scale: 65},
-		{Suite: true, Mem: "writeback2"},
-		{Suite: true, TimeoutMS: -1},
-		{Suite: true, TraceFilter: "vgiw"},    // filter without trace
-		{Kernel: "nn.euclid", LVCKB: 1 << 53}, // LVCKB<<10 wraps negative
-		{Kernel: "nn.euclid", LVCKB: 1 << 30}, // 2^33 cache lines
-	}
-	for i, s := range bad {
+	for i, s := range rejectedSpecs {
 		if err := s.Normalize(); err == nil {
 			t.Errorf("spec %d (%+v): Normalize accepted, want error", i, s)
 		}
 	}
+}
+
+// FuzzJobSpec drives raw request bodies through the daemon's decode path,
+// then Normalize, Key and Options. Nothing may panic; a rejection is an
+// error that leaves no partly applied spec behind; Normalize is idempotent,
+// the key is stable under re-normalization, and every accepted spec maps
+// onto harness options.
+func FuzzJobSpec(f *testing.F) {
+	for _, s := range rejectedSpecs {
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, body := range []string{
+		`{"kernel":"nn.euclid"}{"kernel":"ge.fan1"}`,
+		`{"kernel":"nn.euclid"} trailing-garbage`,
+		`{"kernel":"hotspot.kernel","scale":1,"lvc_kb":48}`,                                      // the sweep workload
+		`{"kernel":"lud.internal","scale":1,"lvc_kb":200,"cvt_bits":69632,"mem":"writethrough"}`, // vgiwd's fresh draws
+		`{"suite":true,"trace":true,"trace_filter":"vgiw,lvc"} ` + "\n",
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := DecodeJobSpec(bytes.NewReader(body))
+		if err != nil {
+			if s != (JobSpec{}) {
+				t.Fatalf("decode error %v left a spec: %+v", err, s)
+			}
+			return
+		}
+		raw := s
+		if err := s.Normalize(); err != nil {
+			if s != raw {
+				t.Fatalf("rejected spec was changed: %+v, then %+v (%v)", raw, s, err)
+			}
+			if _, oerr := raw.Options(); oerr == nil {
+				t.Fatalf("Options accepted a spec Normalize rejects: %+v", raw)
+			}
+			return
+		}
+		again := s
+		if err := again.Normalize(); err != nil || again != s {
+			t.Fatalf("Normalize is not idempotent: %+v, then %+v (%v)", s, again, err)
+		}
+		if again.Key() != s.Key() {
+			t.Fatalf("key changed under re-normalization: %+v, then %+v", s.Key(), again.Key())
+		}
+		if _, err := raw.Options(); err != nil {
+			t.Fatalf("Options rejected an accepted spec %+v: %v", raw, err)
+		}
+	})
 }
 
 func TestJobSpecOptionsMapping(t *testing.T) {

@@ -5,7 +5,9 @@ import (
 	"testing/quick"
 
 	"vgiw/internal/compile"
+	"vgiw/internal/kernels"
 	"vgiw/internal/kir"
+	"vgiw/internal/trace"
 )
 
 // buildDiamond is the Figure 1a kernel: three-way divergent paths that
@@ -578,5 +580,64 @@ func TestVGIWTinyFabric(t *testing.T) {
 	b.Ret()
 	if _, err := m.Compile(b.MustBuild()); err == nil {
 		t.Error("want error: no CVUs means no initiators/terminators")
+	}
+}
+
+// TestEffectiveConfig: the effective config holds the tile a run uses in
+// place of the CVT budget, drops the trace sink, and clears the LVC
+// capacity exactly where the tile's live values fit without a set conflict.
+// hotspot.kernel at scale 1 sits on the 256-thread CTA floor up to 16 KB:
+// its 13 live values need 13 KB, which a 12 KB LVC spills and a 16 KB one
+// holds.
+func TestEffectiveConfig(t *testing.T) {
+	spec, ok := kernels.ByName("hotspot.kernel")
+	if !ok {
+		t.Fatal("hotspot.kernel not registered")
+	}
+	inst, err := spec.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := m.Compile(inst.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := m.Prepare(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		kb    int
+		evict bool
+	}{{12, true}, {16, false}, {64, false}} {
+		cfg := DefaultConfig()
+		cfg.LVC.SizeBytes = c.kb << 10
+		traced := cfg
+		traced.Engine.Trace = trace.NewSink(trace.CatVGIW)
+		eff := EffectiveConfig(traced, prep, inst.Launch)
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.RunPrepared(prep, inst.Launch, append([]uint32(nil), inst.Global...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eff.CVTCapacityBits != res.TileSize {
+			t.Errorf("%d KB: effective CVT field %d, run's tile %d", c.kb, eff.CVTCapacityBits, res.TileSize)
+		}
+		if eff.Engine.Trace != nil {
+			t.Errorf("%d KB: effective config keeps the trace sink", c.kb)
+		}
+		if kept := eff.LVC.SizeBytes != 0; kept != c.evict {
+			t.Errorf("%d KB: effective LVC size %d, want it kept = %v", c.kb, eff.LVC.SizeBytes, c.evict)
+		}
+		if spilled := res.LVCStats.Writebacks > 0; spilled != c.evict {
+			t.Errorf("%d KB: %d LVC spills, want spills = %v", c.kb, res.LVCStats.Writebacks, c.evict)
+		}
 	}
 }

@@ -17,12 +17,9 @@ type LVC struct {
 	matrix  [][]uint32 // [liveValueID][threadID]
 	threads int
 
-	// The cache geometry Access needs, resolved once: lineShift is the log2
-	// of lineBytes, or -1 when the line is not a power of two and Access
-	// must divide.
-	lineBytes int64
-	lineShift int
-	hitLat    int64
+	// The cache geometry Access needs, resolved once.
+	lines  lineMap
+	hitLat int64
 
 	sink  *trace.Sink
 	track trace.TrackID
@@ -53,12 +50,47 @@ func NewLVC(cfg mem.CacheConfig, sys *mem.System, numLVs, threads int) *LVC {
 	for i := range matrix {
 		matrix[i] = make([]uint32, threads)
 	}
-	l := &LVC{cache: NewLVCache(cfg), sys: sys, matrix: matrix, threads: threads,
-		lineBytes: int64(cfg.LineBytes), lineShift: -1, hitLat: cfg.HitLat}
-	if lb := cfg.LineBytes; lb > 0 && lb&(lb-1) == 0 {
-		l.lineShift = bits.TrailingZeros(uint(lb))
+	return &LVC{cache: NewLVCache(cfg), sys: sys, matrix: matrix, threads: threads,
+		lines: newLineMap(cfg.LineBytes), hitLat: cfg.HitLat}
+}
+
+// lineMap is the live-value matrix's word→line mapping: word w sits at byte
+// address 4w. lineShift is the log2 of lineBytes, or -1 when the line is
+// not a power of two and line must divide.
+type lineMap struct {
+	lineBytes int64
+	lineShift int
+}
+
+func newLineMap(lineBytes int) lineMap {
+	m := lineMap{lineBytes: int64(lineBytes), lineShift: -1}
+	if lineBytes > 0 && lineBytes&(lineBytes-1) == 0 {
+		m.lineShift = bits.TrailingZeros(uint(lineBytes))
 	}
-	return l
+	return m
+}
+
+// line returns the line holding a (never negative) word.
+func (m lineMap) line(word int64) int64 {
+	if m.lineShift >= 0 {
+		return word * 4 >> m.lineShift
+	}
+	return word * 4 / m.lineBytes
+}
+
+// lvcNeverEvicts reports whether an LVC under cfg, holding numLVs live
+// values for a tile of tile threads, can never evict: the lines the
+// matrix's words map to are conflict-free under the cache's own set index
+// (mem.CacheConfig.ConflictFree). An invalid cfg never qualifies.
+func lvcNeverEvicts(cfg mem.CacheConfig, numLVs, tile int) bool {
+	if cfg.Validate() != nil {
+		return false
+	}
+	words := int64(numLVs) * int64(tile)
+	if words == 0 {
+		return true
+	}
+	return cfg.ConflictFree(newLineMap(cfg.LineBytes).line(words-1) + 1)
 }
 
 // NewLVCache builds the cache component (exposed for tests).
@@ -89,12 +121,7 @@ func (l *LVC) Access(lv, tid int, write bool, value uint32, now int64) (uint32, 
 	// so the 16 LVUs reach distinct banks in parallel (§3.4: "accessed at
 	// word granularity, in contrast to a GPGPU's vector register file").
 	word := int64(lv)*int64(l.threads) + int64(tid)
-	var lineAddr int64
-	if l.lineShift >= 0 {
-		lineAddr = word * 4 >> l.lineShift // word is never negative
-	} else {
-		lineAddr = word * 4 / l.lineBytes
-	}
+	lineAddr := l.lines.line(word)
 	res := l.cache.AccessBanked(lineAddr, word, write, now)
 	done := res.Ready + l.hitLat
 	if res.Writeback >= 0 {

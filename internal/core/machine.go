@@ -234,7 +234,6 @@ func (m *Machine) RunPrepared(prep *Prepared, launch kir.Launch, global []uint32
 func (m *Machine) RunPreparedCtx(ctx context.Context, prep *Prepared, launch kir.Launch, global []uint32) (*Result, error) {
 	ck := prep.CK
 	k := ck.Kernel
-	nBlocks := len(k.Blocks)
 	placements := prep.Placements
 	res := &Result{
 		Kernel:     k.Name,
@@ -245,24 +244,7 @@ func (m *Machine) RunPreparedCtx(ctx context.Context, prep *Prepared, launch kir
 		res.ReplicasOf[bi] = r
 	}
 
-	// Thread tiling (§3.2, §3.4): the CVT bit budget is split across the
-	// kernel's blocks, and the tile is also capped so the kernel's live
-	// values fit the LVC ("spilling ... is generally prevented by thread
-	// tiling"). Tiles are whole CTAs so barriers stay inside a tile.
-	ctaSize := launch.CTASize()
-	tile := m.cfg.CVTCapacityBits / nBlocks
-	if ck.LV.NumIDs > 0 {
-		if lvcTile := m.cfg.LVC.SizeBytes / (4 * ck.LV.NumIDs); lvcTile < tile {
-			tile = lvcTile
-		}
-	}
-	if tile < ctaSize {
-		tile = ctaSize
-	}
-	tile -= tile % ctaSize
-	if tile > launch.Threads() {
-		tile = launch.Threads()
-	}
+	tile := tileSize(m.cfg, ck, launch)
 	res.TileSize = tile
 
 	memCfg := m.cfg.Mem
@@ -306,6 +288,54 @@ func (m *Machine) RunPreparedCtx(ctx context.Context, prep *Prepared, launch kir
 	lvc.Release()
 	sys.Release()
 	return res, nil
+}
+
+// tileSize is the thread tile (§3.2, §3.4): the CVT bit budget split
+// across the kernel's blocks, capped so the tile's live values fit the LVC
+// ("spilling ... is generally prevented by thread tiling"). Tiles are whole
+// CTAs so barriers stay inside a tile, which can push a tile past the LVC
+// cap, and never exceed the launch.
+func tileSize(cfg Config, ck *compile.CompiledKernel, launch kir.Launch) int {
+	ctaSize := launch.CTASize()
+	tile := cfg.CVTCapacityBits / len(ck.Kernel.Blocks)
+	if ck.LV.NumIDs > 0 {
+		if lvcTile := cfg.LVC.SizeBytes / (4 * ck.LV.NumIDs); lvcTile < tile {
+			tile = lvcTile
+		}
+	}
+	if tile < ctaSize {
+		tile = ctaSize
+	}
+	tile -= tile % ctaSize
+	if tile > launch.Threads() {
+		tile = launch.Threads()
+	}
+	return tile
+}
+
+// EffectiveConfig is the part of cfg that a run of prep over launch can
+// observe: runs whose configs have equal effective configs produce
+// identical Results. It is cfg with three fields changed:
+//   - CVTCapacityBits holds the tile the budget yields, because the CVT's
+//     capacity acts on a run only through the tile.
+//   - Engine.Trace is nil: a sink changes what a run emits, never what it
+//     computes.
+//   - LVC.SizeBytes is 0 when the tile's live-value matrix maps onto the LVC
+//     with no set receiving more lines than it has ways. Such an LVC never
+//     evicts, so it behaves as an unbounded one with the same banks, line
+//     size, latency and policy, and its capacity too acts only through the
+//     tile.
+//
+// The result is a content key, not a machine to run: a run under it would
+// size the tile again.
+func EffectiveConfig(cfg Config, prep *Prepared, launch kir.Launch) Config {
+	tile := tileSize(cfg, prep.CK, launch)
+	if lvcNeverEvicts(cfg.LVC, prep.CK.LV.NumIDs, tile) {
+		cfg.LVC.SizeBytes = 0
+	}
+	cfg.CVTCapacityBits = tile
+	cfg.Engine.Trace = nil
+	return cfg
 }
 
 // runTile drives one tile of threads from the entry block to completion.

@@ -104,9 +104,11 @@ type Cache struct {
 	// per-access memmove.
 	recent []combineRing
 	tick   uint64
-	// setShift/bankMask are the power-of-two fast-path constants for setOf
-	// and bank selection (setShift < 0 / bankMask == 0 when the geometry is
-	// not a power of two and the generic divide path must run).
+	// sets is the set count; setShift/bankMask are the power-of-two
+	// fast-path constants for setOf and bank selection (setShift < 0 /
+	// bankMask == 0 when the geometry is not a power of two and the generic
+	// divide path must run).
+	sets     int64
 	setShift int8
 	bankMask int64
 	Stats    CacheStats
@@ -175,6 +177,7 @@ func NewCache(cfg CacheConfig) *Cache {
 		lines:    newLineSlab(cfg.Sets() * cfg.Ways),
 		banks:    make([]SlotAlloc, cfg.Banks),
 		recent:   make([]combineRing, cfg.Banks),
+		sets:     int64(cfg.Sets()),
 		setShift: pow2Shift(int64(cfg.Sets())),
 		bankMask: pow2Mask(int64(cfg.Banks)),
 	}
@@ -319,25 +322,53 @@ func (c *Cache) AccessBanked(lineAddr, bankSel int64, write bool, now int64) Acc
 	return res
 }
 
-// setOf maps a line to a set with hashed indexing (upper address bits XORed
-// into the index), dissolving the power-of-two stride aliasing that plain
-// modulo indexing suffers on struct-of-arrays layouts. GPU L1/L2 caches hash
-// their set index the same way. Tags store the full line address.
-func (c *Cache) setOf(lineAddr int64) int {
-	if c.setShift > 0 && lineAddr >= 0 {
+// setOf maps a line to its set (see setIndex). Tags store the full line
+// address.
+func (c *Cache) setOf(lineAddr int64) int { return setIndex(lineAddr, c.sets, c.setShift) }
+
+// setIndex maps a line to one of sets sets with hashed indexing (upper
+// address bits XORed into the index), dissolving the power-of-two stride
+// aliasing that plain modulo indexing suffers on struct-of-arrays layouts.
+// GPU L1/L2 caches hash their set index the same way. shift is
+// pow2Shift(sets).
+func setIndex(lineAddr, sets int64, shift int8) int {
+	if shift > 0 && lineAddr >= 0 {
 		// Power-of-two set count: shifts and a mask compute the identical
 		// hash (for non-negative addresses, /2^k == >>k and %2^k == &mask).
-		s := c.setShift
-		h := lineAddr ^ (lineAddr >> s) ^ (lineAddr >> (2 * s))
-		return int(h & (int64(1)<<s - 1))
+		h := lineAddr ^ (lineAddr >> shift) ^ (lineAddr >> (2 * shift))
+		return int(h & (int64(1)<<shift - 1))
 	}
-	sets := int64(c.cfg.Sets())
 	h := lineAddr ^ (lineAddr / sets) ^ (lineAddr / (sets * sets))
 	h %= sets
 	if h < 0 {
 		h += sets
 	}
 	return int(h)
+}
+
+// ConflictFree reports whether a valid cache holds lines [0, n) without
+// evicting: under the set index a Cache uses, no set receives more than Ways
+// of them. A cache that only ever touches those lines then never evicts, so
+// it behaves exactly as a larger cache with the same banks, line size,
+// latency and policy would. It reports false for an invalid configuration.
+// The scan stops at the first overfull set, within Sets×Ways+1 lines.
+func (c CacheConfig) ConflictFree(n int64) bool {
+	if n <= 0 {
+		return true
+	}
+	if c.Validate() != nil {
+		return false
+	}
+	sets := int64(c.Sets())
+	shift := pow2Shift(sets)
+	load := make([]int, sets)
+	for l := int64(0); l < n; l++ {
+		s := setIndex(l, sets, shift)
+		if load[s]++; load[s] > c.Ways {
+			return false
+		}
+	}
+	return true
 }
 
 func absDiff(a, b int64) int64 {

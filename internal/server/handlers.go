@@ -49,10 +49,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // is terminal — and, symmetrically, a client that disconnects mid-wait
 // cancels its job (a shared execution keeps running for its other holders).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec bench.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := bench.DecodeJobSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}

@@ -515,10 +515,12 @@ func TestRepeatDuringStoreFlushIsShared(t *testing.T) {
 // TestCacheTierMetrics pins the shared artifact cache's exposition: one
 // hits and one misses counter per tier, present as zeros from the first
 // scrape. An LVC sweep over the registry on one daemon then simulates each
-// kernel's baselines once: no VGIW knob is in their result-tier keys.
+// kernel's baselines once, since no VGIW knob is in their result-tier keys,
+// and simulates VGIW once per distinct effective machine: the 105 jobs are
+// 34 machines.
 func TestCacheTierMetrics(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 128})
-	tiers := []string{"workload", "vgiw", "simt", "sgmf", "simt_run", "sgmf_run"}
+	tiers := []string{"workload", "vgiw", "simt", "sgmf", "simt_run", "sgmf_run", "vgiw_run"}
 	metrics := scrapeMetrics(t, ts)
 	for _, tier := range tiers {
 		for _, name := range []string{"vgiwd/cache_hits/" + tier, "vgiwd/cache_misses/" + tier} {
@@ -559,6 +561,8 @@ func TestCacheTierMetrics(t *testing.T) {
 		"vgiwd/cache_hits/simt_run":   len(names) * (len(sizes) - 1),
 		"vgiwd/cache_misses/sgmf_run": sgmfKernels,
 		"vgiwd/cache_hits/sgmf_run":   sgmfKernels * (len(sizes) - 1),
+		"vgiwd/cache_misses/vgiw_run": 34,
+		"vgiwd/cache_hits/vgiw_run":   71,
 		"vgiwd/runs_executed":         len(names) * len(sizes),
 	} {
 		if got := metricValue(t, ts, name); got != want {
