@@ -97,6 +97,12 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "vgiwd: %v\n", err)
 		return 1
 	}
+	// The drain handler is installed before the address is announced: a
+	// client that has the address may signal at once, and a SIGTERM that
+	// beat signal.Notify would kill the process without a drain.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+
 	// The bound address goes to stdout so scripts using -addr :0 (the
 	// serve-check gate, test rigs) can discover the port.
 	fmt.Printf("vgiwd listening on %s\n", ln.Addr())
@@ -104,9 +110,6 @@ func run(args []string) int {
 	hs := &http.Server{Handler: s.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 
 	select {
 	case got := <-sig:

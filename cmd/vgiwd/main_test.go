@@ -270,6 +270,17 @@ func TestServeCheckStore(t *testing.T) {
 	drainDaemon(t, daemon2, stderr2)
 }
 
+// TestServeCheckDrainOnAnnounce SIGTERMs the daemon the moment it announces
+// its address. A client may signal as soon as it has the address, so the
+// drain handler must already be installed and the exit must be clean.
+func TestServeCheckDrainOnAnnounce(t *testing.T) {
+	bin := buildDaemon(t)
+	for i := 0; i < 5; i++ {
+		daemon, _, stderr := startDaemon(t, bin, "-addr", "127.0.0.1:0")
+		drainDaemon(t, daemon, stderr)
+	}
+}
+
 func TestVersionFlag(t *testing.T) {
 	// In-process: run() handles -version without touching the network.
 	var out strings.Builder

@@ -14,6 +14,12 @@
 //     flagging those would drown the signal; the explicit window is where
 //     the hand-ordered Unlock makes a held blocking op both likely and
 //     fixable.
+//   - fileio: file I/O — os calls that open, read, write, create, rename or
+//     remove files, and methods of a Store type in a package named store —
+//     makes every other acquirer wait on the disk. It is reported in every
+//     held window: explicit ones, deferred-unlock ones (I/O is never the
+//     small critical section that exemption is for), and the whole body of
+//     a function whose name ends in Locked (its caller holds the lock).
 //   - condwait: sync.Cond.Wait must sit in a `for` re-check loop; an `if`
 //     around Wait is the textbook lost-wakeup bug.
 
@@ -23,13 +29,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // LockPass returns the lock-discipline pass.
 func LockPass() *Pass {
 	return &Pass{
 		Name: "lock",
-		Doc:  "no lock copies, no blocking ops in explicit lock windows, cond.Wait in a loop",
+		Doc:  "no lock copies, no blocking ops in explicit lock windows, no file I/O under any lock, cond.Wait in a loop",
 		Run:  runLock,
 	}
 }
@@ -49,7 +56,11 @@ func runLock(c *Context) {
 			}
 		}
 		lw := &lockWalker{c: c, fd: fd}
-		lw.walkBlock(fd.Body.List, map[string]bool{})
+		held := map[string]holdKind{}
+		if strings.HasSuffix(fd.Name.Name, "Locked") {
+			held[callerLock] = holdCaller
+		}
+		lw.walkBlock(fd.Body.List, held)
 		checkCondWaitLoops(c, fd)
 		checkRangeCopies(c, fd)
 	}
@@ -103,9 +114,22 @@ func checkRangeCopies(c *Context, fd *ast.FuncDecl) {
 	})
 }
 
-// lockWalker tracks explicitly held locks through a statement list. held
-// maps the lock's receiver expression text to true while an explicit
-// (non-deferred) Lock window is open.
+// holdKind says how a held lock's window was opened, which decides what the
+// walker reports inside it.
+type holdKind int
+
+const (
+	holdExplicit holdKind = iota // Lock() with a hand-placed Unlock(): blocking ops and file I/O
+	holdDeferred                 // Lock() then defer Unlock(): file I/O only
+	holdCaller                   // body of a ...Locked function: file I/O only
+)
+
+// callerLock is the held-set key for the lock a ...Locked function's caller
+// holds; the walker cannot name it.
+const callerLock = "the caller's lock"
+
+// lockWalker tracks held locks through a statement list. held maps the
+// lock's receiver expression text to how its window was opened.
 type lockWalker struct {
 	c  *Context
 	fd *ast.FuncDecl
@@ -116,41 +140,43 @@ func (lw *lockWalker) info() *types.Info { return lw.c.Unit.Info }
 // walkBlock processes stmts in order with the given held-set; nested
 // control flow gets a copy (a lock acquired inside a branch is considered
 // released when the branch ends — conservative in the quiet direction).
-func (lw *lockWalker) walkBlock(stmts []ast.Stmt, held map[string]bool) {
+func (lw *lockWalker) walkBlock(stmts []ast.Stmt, held map[string]holdKind) {
 	for _, s := range stmts {
 		lw.walkStmt(s, held)
 	}
 }
 
-func copyHeld(held map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(held))
+func copyHeld(held map[string]holdKind) map[string]holdKind {
+	out := make(map[string]holdKind, len(held))
 	for k, v := range held {
 		out[k] = v
 	}
 	return out
 }
 
-func (lw *lockWalker) walkStmt(s ast.Stmt, held map[string]bool) {
+func (lw *lockWalker) walkStmt(s ast.Stmt, held map[string]holdKind) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
 			if recv, kind := lockMethodCall(call, lw.info()); kind != "" {
 				switch kind {
 				case "Lock", "RLock":
-					held[recv] = true
+					held[recv] = holdExplicit
 				case "Unlock", "RUnlock":
 					delete(held, recv)
 				}
 				return
 			}
 		}
-		lw.checkBlocking(s.X, held)
+		lw.checkHeld(s.X, held)
 	case *ast.DeferStmt:
 		if recv, kind := lockMethodCall(s.Call, lw.info()); kind == "Unlock" || kind == "RUnlock" {
-			// The deferred-unlock idiom closes the explicit window: from
-			// here on the lock is held to function end by design, which
-			// this check deliberately tolerates (see package comment).
-			delete(held, recv)
+			// The deferred-unlock idiom turns the explicit window into one
+			// held to function end by design: blocking ops are tolerated
+			// there (see package comment), file I/O is not.
+			if _, ok := held[recv]; ok {
+				held[recv] = holdDeferred
+			}
 			return
 		}
 	case *ast.BlockStmt:
@@ -159,7 +185,7 @@ func (lw *lockWalker) walkStmt(s ast.Stmt, held map[string]bool) {
 		if s.Init != nil {
 			lw.walkStmt(s.Init, held)
 		}
-		lw.checkBlocking(s.Cond, held)
+		lw.checkHeld(s.Cond, held)
 		lw.walkStmt(s.Body, copyHeld(held))
 		if s.Else != nil {
 			lw.walkStmt(s.Else, copyHeld(held))
@@ -167,7 +193,7 @@ func (lw *lockWalker) walkStmt(s ast.Stmt, held map[string]bool) {
 	case *ast.ForStmt:
 		lw.walkStmt(s.Body, copyHeld(held))
 	case *ast.RangeStmt:
-		lw.checkBlocking(s.X, held)
+		lw.checkHeld(s.X, held)
 		lw.walkStmt(s.Body, copyHeld(held))
 	case *ast.SwitchStmt, *ast.TypeSwitchStmt:
 		for _, child := range children(s) {
@@ -180,10 +206,8 @@ func (lw *lockWalker) walkStmt(s ast.Stmt, held map[string]bool) {
 	case *ast.SelectStmt:
 		// A select with a default never blocks; one without can park the
 		// goroutine while the lock is held.
-		if len(held) > 0 && !selectHasDefault(s) {
-			for recv := range held {
-				lw.c.Reportf(s.Select, "blocking select while %s is locked (explicit Lock without deferred Unlock)", recv)
-			}
+		if !selectHasDefault(s) {
+			lw.reportHeld(s.Select, "blocking select", held, false)
 		}
 		for _, cl := range s.Body.List {
 			lw.walkBlock(cl.(*ast.CommClause).Body, copyHeld(held))
@@ -191,12 +215,13 @@ func (lw *lockWalker) walkStmt(s ast.Stmt, held map[string]bool) {
 	case *ast.GoStmt:
 		// The spawned goroutine does not hold the caller's locks.
 	case *ast.AssignStmt, *ast.ReturnStmt, *ast.SendStmt, *ast.DeclStmt, *ast.IncDecStmt, *ast.LabeledStmt:
-		lw.checkBlocking(s, held)
+		lw.checkHeld(s, held)
 	}
 }
 
-// checkBlocking reports blocking operations inside n while locks are held.
-func (lw *lockWalker) checkBlocking(n ast.Node, held map[string]bool) {
+// checkHeld reports blocking operations and file I/O inside n while locks
+// are held.
+func (lw *lockWalker) checkHeld(n ast.Node, held map[string]holdKind) {
 	if len(held) == 0 || n == nil {
 		return
 	}
@@ -207,23 +232,36 @@ func (lw *lockWalker) checkBlocking(n ast.Node, held map[string]bool) {
 		case *ast.SelectStmt:
 			return false // handled structurally in walkStmt
 		case *ast.SendStmt:
-			lw.reportHeld(child.Arrow, "channel send", held)
+			lw.reportHeld(child.Arrow, "channel send", held, false)
 		case *ast.UnaryExpr:
 			if child.Op.String() == "<-" {
-				lw.reportHeld(child.OpPos, "channel receive", held)
+				lw.reportHeld(child.OpPos, "channel receive", held, false)
 			}
 		case *ast.CallExpr:
 			if desc := blockingCall(child, lw.info()); desc != "" {
-				lw.reportHeld(child.Pos(), desc, held)
+				lw.reportHeld(child.Pos(), desc, held, false)
+			}
+			if desc := fileIOCall(child, lw.info()); desc != "" {
+				lw.reportHeld(child.Pos(), "file I/O ("+desc+")", held, true)
 			}
 		}
 		return true
 	})
 }
 
-func (lw *lockWalker) reportHeld(pos token.Pos, what string, held map[string]bool) {
-	for recv := range held {
-		lw.c.Reportf(pos, "%s while %s is locked (explicit Lock without deferred Unlock)", what, recv)
+// reportHeld reports what at pos once per held lock whose window it is
+// checked in: blocking ops in explicit windows only, file I/O in all.
+func (lw *lockWalker) reportHeld(pos token.Pos, what string, held map[string]holdKind, fileIO bool) {
+	for recv, kind := range held {
+		switch {
+		case kind == holdExplicit:
+			lw.c.Reportf(pos, "%s while %s is locked (explicit Lock without deferred Unlock)", what, recv)
+		case !fileIO:
+		case kind == holdDeferred:
+			lw.c.Reportf(pos, "%s while %s is locked (deferred Unlock holds it to function end)", what, recv)
+		default:
+			lw.c.Reportf(pos, "%s in %s, whose caller holds the lock", what, lw.fd.Name.Name)
+		}
 	}
 }
 
@@ -270,6 +308,45 @@ func blockingCall(call *ast.CallExpr, info *types.Info) string {
 		case "Do", "Get", "Post", "PostForm", "Head":
 			return "net/http round-trip (" + obj.Name() + ")"
 		}
+	}
+	return ""
+}
+
+// osFileIO lists the os functions and *os.File methods that open, read,
+// write, create, rename or remove files.
+var osFileIO = map[string]bool{
+	"Open": true, "OpenFile": true, "Create": true, "CreateTemp": true,
+	"ReadFile": true, "WriteFile": true, "ReadDir": true,
+	"Rename": true, "Remove": true, "RemoveAll": true, "Truncate": true,
+	"Mkdir": true, "MkdirAll": true, "MkdirTemp": true,
+	"Read": true, "ReadAt": true, "ReadFrom": true,
+	"Write": true, "WriteAt": true, "WriteString": true, "Sync": true,
+}
+
+// fileIOCall describes calls that do file I/O: the os calls in osFileIO,
+// and every method of a Store type in a package named store (matched by
+// name, as the nilguard pass matches trace.Sink, so the corpus can model
+// it).
+func fileIOCall(call *ast.CallExpr, info *types.Info) string {
+	fn, ok := calleeObj(call, info).(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return ""
+	}
+	name := fn.Name()
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			name = n.Obj().Name() + "." + name
+		}
+	}
+	switch {
+	case fn.Pkg().Path() == "os" && osFileIO[fn.Name()]:
+		return "os." + name
+	case fn.Pkg().Name() == "store" && strings.HasPrefix(name, "Store."):
+		return "store." + name
 	}
 	return ""
 }

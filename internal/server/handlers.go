@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"vgiw/internal/bench"
@@ -85,16 +86,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	ids := make([]string, len(s.order))
-	copy(ids, s.order)
+	jobs := slices.Clone(s.order)
 	s.mu.Unlock()
-	views := make([]JobView, 0, len(ids))
-	for _, id := range ids {
-		if j, ok := s.Get(id); ok {
-			v := s.View(j)
-			v.Result = nil // list is a summary; fetch the job for its result
-			views = append(views, v)
-		}
+	views := make([]JobView, 0, len(jobs))
+	for _, j := range jobs {
+		v := s.View(j)
+		v.Result = nil // list is a summary; fetch the job for its result
+		views = append(views, v)
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Jobs []JobView `json:"jobs"`

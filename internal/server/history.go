@@ -7,6 +7,7 @@ package server
 // cmd/benchgate implements offline.
 
 import (
+	"errors"
 	"net/http"
 	"sort"
 	"strings"
@@ -89,17 +90,26 @@ func (s *Server) handleHistoryGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	key := r.PathValue("key")
+	if e, ok := loadEntry(w, st, r.PathValue("key")); ok {
+		writeJSON(w, http.StatusOK, e)
+	}
+}
+
+// loadEntry reads one stored entry for a history route, answering 400 for a
+// malformed key, 500 for an unreadable entry and 404 for a missing one.
+func loadEntry(w http.ResponseWriter, st *store.Store, key string) (*store.Entry, bool) {
 	e, err := st.Get(key)
-	if err != nil {
+	switch {
+	case errors.Is(err, store.ErrBadKey):
+		writeError(w, http.StatusBadRequest, "%v", err)
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if e == nil {
+	case e == nil:
 		writeError(w, http.StatusNotFound, "no stored result for key %s", key)
-		return
+	default:
+		return e, true
 	}
-	writeJSON(w, http.StatusOK, e)
+	return nil, false
 }
 
 // MetricDelta is one metric that differs between two stored snapshots.
@@ -166,23 +176,11 @@ func (s *Server) handleHistoryDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "diff needs both ?from= and ?to= entry keys")
 		return
 	}
-	load := func(key string) (*store.Entry, bool) {
-		e, err := st.Get(key)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return nil, false
-		}
-		if e == nil {
-			writeError(w, http.StatusNotFound, "no stored result for key %s", key)
-			return nil, false
-		}
-		return e, true
-	}
-	from, ok := load(fromKey)
+	from, ok := loadEntry(w, st, fromKey)
 	if !ok {
 		return
 	}
-	to, ok := load(toKey)
+	to, ok := loadEntry(w, st, toKey)
 	if !ok {
 		return
 	}

@@ -12,10 +12,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -199,6 +202,168 @@ func TestHistoryWithoutStore(t *testing.T) {
 			t.Errorf("GET %s without a store: status %d, want 404", path, resp.StatusCode)
 		}
 	}
+}
+
+// TestHistoryRejectsMalformedKeys pins that the history routes never turn a
+// client's key into a path outside the store: a key store.Key cannot
+// produce answers 400, whether or not a file of that name exists beside
+// the store directory, and nothing of such a file reaches the reply.
+func TestHistoryRejectsMalformedKeys(t *testing.T) {
+	parent := t.TempDir()
+	if err := os.WriteFile(filepath.Join(parent, "secret.json"), []byte(`{"schema":"outside-the-store"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newStoreServer(t, filepath.Join(parent, "store"), Config{Workers: 1, QueueDepth: 4})
+	valid := store.Key(bench.JobSpec{Kernel: "bfs.kernel1", Scale: 1})
+	for _, path := range []string{
+		"/v1/history/..%2Fsecret",
+		"/v1/history/..%2Fmissing",
+		"/v1/history/" + strings.ToUpper(valid),
+		"/v1/history/diff?from=..%2Fsecret&to=" + valid,
+		"/v1/history/diff?from=..%2Fmissing&to=..%2Fsecret",
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400 (%s)", path, resp.StatusCode, body)
+		}
+		if strings.Contains(body, "outside-the-store") {
+			t.Errorf("GET %s echoed a file outside the store: %s", path, body)
+		}
+	}
+}
+
+// waitFiled waits until no execution is left in byKey: every one has
+// returned from its store write.
+func waitFiled(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		s.mu.Lock()
+		n := len(s.byKey)
+		s.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d executions never left byKey", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStoreFaults drives the daemon over a damaged store: a fault costs a
+// re-execution and a store_errors count, never a failed job or a panic.
+func TestStoreFaults(t *testing.T) {
+	const body = `{"kernel":"bfs.kernel1"}`
+	spec := bench.JobSpec{Kernel: "bfs.kernel1"}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	key := store.Key(spec)
+
+	// A truncated entry at the spec's key is an error, not a hit: the job
+	// runs, and the run's write replaces the entry, so the next submission
+	// is a store hit serving the same bytes.
+	t.Run("truncated entry", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte(`{"schema":"vgiw-store/v1","key":"`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, ts := newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 4})
+		resp, run := postJob(t, ts, body, "?wait=1")
+		if resp.StatusCode != http.StatusOK || run.State != StateDone || run.Cached != "" || run.Shared {
+			t.Fatalf("over a truncated entry: status %d state %q cached %q shared %v, want an uncached 200 done",
+				resp.StatusCode, run.State, run.Cached, run.Shared)
+		}
+		waitFiled(t, s)
+		_, hit := postJob(t, ts, body, "?wait=1")
+		if hit.Cached != "store" || !bytes.Equal(hit.Result, run.Result) {
+			t.Errorf("after the rewrite: cached %q, same bytes %v; want a store hit with the run's bytes",
+				hit.Cached, bytes.Equal(hit.Result, run.Result))
+		}
+		for name, want := range map[string]int{
+			"vgiwd/store_errors": 1, "vgiwd/runs_executed": 1, "vgiwd/store_hits": 1,
+		} {
+			if got := metricValue(t, ts, name); got != want {
+				t.Errorf("%s = %d, want %d", name, got, want)
+			}
+		}
+	})
+
+	// A store directory removed under a running daemon: reads miss, every
+	// write fails and is counted, and the jobs still complete.
+	t.Run("store directory removed", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "store")
+		s, ts := newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 4})
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		bodies := []string{body, `{"kernel":"bfs.kernel2"}`, body}
+		for _, b := range bodies {
+			if resp, v := postJob(t, ts, b, "?wait=1"); resp.StatusCode != http.StatusOK || v.State != StateDone {
+				t.Fatalf("%s without a store directory: status %d state %q (%s)", b, resp.StatusCode, v.State, v.Reason)
+			}
+			waitFiled(t, s)
+		}
+		for name, want := range map[string]int{
+			"vgiwd/store_errors": len(bodies), "vgiwd/runs_executed": len(bodies), "vgiwd/store_hits": 0,
+		} {
+			if got := metricValue(t, ts, name); got != want {
+				t.Errorf("%s = %d, want %d", name, got, want)
+			}
+		}
+	})
+
+	// A write killed between its temp file and its rename leaves a .tmp-*
+	// orphan, here holding a complete entry for the key beside a torn one.
+	// Neither is visible to Get (the job runs) or to List (the history
+	// holds only the run's own entry, nothing skipped), and neither stops
+	// the run's write of the same key.
+	t.Run("orphaned temp files", func(t *testing.T) {
+		donor, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := donor.Put(&store.Entry{Spec: spec, Result: json.RawMessage(`{"orphan":true}`)}); err != nil {
+			t.Fatal(err)
+		}
+		full, err := os.ReadFile(filepath.Join(donor.Dir(), key+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		for name, data := range map[string][]byte{".tmp-1234567890": full, ".tmp-0987654321": full[:len(full)/2]} {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, ts := newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 4})
+		_, run := postJob(t, ts, body, "?wait=1")
+		if run.State != StateDone || run.Cached != "" {
+			t.Fatalf("beside orphans: state %q cached %q, want an executed job", run.State, run.Cached)
+		}
+		waitFiled(t, s)
+		_, hit := postJob(t, ts, body, "?wait=1")
+		if hit.Cached != "store" || !bytes.Equal(hit.Result, run.Result) {
+			t.Errorf("after the write: cached %q, same bytes %v; want a store hit with the run's bytes",
+				hit.Cached, bytes.Equal(hit.Result, run.Result))
+		}
+		var hist struct {
+			Entries []HistoryEntry `json:"entries"`
+			Skipped string         `json:"skipped"`
+		}
+		getJSON(t, ts, "/v1/history", &hist)
+		if len(hist.Entries) != 1 || hist.Entries[0].Key != key || hist.Skipped != "" {
+			t.Errorf("history beside orphans = %+v, want the one entry at %s and nothing skipped", hist, key)
+		}
+		if got := metricValue(t, ts, "vgiwd/store_errors"); got != 0 {
+			t.Errorf("store_errors = %d, want 0", got)
+		}
+	})
 }
 
 // sseFrame is one parsed Server-Sent Event.
@@ -509,6 +674,75 @@ func TestRepeatDuringStoreFlushIsShared(t *testing.T) {
 		if got := metricValue(t, ts, name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// TestRepeatAfterOffLockMissIsNotRerun holds a repeat between its store
+// read, which missed, and its taking the server mutex, while the equal
+// execution files its result and leaves byKey. The repeat must then be
+// served that execution's bytes, not run the spec a second time.
+func TestRepeatAfterOffLockMissIsNotRerun(t *testing.T) {
+	flushing, flush := make(chan struct{}), make(chan struct{})
+	var flushingOnce, flushOnce sync.Once
+	debugBeforeFlush = func() {
+		flushingOnce.Do(func() { close(flushing) })
+		<-flush
+	}
+	missed, admit := make(chan struct{}), make(chan struct{})
+	var reads atomic.Int32
+	var admitOnce sync.Once
+	debugAfterStoreRead = func() {
+		if reads.Add(1) == 2 { // the repeat; the first submission passes
+			close(missed)
+			<-admit
+		}
+	}
+	t.Cleanup(func() { debugBeforeFlush, debugAfterStoreRead = nil, nil }) // runs after the server's shutdown
+	s, _ := newStoreServer(t, t.TempDir(), Config{Workers: 1, QueueDepth: 4})
+	t.Cleanup(func() {
+		flushOnce.Do(func() { close(flush) })
+		admitOnce.Do(func() { close(admit) })
+	})
+
+	spec := bench.JobSpec{Kernel: "bfs.kernel1"}
+	first, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-flushing:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the first execution never reached its store write")
+	}
+	repeat := make(chan *Job, 1)
+	go func() {
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Error(err)
+		}
+		repeat <- j
+	}()
+	<-missed // the repeat's read ran before the write: a miss
+	flushOnce.Do(func() { close(flush) })
+	waitFiled(t, s)
+	admitOnce.Do(func() { close(admit) })
+
+	j := <-repeat
+	if j == nil {
+		t.FailNow()
+	}
+	if !s.Wait(context.Background(), j) {
+		t.Fatal("the repeat never finished")
+	}
+	got, want := s.View(j), s.View(first)
+	if got.State != StateDone || (got.Cached != "store" && !got.Shared) {
+		t.Errorf("repeat: state %q cached %q shared %v, want done from the store or shared", got.State, got.Cached, got.Shared)
+	}
+	if !bytes.Equal(got.Result, want.Result) {
+		t.Errorf("repeat is not byte-identical:\n%s\nvs\n%s", got.Result, want.Result)
+	}
+	if n := s.Metrics().Counter("vgiwd/runs_executed"); n != 1 {
+		t.Errorf("runs_executed = %d, want 1", n)
 	}
 }
 

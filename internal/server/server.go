@@ -42,9 +42,9 @@ type Config struct {
 	// evicted first. 0 = 1024.
 	MaxJobs int
 	// Store is the persistent result store. Submissions are looked up here
-	// before the singleflight path (a hit is served without executing,
-	// marked `"cached": "store"`), and every successful execution is
-	// flushed here on completion. nil = persistence disabled.
+	// before the server mutex and the singleflight path (a hit is served
+	// without executing, marked `"cached": "store"`), and every successful
+	// execution is flushed here on completion. nil = persistence disabled.
 	Store *store.Store
 }
 
@@ -94,7 +94,7 @@ type Server struct {
 	draining bool
 	seq      uint64
 	jobs     map[string]*Job
-	order    []string                     // insertion order, for listing + eviction
+	order    []*Job                       // retained jobs in admission order, for listing + eviction
 	byKey    map[bench.JobSpec]*execution // executions not yet filed in the store, by content key
 
 	queue chan *execution
@@ -145,10 +145,11 @@ var errQueueFull = errors.New("server: queue full")
 // errDraining is returned by Submit once Shutdown has begun.
 var errDraining = errors.New("server: draining")
 
-// Submit admits one job: it normalizes the spec, dedups it against
-// in-flight executions by content key, and otherwise enqueues a new
-// execution — non-blocking, so a full queue rejects with errQueueFull (the
-// HTTP layer's 429) instead of stalling the client or growing without bound.
+// Submit admits one job: it normalizes the spec, serves it from the
+// persistent store when it can, dedups it against in-flight executions by
+// content key, and otherwise enqueues a new execution — non-blocking, so a
+// full queue rejects with errQueueFull (the HTTP layer's 429) instead of
+// stalling the client or growing without bound.
 func (s *Server) Submit(spec bench.JobSpec) (*Job, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
@@ -162,24 +163,60 @@ func (s *Server) Submit(spec bench.JobSpec) (*Job, error) {
 	}
 	key := spec.Key()
 
+	// The persistent store is read before the server mutex is taken, so a
+	// hit's file read and decode delay only this submission. A hit is served
+	// without queueing anything, byte-identical to the execution that
+	// produced it (possibly in a previous process). Traced jobs always run —
+	// a stored result carries no event sink to stream or export.
+	useStore := s.store != nil && !spec.Trace
+	var ent *store.Entry
+	var getErr error
+	if useStore {
+		ent, getErr = s.store.Get(store.Key(key))
+		if debugAfterStoreRead != nil {
+			debugAfterStoreRead()
+		}
+	}
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return nil, errDraining
 	}
 
-	// Persistent-store lookup comes before the singleflight path: a hit is
-	// served without queueing anything, byte-identical to the execution that
-	// produced it (possibly in a previous process). Traced jobs always run —
-	// a stored result carries no event sink to stream or export.
-	if s.store != nil && !spec.Trace {
-		if j, ok := s.admitFromStoreLocked(spec, key); ok {
-			return j, nil
+	e, shared := s.byKey[key]
+	if useStore && ent == nil && !shared {
+		// An equal execution may have filed its result and left byKey since
+		// the read above: it leaves only once its store write has returned.
+		// Under the lock no execution can leave unseen, so one more read
+		// settles it; for a spec never run before it is one failed open.
+		//vgiw:allow lock -- the miss-path re-check; a hit cannot reach it, and without it a repeat could run twice
+		ent, getErr = s.store.Get(store.Key(key))
+	}
+	switch {
+	case !useStore:
+	case getErr != nil:
+		// A corrupt entry must never wedge the job path: count it and run.
+		s.reg.Add("vgiwd/store_errors", 1)
+	case ent == nil:
+		s.reg.Add("vgiwd/store_misses", 1)
+	default:
+		s.reg.Add("vgiwd/store_hits", 1)
+		now := time.Now()
+		e = &execution{
+			spec:      key,
+			fromStore: true,
+			createdAt: now,
+			finished:  now,
+			result:    ent.Result,
+			metrics:   ent.Metrics,
+			done:      make(chan struct{}),
 		}
+		close(e.done) // born terminal
+		shared = false
 	}
 
-	e, shared := s.byKey[key]
-	if !shared {
+	if e == nil {
 		ctx, cancel := context.WithCancelCause(s.baseCtx)
 		e = &execution{
 			spec:      key,
@@ -204,7 +241,7 @@ func (s *Server) Submit(spec bench.JobSpec) (*Job, error) {
 			return nil, errQueueFull
 		}
 		s.byKey[key] = e
-	} else {
+	} else if shared {
 		s.reg.Add("vgiwd/jobs_deduped", 1)
 	}
 
@@ -219,63 +256,24 @@ func (s *Server) Submit(spec bench.JobSpec) (*Job, error) {
 	}
 	select {
 	case <-e.done:
-		// A finished execution whose store write is still in flight: the
-		// job is born done, so it needs no deadline timer.
+		// A store hit, or a finished execution whose store write is still in
+		// flight: the job is born done, so it needs no deadline timer.
 		s.reg.Add("vgiwd/jobs_completed", 1)
 	default:
 		e.refs++
 		j.timer = time.AfterFunc(timeout, func() { s.detach(j, "deadline") })
 	}
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
+	s.order = append(s.order, j)
 	s.evictLocked()
 	s.reg.Add("vgiwd/jobs_admitted", 1)
 	s.reg.Set("vgiwd/queue_depth", uint64(len(s.queue)))
 	return j, nil
 }
 
-// admitFromStoreLocked tries to satisfy a submission from the persistent
-// store. On a hit it files a pre-completed job (no execution runs, no
-// deadline timer — the result already exists) and reports true. Store errors
-// are counted and fall through to a real execution: a corrupt entry must
-// never wedge the job path. Caller holds the server mutex.
-func (s *Server) admitFromStoreLocked(spec, key bench.JobSpec) (*Job, bool) {
-	ent, err := s.store.Get(store.Key(key))
-	if err != nil {
-		s.reg.Add("vgiwd/store_errors", 1)
-		return nil, false
-	}
-	if ent == nil {
-		s.reg.Add("vgiwd/store_misses", 1)
-		return nil, false
-	}
-	s.reg.Add("vgiwd/store_hits", 1)
-	now := time.Now()
-	e := &execution{
-		spec:      key,
-		fromStore: true,
-		createdAt: now,
-		finished:  now,
-		result:    ent.Result,
-		metrics:   ent.Metrics,
-		done:      make(chan struct{}),
-	}
-	close(e.done) // born terminal
-	s.seq++
-	j := &Job{
-		ID:      fmt.Sprintf("j%06d", s.seq),
-		Spec:    spec,
-		created: now,
-		exec:    e,
-		done:    make(chan struct{}),
-	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	s.evictLocked()
-	s.reg.Add("vgiwd/jobs_admitted", 1)
-	s.reg.Add("vgiwd/jobs_completed", 1)
-	return j, true
-}
+// debugAfterStoreRead, set by tests only, runs between Submit's store read
+// and its taking the server mutex, holding that window open.
+var debugAfterStoreRead func()
 
 // Get looks a job up by ID.
 func (s *Server) Get(id string) (*Job, bool) {
@@ -364,27 +362,33 @@ func (s *Server) Wait(ctx context.Context, j *Job) bool {
 }
 
 // evictLocked drops the oldest terminal jobs once the retained-record cap is
-// exceeded. Non-terminal jobs are never evicted (their count is bounded by
-// the queue depth plus dedup attachments, which MaxJobs also caps overall
-// growth of).
+// exceeded. It scans from the oldest job and stops as soon as the excess is
+// gone, so it costs the jobs it evicts plus the non-terminal jobs it steps
+// over, never the whole retained set. Non-terminal jobs are never evicted
+// (their count is bounded by the queue depth plus dedup attachments, which
+// MaxJobs also caps overall growth of).
 func (s *Server) evictLocked() {
-	if len(s.order) <= s.cfg.MaxJobs {
+	excess := len(s.order) - s.cfg.MaxJobs
+	if excess <= 0 {
 		return
 	}
-	kept := s.order[:0]
-	excess := len(s.order) - s.cfg.MaxJobs
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if excess > 0 {
-			if state, _ := j.stateLocked(); terminal(state) {
-				delete(s.jobs, id)
-				excess--
-				continue
-			}
+	kept, i := 0, 0 // order[:kept] collects the non-terminal jobs stepped over
+	for ; i < len(s.order) && excess > 0; i++ {
+		j := s.order[i]
+		if state, _ := j.stateLocked(); terminal(state) {
+			delete(s.jobs, j.ID)
+			excess--
+			continue
 		}
-		kept = append(kept, id)
+		s.order[kept] = j
+		kept++
 	}
-	s.order = kept
+	// Slide the stepped-over jobs up against the unscanned rest and drop
+	// the freed prefix.
+	evicted := i - kept
+	copy(s.order[evicted:i], s.order[:kept])
+	clear(s.order[:evicted])
+	s.order = s.order[evicted:]
 }
 
 // worker consumes executions until the queue closes (drain) and runs each
@@ -415,16 +419,19 @@ func (s *Server) runExecution(e *execution) {
 		result, met, stages, err = s.execute(e)
 	}
 
-	s.mu.Lock()
-	e.result, e.err = result, err
-	e.stages = stages
+	var snap *trace.Snapshot
 	if met != nil {
-		e.metrics = &trace.Snapshot{
+		snap = &trace.Snapshot{
 			Schema:  trace.MetricsSchema,
 			Scale:   e.spec.Scale,
 			Metrics: met.Flat(),
 		}
 	}
+
+	s.mu.Lock()
+	e.result, e.err = result, err
+	e.stages = stages
+	e.metrics = snap
 	e.finished = time.Now()
 	if err != nil {
 		delete(s.byKey, e.spec)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -503,5 +504,95 @@ func TestListAndNotFound(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s: status %d, want 404", path, resp.StatusCode)
 		}
+	}
+}
+
+// retainedIDs lists the job IDs GET /v1/jobs reports, in order.
+func retainedIDs(t *testing.T, ts *httptest.Server) []string {
+	t.Helper()
+	var list struct {
+		Jobs []JobView `json:"jobs"`
+	}
+	getJSON(t, ts, "/v1/jobs", &list)
+	ids := make([]string, len(list.Jobs))
+	for i, v := range list.Jobs {
+		ids[i] = v.ID
+	}
+	return ids
+}
+
+// TestRetainedJobEviction pins the MaxJobs cap: the retained count holds at
+// the cap, the oldest terminal jobs go first, queued and running jobs are
+// never evicted even past the cap, and an evicted ID is gone from both
+// GET /v1/jobs/{id} and GET /v1/jobs.
+func TestRetainedJobEviction(t *testing.T) {
+	dir := t.TempDir()
+	const hitBody = `{"kernel":"bfs.kernel1"}`
+	warm, tsWarm := newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 4})
+	if resp, v := postJob(t, tsWarm, hitBody, "?wait=1"); resp.StatusCode != http.StatusOK || v.State != StateDone {
+		t.Fatalf("warm-up: status %d state %q", resp.StatusCode, v.State)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := warm.Shutdown(ctx); err != nil { // flushes the store entry
+		t.Fatalf("drain: %v", err)
+	}
+
+	const maxJobs = 3
+	_, ts := newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 4, MaxJobs: maxJobs})
+	// Store hits are born done, so each one past the cap evicts the oldest.
+	var hits []string
+	for i := 0; i < 5; i++ {
+		if _, v := postJob(t, ts, hitBody, ""); v.Cached != "store" {
+			t.Fatalf("submission %d: cached %q, want a store hit", i, v.Cached)
+		} else {
+			hits = append(hits, v.ID)
+		}
+	}
+	if got := retainedIDs(t, ts); !slices.Equal(got, hits[2:]) {
+		t.Errorf("after %d hits at cap %d: retained %v, want the newest %v", len(hits), maxJobs, got, hits[2:])
+	}
+
+	// A running job and three queued behind it: each admission evicts one
+	// remaining hit, and then the four live jobs stay, one past the cap.
+	_, blocker := postJob(t, ts, `{"kernel":"hotspot.kernel","scale":4}`, "")
+	waitState(t, ts, blocker.ID, StateRunning)
+	live := []string{blocker.ID}
+	for _, b := range []string{`{"kernel":"bfs.kernel2"}`, `{"kernel":"nn.euclid"}`, `{"kernel":"ge.fan1"}`} {
+		resp, v := postJob(t, ts, b, "")
+		if resp.StatusCode != http.StatusAccepted || v.State != StateQueued {
+			t.Fatalf("%s behind the blocker: status %d state %q, want 202 queued", b, resp.StatusCode, v.State)
+		}
+		live = append(live, v.ID)
+	}
+	if got := retainedIDs(t, ts); !slices.Equal(got, live) {
+		t.Errorf("with %d live jobs at cap %d: retained %v, want %v", len(live), maxJobs, got, live)
+	}
+	for _, id := range hits {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("evicted job %s: status %d, want 404", id, resp.StatusCode)
+		}
+	}
+
+	// Cancelled, the live jobs are terminal; the next admission evicts the
+	// two oldest of them to get back to the cap.
+	for i := len(live) - 1; i >= 0; i-- { // queued first: the worker stays pinned
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+live[i], nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := decodeView(t, resp); v.State != StateCancelled {
+			t.Fatalf("job %s after DELETE: state %q, want cancelled", live[i], v.State)
+		}
+	}
+	_, last := postJob(t, ts, hitBody, "")
+	if want := []string{live[2], live[3], last.ID}; !slices.Equal(retainedIDs(t, ts), want) {
+		t.Errorf("after cancelling: retained %v, want %v", retainedIDs(t, ts), want)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -151,12 +152,34 @@ func (s *Store) Dir() string {
 
 func (s *Store) entryPath(key string) string { return filepath.Join(s.dir, key+".json") }
 
-// Get loads the entry for a key. A missing entry is (nil, nil); a present
-// but unreadable/mismatched entry is an error, so the caller can count it
-// and fall through to a real execution instead of serving garbage.
+// ErrBadKey is Get's answer to a key that Key cannot produce. Get joins the
+// key into a file path, so only 64 lowercase hex characters reach the file
+// system; anything else could name a file outside the store.
+var ErrBadKey = errors.New("store: malformed key (want 64 lowercase hex characters)")
+
+// validKey reports whether key has the form Key produces.
+func validKey(key string) bool {
+	if len(key) != hex.EncodedLen(sha256.Size) {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// Get loads the entry for a key. A missing entry is (nil, nil); a key of
+// the wrong form is ErrBadKey; a present but unreadable/mismatched entry is
+// an error, so the caller can count it and fall through to a real
+// execution instead of serving garbage.
 func (s *Store) Get(key string) (*Entry, error) {
 	if s == nil {
 		return nil, nil
+	}
+	if !validKey(key) {
+		return nil, ErrBadKey
 	}
 	data, err := os.ReadFile(s.entryPath(key))
 	if os.IsNotExist(err) {

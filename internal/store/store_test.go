@@ -110,6 +110,37 @@ func TestGetRejectsCorruptAndMismatched(t *testing.T) {
 	}
 }
 
+// TestGetRejectsMalformedKeys pins that Get refuses every key Key cannot
+// produce before it touches the file system: a traversal key must neither
+// read a file beside the store nor tell a present file from a missing one.
+func TestGetRejectsMalformedKeys(t *testing.T) {
+	parent := t.TempDir()
+	s, err := Open(filepath.Join(parent, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(parent, "secret.json"), []byte(`{"schema":"outside-the-store"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	valid := Key(bench.JobSpec{Kernel: "bfs.kernel1", Scale: 1})
+	for _, key := range []string{
+		"../secret", "../missing", "", "..", "/etc/passwd",
+		strings.ToUpper(valid), valid[:63], valid + "0", valid[:63] + "g", "../" + valid[3:],
+	} {
+		ent, err := s.Get(key)
+		if ent != nil || err == nil {
+			t.Errorf("Get(%q) = (%v, %v), want a malformed-key error", key, ent, err)
+			continue
+		}
+		if strings.Contains(err.Error(), "outside-the-store") {
+			t.Errorf("Get(%q) read a file outside the store: %v", key, err)
+		}
+	}
+	if ent, err := s.Get(valid); ent != nil || err != nil {
+		t.Errorf("Get(valid missing key) = (%v, %v), want a miss", ent, err)
+	}
+}
+
 func TestListStableOrder(t *testing.T) {
 	s, _ := Open(t.TempDir())
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)

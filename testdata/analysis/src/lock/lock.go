@@ -1,13 +1,17 @@
 // Package lock is the known-bad corpus for the lock-discipline pass:
 // lock-value copies, blocking operations inside explicit Lock/Unlock
-// windows, and sync.Cond.Wait outside a re-check loop. The deferred-unlock
-// idiom and default-guarded selects must stay silent.
+// windows, file I/O inside any held window, and sync.Cond.Wait outside a
+// re-check loop. The deferred-unlock idiom (for blocking ops) and
+// default-guarded selects must stay silent.
 package lock
 
 import (
 	"net/http"
+	"os"
 	"sync"
 	"time"
+
+	"corpus/lock/store"
 )
 
 type counter struct {
@@ -110,6 +114,67 @@ func (s *server) goodWindow() {
 	if n == 0 {
 		<-s.jobs
 	}
+}
+
+type cache struct {
+	mu    sync.Mutex
+	st    *store.Store
+	local *Store
+	hits  map[string][]byte
+}
+
+// badReadExplicit reads a file inside an explicit window.
+func (c *cache) badReadExplicit(path string) ([]byte, error) {
+	c.mu.Lock()
+	data, err := os.ReadFile(path) //want:lock file I/O (os.ReadFile) while c.mu is locked (explicit Lock without deferred Unlock)
+	c.mu.Unlock()
+	return data, err
+}
+
+// badStoreDeferred reads the store inside a deferred-unlock window: the
+// exemption for blocking ops does not cover I/O.
+func (c *cache) badStoreDeferred(key string) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if b, ok := c.hits[key]; ok {
+		return b
+	}
+	b, _ := c.st.Get(key) //want:lock file I/O (store.Store.Get) while c.mu is locked (deferred Unlock holds it to function end)
+	c.hits[key] = b
+	return b
+}
+
+// fileLocked writes a file with the caller's lock held.
+func (c *cache) fileLocked(path string, b []byte) {
+	c.hits[path] = b
+	if f, err := os.Create(path); err == nil { //want:lock file I/O (os.Create) in fileLocked, whose caller holds the lock
+		f.Write(b) //want:lock file I/O (os.File.Write) in fileLocked, whose caller holds the lock
+		f.Close()
+	}
+}
+
+// goodAfterUnlock reads only once the window is closed: silent.
+func (c *cache) goodAfterUnlock(key string) []byte {
+	c.mu.Lock()
+	b, ok := c.hits[key]
+	c.mu.Unlock()
+	if !ok {
+		b, _ = c.st.Get(key)
+	}
+	return b
+}
+
+// Store is a local type of the same name outside a package named store:
+// its methods are not file I/O, so this stays silent.
+type Store struct{ n int }
+
+// Get is pure in-memory work.
+func (s *Store) Get() int { return s.n }
+
+func (c *cache) goodLocalStore() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.local.Get()
 }
 
 type queue struct {
