@@ -9,7 +9,8 @@ GO ?= go
 # then build, the test suite under the race detector, the verifier gates
 # (invalid-kernel corpus, checked pipelines, a short fuzz smoke), one
 # iteration of each perf-guard benchmark (allocs/op regressions show up
-# even at -benchtime=1x), the trace/metrics schema gate, the metric
+# even at -benchtime=1x) and of the registry-wide ablations, the
+# trace/metrics schema gate, the metric
 # regression gate against the checked-in baselines, the daemon smoke test,
 # and the benchmark module's own tests. Static gates run first so a bad tree
 # fails in seconds, not after the benches.
@@ -65,7 +66,10 @@ MEM_BENCH = BenchmarkMemAccessWord
 # ns/op.
 SIMT_BENCH = BenchmarkSIMTRun
 # bench runs every benchmark with nothing piped after it, so one that fails,
-# panics or does not build fails `make check`. Its ns/op is not compared:
+# panics or does not build fails `make check`. BenchmarkAblations runs each
+# remaining ablation knob over the whole registry at scale 2 (about 4 s), so a
+# knob that stops building or a kernel that fails its output check under one
+# fails the gate too. Its ns/op is not compared:
 # the BENCH_engine.json rows come from different hosts, so a comparison
 # would track the host, not the code. To compare on demand, pipe a run into
 # benchgate, which reports any row that moved more than 10% either way:
@@ -77,6 +81,7 @@ bench:
 	$(GO) test -run '^$$' -bench '$(SIMT_BENCH)' -benchtime 5x -benchmem ./internal/simt/
 	$(GO) test -run '^$$' -bench BenchmarkRunAllParallel -benchtime 1x ./internal/bench/
 	$(GO) test -run '^$$' -bench BenchmarkSuiteColdVsWarm -benchtime 1x ./internal/bench/
+	$(GO) test -run '^$$' -bench BenchmarkAblations -benchtime 1x .
 
 # bench-record adds one row per benchmark, tagged with the current commit and
 # the fastest of three runs, to the BENCH_engine.json trajectory; rows already

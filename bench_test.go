@@ -9,12 +9,10 @@
 package vgiw
 
 import (
+	"slices"
 	"testing"
 
 	"vgiw/internal/bench"
-	"vgiw/internal/compile"
-	"vgiw/internal/core"
-	"vgiw/internal/engine"
 	"vgiw/internal/kernels"
 	"vgiw/internal/mem"
 	"vgiw/internal/simt"
@@ -153,88 +151,70 @@ func BenchmarkReconfigOverhead(b *testing.B) {
 
 // --- Ablations (DESIGN.md) ---
 
-// ablationSpeedup runs one representative divergent kernel under two VGIW
-// configs and reports cycles(B)/cycles(A) — >1 means config A is faster.
-func ablationSpeedup(b *testing.B, kernel string, mutate func(*core.Config)) float64 {
-	b.Helper()
-	spec, ok := kernels.ByName(kernel)
-	if !ok {
-		b.Fatalf("unknown kernel %s", kernel)
+// BenchmarkAblations measures each remaining mechanism over the whole
+// registry at scale 2: one sub-benchmark per knob, each reporting the
+// distribution of cycles(ablated)/cycles(default) across the 21 kernels
+// (>1 means the mechanism helps). Every sub-benchmark runs through
+// bench.RunAll on one shared ArtifactCache, so a machine the knob does not
+// change (the SIMT baseline under a VGIW knob, the default VGIW machine) is
+// served from the result tiers, and every simulated run is checked against
+// its host reference. EXPERIMENTS.md's Ablations table is this output.
+func BenchmarkAblations(b *testing.B) {
+	base := bench.DefaultOptions()
+	base.Scale = 2
+	base.SkipSGMF = true
+	base.Cache = bench.NewArtifactCache()
+	defaults, err := bench.RunAll(base)
+	if err != nil {
+		b.Fatal(err)
 	}
-	run := func(cfg core.Config) int64 {
-		inst, err := spec.Build(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := core.NewMachine(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := m.RunKernel(inst.Kernel, inst.Launch, inst.Global)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := inst.Check(inst.Global); err != nil {
-			b.Fatal(err)
-		}
-		return res.Cycles
+	vgiwCycles := func(r *bench.KernelRun) int64 { return r.VGIW.Cycles }
+	simtCycles := func(r *bench.KernelRun) int64 { return r.SIMT.Cycles }
+	knobs := []struct {
+		name   string
+		ablate func(*bench.Options)
+		cycles func(*bench.KernelRun) int64
+	}{
+		{"replication-off", func(o *bench.Options) { o.VGIW.ReplicationOff = true }, vgiwCycles},
+		{"lvc-16KB", func(o *bench.Options) { o.VGIW.LVC.SizeBytes = 16 << 10 }, vgiwCycles},
+		{"l1-write-through", func(o *bench.Options) { o.VGIW.Mem = mem.DefaultConfig(mem.WriteThrough) }, vgiwCycles},
+		{"cvt-2048-bits", func(o *bench.Options) { o.VGIW.CVTCapacityBits = 2048 }, vgiwCycles},
+		{"in-order-threads", func(o *bench.Options) { o.VGIW.Engine.InOrderThreads = true }, vgiwCycles},
+		{"simt-gto", func(o *bench.Options) { o.SIMT.Scheduler = simt.SchedGTO }, simtCycles},
 	}
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		base := run(core.DefaultConfig())
-		cfg := core.DefaultConfig()
-		mutate(&cfg)
-		variant := run(cfg)
-		ratio = float64(variant) / float64(base)
+	for _, k := range knobs {
+		b.Run(k.name, func(b *testing.B) {
+			opt := base
+			k.ablate(&opt)
+			var runs []*bench.KernelRun
+			for i := 0; i < b.N; i++ {
+				var err error
+				if runs, err = bench.RunAll(opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ratios := make([]float64, len(runs))
+			var slower, same, faster int
+			for i, r := range runs {
+				on, off := k.cycles(defaults[i]), k.cycles(r)
+				ratios[i] = float64(off) / float64(on)
+				switch {
+				case off > on:
+					slower++
+				case off == on:
+					same++
+				default:
+					faster++
+				}
+			}
+			b.ReportMetric(bench.Geomean(ratios), "x-geomean")
+			b.ReportMetric(slices.Min(ratios), "x-min")
+			b.ReportMetric(slices.Max(ratios), "x-max")
+			b.ReportMetric(float64(slower), "slower")
+			b.ReportMetric(float64(same), "same")
+			b.ReportMetric(float64(faster), "faster")
+		})
 	}
-	return ratio
-}
-
-// BenchmarkAblationReplication disables basic-block replication.
-func BenchmarkAblationReplication(b *testing.B) {
-	r := ablationSpeedup(b, "cfd.compute_flux", func(c *core.Config) { c.ReplicationOff = true })
-	b.ReportMetric(r, "x-slowdown-no-replication")
-}
-
-// BenchmarkAblationCVTBanks drops the CVT from 8 banks to 1.
-func BenchmarkAblationCVTBanks(b *testing.B) {
-	r := ablationSpeedup(b, "bfs.kernel1", func(c *core.Config) { c.CVTBanks = 1 })
-	b.ReportMetric(r, "x-slowdown-1-bank")
-}
-
-// BenchmarkAblationLVCSize sweeps the LVC from 64KB down to 16KB.
-func BenchmarkAblationLVCSize(b *testing.B) {
-	r := ablationSpeedup(b, "hotspot.kernel", func(c *core.Config) { c.LVC.SizeBytes = 16 << 10 })
-	b.ReportMetric(r, "x-slowdown-16KB-LVC")
-}
-
-// BenchmarkAblationL1Policy runs VGIW with Fermi's write-through L1.
-func BenchmarkAblationL1Policy(b *testing.B) {
-	r := ablationSpeedup(b, "cfd.time_step", func(c *core.Config) {
-		c.Mem = mem.DefaultConfig(mem.WriteThrough)
-	})
-	b.ReportMetric(r, "x-ratio-writethrough")
-}
-
-// BenchmarkAblationTileSize shrinks the CVT budget (tiny thread tiles).
-func BenchmarkAblationTileSize(b *testing.B) {
-	r := ablationSpeedup(b, "cfd.compute_flux", func(c *core.Config) { c.CVTCapacityBits = 2048 })
-	b.ReportMetric(r, "x-slowdown-small-tiles")
-}
-
-// BenchmarkAblationOoOThreads forces in-order thread execution (disables
-// the reservation buffers' dynamic-dataflow overtaking).
-func BenchmarkAblationOoOThreads(b *testing.B) {
-	r := ablationSpeedup(b, "bfs.kernel1", func(c *core.Config) {
-		c.Engine = engine.Options{InOrderThreads: true}
-	})
-	b.ReportMetric(r, "x-slowdown-inorder")
-}
-
-// BenchmarkAblationSplitForThroughput enables speculative block splitting.
-func BenchmarkAblationSplitForThroughput(b *testing.B) {
-	r := ablationSpeedup(b, "hotspot.kernel", func(c *core.Config) { c.SplitForThroughput = true })
-	b.ReportMetric(r, "x-ratio-split")
 }
 
 func meanOf(vals []float64) float64 {
@@ -246,41 +226,4 @@ func meanOf(vals []float64) float64 {
 		s += v
 	}
 	return s / float64(len(vals))
-}
-
-// BenchmarkExtensionWriteCoalescing evaluates the paper's §5 future-work
-// item — memory coalescing on the MT-CGRF — implemented as a write-combining
-// buffer at the L1 banks. Reports cycles(with)/cycles(without) on a
-// store-heavy kernel (<1 = the extension helps).
-func BenchmarkExtensionWriteCoalescing(b *testing.B) {
-	r := ablationSpeedup(b, "kmeans.invert_mapping", func(c *core.Config) { c.WriteCoalescing = true })
-	b.ReportMetric(r, "x-ratio-write-coalescing")
-}
-
-// BenchmarkAblationGTOScheduler compares the SIMT baseline's warp scheduling
-// policies (related work [11] territory); reported as cycles(GTO)/cycles(LRR).
-func BenchmarkAblationGTOScheduler(b *testing.B) {
-	spec, _ := kernels.ByName("lud.diagonal")
-	run := func(pol simt.SchedPolicy) int64 {
-		inst, err := spec.Build(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := simt.DefaultConfig()
-		cfg.Scheduler = pol
-		ck, err := compile.Compile(inst.Kernel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := simt.NewMachine(cfg).Run(ck, inst.Launch, inst.Global)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res.Cycles
-	}
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		ratio = float64(run(simt.SchedGTO)) / float64(run(simt.SchedLRR))
-	}
-	b.ReportMetric(ratio, "x-gto-over-lrr")
 }

@@ -2,14 +2,21 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"vgiw/internal/bench"
+	"vgiw/internal/server"
+	"vgiw/internal/store"
 )
 
 func TestCompareSeriesExact(t *testing.T) {
@@ -285,5 +292,85 @@ func TestSeriesLatestPerBench(t *testing.T) {
 	}
 	if v, ok := s["BenchmarkC"]; ok {
 		t.Fatalf("series has BenchmarkC = %v, want no entry", v)
+	}
+}
+
+// TestComparesStoredHistoryMetrics pins benchgate as the one metric differ
+// for stored results: the "metrics" object of a store entry, exactly as GET
+// /v1/history/{key} serves it, parses as a vgiw-metrics/v1 baseline, and
+// comparing two entries whose specs differ in the VGIW L1 policy reports
+// every metric that moved and nothing else.
+func TestComparesStoredHistoryMetrics(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := server.New(server.Config{Workers: 1, QueueDepth: 4, RunParallelism: 1, Store: st})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	specs := []bench.JobSpec{{Kernel: "bfs.kernel1"}, {Kernel: "bfs.kernel1", Mem: "writethrough"}}
+	for _, spec := range specs {
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Wait(context.Background(), j) {
+			t.Fatalf("%+v never finished", spec)
+		}
+	}
+	// A drained server has returned from every store write.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	series := make([]map[string]float64, len(specs))
+	for i, spec := range specs {
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + "/v1/history/" + store.Key(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var entry struct {
+			Metrics json.RawMessage `json:"metrics"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&entry)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("history entry %d: status %d, decode %v", i, resp.StatusCode, err)
+		}
+		b, err := bench.ParseBaseline(entry.Metrics, "metrics.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		series[i] = b.Series()
+	}
+
+	var moved []string
+	for name, v := range series[0] {
+		if cv, ok := series[1][name]; !ok || cv != v {
+			moved = append(moved, name)
+		}
+	}
+	slices.Sort(moved)
+	const vgiw, simt = "bfs.kernel1/vgiw.cycles", "bfs.kernel1/simt.cycles"
+	if _, ok := series[0][simt]; !ok || !slices.Contains(moved, vgiw) || slices.Contains(moved, simt) {
+		t.Fatalf("moved = %v, want %s and not %s under a VGIW-only knob", moved, vgiw, simt)
+	}
+	fails, warns := compareSeries(series[0], series[1], 0, nil)
+	if len(fails) != len(moved) || len(warns) != 0 {
+		t.Fatalf("benchgate reported %d moved and %d new metrics, want %d and 0:\n%s",
+			len(fails), len(warns), len(moved), strings.Join(append(fails, warns...), "\n"))
+	}
+	for i, name := range moved {
+		if !strings.HasPrefix(fails[i], name+": ") {
+			t.Errorf("report %d = %q, want metric %s", i, fails[i], name)
+		}
 	}
 }

@@ -16,11 +16,10 @@
 //	GET    /v1/jobs           list jobs
 //	GET    /v1/jobs/{id}      job status + result; ?wait=1 blocks
 //	GET    /v1/jobs/{id}/trace  Chrome trace JSON (jobs with "trace":true)
-//	GET    /v1/jobs/{id}/events Server-Sent Events live stream (trace jobs)
 //	DELETE /v1/jobs/{id}      cancel a job
 //	GET    /v1/history        stored results (-store-dir); ?kernel=&kind=&key=
-//	GET    /v1/history/{key}  one stored result, in full
-//	GET    /v1/history/diff   metric diff: ?from=<key>&to=<key>[&prefix=]
+//	GET    /v1/history/{key}  one stored result, in full; its "metrics"
+//	                          object is a benchgate baseline
 //	GET    /healthz           liveness
 //	GET    /readyz            readiness (503 while draining)
 //	GET    /metrics           Prometheus text exposition

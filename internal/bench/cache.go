@@ -277,7 +277,6 @@ type (
 		scale          int
 		fabric         fabric.Config
 		replicationOff bool
-		split          bool
 		checked        bool
 	}
 	simtKey struct {
@@ -324,10 +323,11 @@ func (c *ArtifactCache) workload(ctx context.Context, spec kernels.Spec, scale i
 }
 
 // vgiwPrepared resolves the VGIW compile/place artifact. The key carries
-// only the config fields placement depends on — fabric shape and split
-// options — so sweeps over LVC/CVT/memory parameters share one artifact.
+// only the config fields compilation and placement depend on — fabric shape
+// and replication — so sweeps over LVC/CVT/memory parameters share one
+// artifact.
 func (c *ArtifactCache) vgiwPrepared(ctx context.Context, w *kernels.Workload, cfg core.Config) (*core.Prepared, StageTimes, error) {
-	key := vgiwKey{w.Spec.Name, w.Scale, cfg.Fabric, cfg.ReplicationOff, cfg.SplitForThroughput, cfg.Checked}
+	key := vgiwKey{w.Spec.Name, w.Scale, cfg.Fabric, cfg.ReplicationOff, cfg.Checked}
 	v, st, err := c.get(ctx, key, TierVGIW, func(context.Context) (any, StageTimes, error) {
 		var st StageTimes
 		m, err := core.NewMachine(cfg)

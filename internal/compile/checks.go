@@ -8,7 +8,7 @@ import (
 )
 
 // Option configures the compile pipeline entry points (Compile,
-// CompileFitted, OptimizeSplits, UnrollLoops, IfConvert, ScheduleBlocks).
+// CompileFitted, UnrollLoops, IfConvert, ScheduleBlocks).
 type Option func(*options)
 
 type options struct {

@@ -225,13 +225,6 @@ func TestRegistryPipelinesChecked(t *testing.T) {
 	// A fits predicate small enough to force splitBlock rounds on the
 	// larger kernels, so the "split" check sees post-split kernels.
 	fits := func(g *BlockDFG) bool { return len(g.Nodes) <= 24 }
-	replicasFor := func(g *BlockDFG) int {
-		r := 64 / len(g.Nodes)
-		if r > 4 {
-			r = 4
-		}
-		return r
-	}
 	for _, spec := range kernels.All() {
 		t.Run(spec.Name, func(t *testing.T) {
 			inst, err := spec.Build(1)
@@ -240,9 +233,6 @@ func TestRegistryPipelinesChecked(t *testing.T) {
 			}
 			if _, err := CompileFitted(inst.Kernel.Clone(), fits, Checked()); err != nil {
 				t.Errorf("CompileFitted: %v", err)
-			}
-			if _, err := OptimizeSplits(inst.Kernel.Clone(), replicasFor, 8, Checked()); err != nil {
-				t.Errorf("OptimizeSplits: %v", err)
 			}
 			// SGMF path: schedule, unroll, if-convert (acyclic kernels only).
 			k := inst.Kernel.Clone()

@@ -90,68 +90,3 @@ func splitBlock(k *kir.Kernel, bi int) error {
 	b.Term = kir.Terminator{Kind: kir.TermJump, Then: at}
 	return k.Validate()
 }
-
-// OptimizeSplits performs throughput-driven block splitting on top of
-// fabric fitting. A basic block streams one thread per cycle per replica, so
-// its per-thread cost is 1/R where R = replicasFor(graph); a block whose
-// bottleneck unit class leaves most of the fabric idle (e.g. 20 of 32 ALUs,
-// so R=1) can be cheaper as two half-blocks that each replicate more. The
-// pass greedily accepts any split that lowers the summed per-thread cost,
-// which automatically accounts for the live-value traffic a split adds (the
-// new LVU nodes lower the halves' replication).
-func OptimizeSplits(k *kir.Kernel, replicasFor func(*BlockDFG) int, maxReplicas int, opts ...Option) (*CompiledKernel, error) {
-	fits := func(g *BlockDFG) bool { return replicasFor(g) > 0 }
-	ck, err := CompileFitted(k, fits, opts...)
-	if err != nil {
-		return nil, err
-	}
-	// Per-thread streaming cost 1/R plus the per-scheduling fixed cost a
-	// block pays regardless of vector size: reconfiguration plus pipeline
-	// drain (roughly proportional to the critical path), amortized over a
-	// nominal thread vector. Without the fixed term the pass would shred
-	// loop bodies into confetti and drown in reconfigurations.
-	const nominalVector = 1024.0
-	const configCost = 34.0
-	cost := func(c *CompiledKernel) float64 {
-		total := 0.0
-		for _, g := range c.DFGs {
-			r := replicasFor(g)
-			if r < 1 {
-				r = 1
-			}
-			drain := 3.0 * float64(g.CriticalPathLen())
-			total += 1/float64(r) + (configCost+drain)/nominalVector
-		}
-		return total
-	}
-	cur := cost(ck)
-	const maxRounds = 64
-	for round := 0; round < maxRounds; round++ {
-		improved := false
-		for bi := 0; bi < len(ck.Kernel.Blocks); bi++ {
-			if len(ck.Kernel.Blocks[bi].Instrs) < 2 {
-				continue
-			}
-			if g := ck.DFGs[bi]; replicasFor(g) >= maxReplicas {
-				continue // already at the replication cap
-			}
-			trial := ck.Kernel.Clone()
-			if err := splitBlock(trial, bi); err != nil {
-				continue
-			}
-			ckTrial, err := CompileFitted(trial, fits, opts...)
-			if err != nil {
-				continue
-			}
-			if c := cost(ckTrial); c < cur-1e-9 {
-				ck, cur = ckTrial, c
-				improved = true
-				break
-			}
-		}
-		if !improved {
-			return ck, nil
-		}
-	}
-	return ck, nil
-}

@@ -166,39 +166,6 @@ func TestSplitBlockSelfLoop(t *testing.T) {
 	}
 }
 
-func TestOptimizeSplitsImprovesRoundingWaste(t *testing.T) {
-	// ~17 ALU nodes with a 32-ALU budget: R=1 wastes nearly half the
-	// units; two ~9-ALU halves replicate 3-4x each (cost well under 1).
-	// The synthetic replicas-for function mimics fabric.MaxReplicasFor on
-	// ALUs only.
-	replicasFor := func(g *BlockDFG) int {
-		alu := g.ClassCounts()[kir.ClassALU]
-		if alu == 0 {
-			return 8
-		}
-		r := 32 / alu
-		if r > 8 {
-			r = 8
-		}
-		return r
-	}
-	k := wideKernel(14)
-	ck, err := OptimizeSplits(k, replicasFor, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ck.Kernel.Blocks) < 2 {
-		t.Errorf("expected the rounding-waste block to split, got %d blocks", len(ck.Kernel.Blocks))
-	}
-	total := 0.0
-	for _, g := range ck.DFGs {
-		total += 1 / float64(replicasFor(g))
-	}
-	if total >= 1.0 {
-		t.Errorf("summed per-thread cost %.2f did not improve on the unsplit 1.0", total)
-	}
-}
-
 func TestRematerializeRemovesCrossBlockGeometry(t *testing.T) {
 	// tid defined in entry and used in a later block must not become a
 	// live value.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -149,6 +150,52 @@ func TestVGIWDiamondMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFigure2CoalescedVectors pins the paper's Figure 2 walkthrough: the
+// eight threads of examples/divergence, steered onto the Figure 1a kernel's
+// three paths by its input, are scheduled in block-ID order, each block
+// once, and every block runs exactly the threads pending for it as one
+// coalesced vector. Thread IDs are 0-based (the paper numbers from 1).
+func TestFigure2CoalescedVectors(t *testing.T) {
+	launch := kir.Launch1D(1, 8, 0, 8)
+	input := func() []uint32 {
+		m := make([]uint32, 16)
+		copy(m, []uint32{5, 50, 7, 200, 300, 400, 60, 9})
+		return m
+	}
+	ref := reference(t, buildDiamond, launch, input())
+	cfg := DefaultConfig()
+	cfg.Engine.Profile = true // records each block run's thread vector
+	res, got := runVGIW(t, buildDiamond, launch, input(), cfg)
+	if !slices.Equal(got, ref) {
+		t.Fatalf("memory = %v, reference %v", got, ref)
+	}
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	want := []struct {
+		block   int
+		threads []int
+	}{
+		{0, all},                  // bb1: every thread
+		{1, []int{0, 2, 7}},       // bb2: v < 10
+		{2, []int{1, 3, 4, 5, 6}}, // bb3: v >= 10
+		{3, []int{1, 6}},          // bb4: 10 <= v < 100
+		{4, []int{3, 4, 5}},       // bb5: v >= 100
+		{5, all},                  // bb6: the paths reconverge
+	}
+	if len(res.BlockRuns) != len(want) {
+		t.Fatalf("%d block runs, want %d: %+v", len(res.BlockRuns), len(want), res.BlockRuns)
+	}
+	for i, w := range want {
+		br := res.BlockRuns[i]
+		if br.Block != w.block || !slices.Equal(br.ThreadIDs, w.threads) {
+			t.Errorf("step %d: block %d threads %v, want block %d threads %v",
+				i+1, br.Block, br.ThreadIDs, w.block, w.threads)
+		}
+	}
+	if res.Reconfigs != 6 {
+		t.Errorf("reconfigs = %d, want 6 (one per block)", res.Reconfigs)
+	}
+}
+
 func TestVGIWLoopMatchesReference(t *testing.T) {
 	const n = 128
 	launch := kir.Launch1D(n/32, 32, 0)
@@ -278,7 +325,7 @@ func TestVGIWConfigOverheadSmall(t *testing.T) {
 }
 
 func TestCVTReadResetAndBatches(t *testing.T) {
-	c := NewCVT(3, 130, 8)
+	c := NewCVT(3, 130)
 	c.Register(1, 0)
 	c.Register(1, 64)
 	c.Register(1, 129)
@@ -310,7 +357,7 @@ func TestCVTReadResetAndBatches(t *testing.T) {
 }
 
 func TestCVTSetAll(t *testing.T) {
-	c := NewCVT(2, 100, 8)
+	c := NewCVT(2, 100)
 	c.SetAll(0, 100)
 	ids := c.Drain(0, nil)
 	if len(ids) != 100 {
@@ -326,7 +373,7 @@ func TestCVTSetAll(t *testing.T) {
 // TestCVTDrainReusesBuffer: Drain appends to the caller's buffer, so a
 // buffer with room is filled in place and a drain allocates nothing.
 func TestCVTDrainReusesBuffer(t *testing.T) {
-	c := NewCVT(2, 256, 8)
+	c := NewCVT(2, 256)
 	buf := make([]int, 0, 256)
 	for _, tid := range []int{200, 3, 64} {
 		c.Register(1, tid)
@@ -478,7 +525,7 @@ func TestVGIWTileRespectsLVCapacity(t *testing.T) {
 // Property: Register/Drain is lossless and sorted for arbitrary thread sets.
 func TestCVTQuickProperties(t *testing.T) {
 	f := func(raw []uint16) bool {
-		c := NewCVT(2, 1<<16, 8)
+		c := NewCVT(2, 1<<16)
 		want := map[int]bool{}
 		for _, r := range raw {
 			c.Register(1, int(r))

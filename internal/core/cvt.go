@@ -8,32 +8,26 @@ import "math/bits"
 
 // CVT is the control vector table (§3.3): one bit vector per basic block,
 // indexed by (tile-relative) thread ID. A set bit means the thread must
-// execute that block next. The table is banked and delivers 64-bit words
-// with a read-and-reset policy; reads and writes are counted for the energy
-// model.
+// execute that block next. It delivers 64-bit words with a read-and-reset
+// policy; reads and writes are counted for the energy model. The paper's
+// CVT is banked, but this model does not simulate bank contention: a CVT
+// access costs no cycles here.
 type CVT struct {
-	vecs  [][]uint64 // [block][word]
-	banks int
+	vecs [][]uint64 // [block][word]
 
 	Reads  uint64 // 64-bit word reads (read-and-reset scans)
 	Writes uint64 // 64-bit word writes (batch packet ORs)
 }
 
 // NewCVT builds a table for numBlocks blocks and a tile of tileSize threads.
-func NewCVT(numBlocks, tileSize, banks int) *CVT {
+func NewCVT(numBlocks, tileSize int) *CVT {
 	words := (tileSize + 63) / 64
 	vecs := make([][]uint64, numBlocks)
 	for i := range vecs {
 		vecs[i] = make([]uint64, words)
 	}
-	if banks <= 0 {
-		banks = 1
-	}
-	return &CVT{vecs: vecs, banks: banks}
+	return &CVT{vecs: vecs}
 }
-
-// Banks reports the bank count (used for access-time modeling by the BBS).
-func (c *CVT) Banks() int { return c.banks }
 
 // SetAll marks every thread in [0, n) as pending for the given block (used
 // to launch a tile into the entry block).

@@ -21,20 +21,9 @@ type Config struct {
 	// the tile size follows §3.2:
 	// tile = CVT_size / #basic_blocks (rounded to whole CTAs).
 	CVTCapacityBits int
-	CVTBanks        int
 	Engine          engine.Options
 	// ReplicationOff forces one replica per block (ablation).
 	ReplicationOff bool
-	// SplitForThroughput enables the compiler's speculative block
-	// splitting (compile.OptimizeSplits). Off by default: on these
-	// workloads the extra reconfigurations and live-value traffic usually
-	// cost more than the replication gain — kept as an ablation knob.
-	SplitForThroughput bool
-	// WriteCoalescing enables the §5 future-work extension: a
-	// write-combining buffer in front of the L1 banks that merges
-	// same-line stores from different LDST units. Off by default (the
-	// paper's VGIW performs no memory coalescing).
-	WriteCoalescing bool
 	// Checked runs the kernel-IR verifier after every compiler pass and
 	// the placed-graph checker after placement (internal/verify). On in
 	// tests and the daemon's compile path; off in timed runs — the checks
@@ -43,14 +32,14 @@ type Config struct {
 }
 
 // DefaultConfig is the evaluated machine: Table 1 fabric, §3.6 memory system
-// with write-back L1, 64KB LVC, 8-bank CVT.
+// with write-back L1, 64KB LVC, 64 Kbit CVT (the paper's CVT is banked;
+// this model does not simulate CVT bank contention).
 func DefaultConfig() Config {
 	return Config{
 		Fabric:          fabric.DefaultConfig(),
 		Mem:             mem.DefaultConfig(mem.WriteBack),
 		LVC:             DefaultLVCConfig(),
 		CVTCapacityBits: 1 << 16,
-		CVTBanks:        8,
 	}
 }
 
@@ -247,11 +236,7 @@ func (m *Machine) RunPreparedCtx(ctx context.Context, prep *Prepared, launch kir
 	tile := tileSize(m.cfg, ck, launch)
 	res.TileSize = tile
 
-	memCfg := m.cfg.Mem
-	if m.cfg.WriteCoalescing {
-		memCfg.L1.CombineWrites = true
-	}
-	sys := mem.NewSystem(memCfg)
+	sys := mem.NewSystem(m.cfg.Mem)
 	env, err := engine.NewDataEnv(k, launch, global, sys)
 	if err != nil {
 		return nil, err
@@ -343,7 +328,7 @@ func (m *Machine) runTile(ctx context.Context, ck *compile.CompiledKernel, place
 	env *engine.DataEnv, lvc *LVC, base, n int, now int64, res *Result) (int64, error) {
 
 	k := ck.Kernel
-	cvt := NewCVT(len(k.Blocks), n, m.cfg.CVTBanks)
+	cvt := NewCVT(len(k.Blocks), n)
 	cvt.SetAll(0, n)
 	lvc.Reset()
 	res.Tiles++
@@ -492,17 +477,12 @@ func (m *Machine) runTile(ctx context.Context, ck *compile.CompiledKernel, place
 	return now, nil
 }
 
-// Compile runs the full compiler pipeline for this machine: fabric fitting,
-// plus (optionally) throughput-driven block splitting.
+// Compile runs the full compiler pipeline for this machine: compilation
+// with fabric-fitting block splitting.
 func (m *Machine) Compile(k *kir.Kernel) (*compile.CompiledKernel, error) {
 	var opts []compile.Option
 	if m.cfg.Checked {
 		opts = append(opts, compile.Checked())
-	}
-	if m.cfg.SplitForThroughput {
-		return compile.OptimizeSplits(k,
-			func(g *compile.BlockDFG) int { return fabric.MaxReplicasFor(m.grid, g) },
-			m.cfg.Fabric.MaxReplicas, opts...)
 	}
 	return compile.CompileFitted(k, m.grid.Fits, opts...)
 }

@@ -37,11 +37,6 @@ type CacheConfig struct {
 	Banks     int
 	HitLat    int64 // access latency on a hit, in cycles
 	Policy    WritePolicy
-	// CombineWrites extends the MSHR-style merge window to stores: writes
-	// to one line from several units coalesce into a single bank access
-	// (a write-combining buffer). This is the §5 "memory coalescing on
-	// MT-CGRFs" future-work extension; off by default to match the paper.
-	CombineWrites bool
 }
 
 // Sets returns the number of sets.
@@ -250,7 +245,7 @@ func (c *Cache) AccessBanked(lineAddr, bankSel int64, write bool, now int64) Acc
 	var start int64
 	combined := false
 	ring := &c.recent[bank]
-	if !write || c.cfg.CombineWrites {
+	if !write {
 		for k := int8(0); k < ring.n; k++ {
 			e := &ring.e[(ring.head+k)&(combineDepth-1)]
 			if e.line == lineAddr && absDiff(now, e.start) <= combineWindow {

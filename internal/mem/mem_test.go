@@ -306,24 +306,11 @@ func TestReadCombining(t *testing.T) {
 	if c.Stats.Combined < base+4 {
 		t.Errorf("combined = %d, want >= %d", c.Stats.Combined, base+4)
 	}
-	// Writes never combine on a write-back cache without CombineWrites.
+	// Writes never combine: the merge window serves reads only.
 	w0 := c.Stats.Combined
 	c.Access(0, true, 6)
 	c.Access(0, true, 6)
 	if c.Stats.Combined != w0 {
-		t.Error("writes combined without CombineWrites")
-	}
-}
-
-func TestWriteCombiningExtension(t *testing.T) {
-	cfg := CacheConfig{SizeBytes: 1024, LineBytes: 64, Ways: 2, Banks: 4,
-		HitLat: 4, Policy: WriteBack, CombineWrites: true}
-	c := NewCache(cfg)
-	c.Access(0, true, 0)
-	before := c.Stats.Combined
-	c.Access(0, true, 1)
-	c.Access(0, true, 2)
-	if c.Stats.Combined != before+2 {
-		t.Errorf("combined = %d, want %d", c.Stats.Combined, before+2)
+		t.Error("writes combined")
 	}
 }

@@ -1,16 +1,14 @@
 package server
 
 // The history API reads the persistent result store back out over HTTP:
-// GET /v1/history lists stored entries (filterable), GET /v1/history/{key}
-// returns one full entry, and GET /v1/history/diff compares the metric
-// snapshots of two entries — the server-side half of the regression story
-// cmd/benchgate implements offline.
+// GET /v1/history lists stored entries (filterable) and GET
+// /v1/history/{key} returns one full entry. An entry's "metrics" object is a
+// vgiw-metrics/v1 snapshot, so two of them compare offline with
+// cmd/benchgate (-baseline a.json -current b.json).
 
 import (
 	"errors"
 	"net/http"
-	"sort"
-	"strings"
 	"time"
 
 	"vgiw/internal/bench"
@@ -110,95 +108,4 @@ func loadEntry(w http.ResponseWriter, st *store.Store, key string) (*store.Entry
 		return e, true
 	}
 	return nil, false
-}
-
-// MetricDelta is one metric that differs between two stored snapshots.
-type MetricDelta struct {
-	Name  string `json:"name"`
-	From  uint64 `json:"from"`
-	To    uint64 `json:"to"`
-	Delta int64  `json:"delta"` // to - from
-}
-
-// HistoryDiff is the wire form of /v1/history/diff.
-type HistoryDiff struct {
-	From        string        `json:"from"`
-	To          string        `json:"to"`
-	FromCreated time.Time     `json:"from_created"`
-	ToCreated   time.Time     `json:"to_created"`
-	Changed     []MetricDelta `json:"changed"`
-	OnlyFrom    []string      `json:"only_from,omitempty"`
-	OnlyTo      []string      `json:"only_to,omitempty"`
-	Unchanged   int           `json:"unchanged"`
-}
-
-// DiffSnapshots compares two metric maps, name-sorted, for the HTTP diff
-// endpoint (GET /v1/history/diff).
-func DiffSnapshots(from, to map[string]uint64, prefix string) (changed []MetricDelta, onlyFrom, onlyTo []string, unchanged int) {
-	for name, fv := range from {
-		if !strings.HasPrefix(name, prefix) {
-			continue
-		}
-		tv, ok := to[name]
-		switch {
-		case !ok:
-			onlyFrom = append(onlyFrom, name)
-		case tv == fv:
-			unchanged++
-		default:
-			changed = append(changed, MetricDelta{Name: name, From: fv, To: tv, Delta: int64(tv) - int64(fv)})
-		}
-	}
-	for name := range to {
-		if !strings.HasPrefix(name, prefix) {
-			continue
-		}
-		if _, ok := from[name]; !ok {
-			onlyTo = append(onlyTo, name)
-		}
-	}
-	sort.Slice(changed, func(i, j int) bool { return changed[i].Name < changed[j].Name })
-	sort.Strings(onlyFrom)
-	sort.Strings(onlyTo)
-	return changed, onlyFrom, onlyTo, unchanged
-}
-
-// handleHistoryDiff compares the metric snapshots of two stored entries:
-// GET /v1/history/diff?from=<key>&to=<key>[&prefix=<metric prefix>].
-func (s *Server) handleHistoryDiff(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.storeOr404(w)
-	if !ok {
-		return
-	}
-	q := r.URL.Query()
-	fromKey, toKey := q.Get("from"), q.Get("to")
-	if fromKey == "" || toKey == "" {
-		writeError(w, http.StatusBadRequest, "diff needs both ?from= and ?to= entry keys")
-		return
-	}
-	from, ok := loadEntry(w, st, fromKey)
-	if !ok {
-		return
-	}
-	to, ok := loadEntry(w, st, toKey)
-	if !ok {
-		return
-	}
-	metricsOf := func(e *store.Entry) map[string]uint64 {
-		if e.Metrics == nil {
-			return nil
-		}
-		return e.Metrics.Metrics
-	}
-	d := HistoryDiff{
-		From:        from.Key,
-		To:          to.Key,
-		FromCreated: from.Created,
-		ToCreated:   to.Created,
-	}
-	d.Changed, d.OnlyFrom, d.OnlyTo, d.Unchanged = DiffSnapshots(metricsOf(from), metricsOf(to), q.Get("prefix"))
-	if d.Changed == nil {
-		d.Changed = []MetricDelta{}
-	}
-	writeJSON(w, http.StatusOK, d)
 }

@@ -26,8 +26,8 @@ type execution struct {
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 
-	// sink captures the run's cycle-level trace when spec.Trace is set.
-	// Live subscribers (GET /v1/jobs/{id}/events) tee off it.
+	// sink captures the run's cycle-level trace when spec.Trace is set;
+	// GET /v1/jobs/{id}/trace exports it once the run is done.
 	sink *trace.Sink
 
 	// fromStore marks an execution that never ran: its result was served
@@ -42,9 +42,7 @@ type execution struct {
 
 	// Written by the worker before done is closed; reading after <-done is
 	// race-free (channel close is a happens-before edge).
-	result   []byte          // final result JSON (nil on error)
-	metrics  *trace.Snapshot // the run's vgiw-metrics/v1 snapshot (nil for source jobs)
-	stages   bench.StageTimes
+	result   []byte // final result JSON (nil on error)
 	err      error
 	finished time.Time
 

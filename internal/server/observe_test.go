@@ -1,11 +1,9 @@
 package server
 
-// Tests for the persistence-and-live-observation tier: the result store
-// behind Submit, the /v1/history API, and the /v1/jobs/{id}/events SSE
-// stream.
+// Tests for the persistence-and-observation tier: the result store behind
+// Submit, the /v1/history API, and the /v1/jobs/{id}/trace export.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -118,13 +116,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	if full.Key != he.Key || full.Metrics == nil || full.Metrics.Schema != trace.MetricsSchema {
 		t.Errorf("full entry = key %q, metrics %+v", full.Key, full.Metrics)
 	}
-
-	// Self-diff: everything unchanged, nothing moved.
-	var diff HistoryDiff
-	getJSON(t, tsB, "/v1/history/diff?from="+he.Key+"&to="+he.Key, &diff)
-	if len(diff.Changed) != 0 || diff.Unchanged == 0 {
-		t.Errorf("self-diff: changed=%d unchanged=%d", len(diff.Changed), diff.Unchanged)
-	}
 }
 
 // TestRequestHeadersNeverCreateMetricNames pins that clients cannot grow
@@ -207,7 +198,9 @@ func TestHistoryWithoutStore(t *testing.T) {
 // TestHistoryRejectsMalformedKeys pins that the history routes never turn a
 // client's key into a path outside the store: a key store.Key cannot
 // produce answers 400, whether or not a file of that name exists beside
-// the store directory, and nothing of such a file reaches the reply.
+// the store directory, and nothing of such a file reaches the reply. The
+// retired /v1/history/diff URLs now reach /v1/history/{key} with the key
+// "diff", which is malformed too.
 func TestHistoryRejectsMalformedKeys(t *testing.T) {
 	parent := t.TempDir()
 	if err := os.WriteFile(filepath.Join(parent, "secret.json"), []byte(`{"schema":"outside-the-store"}`), 0o644); err != nil {
@@ -366,130 +359,6 @@ func TestStoreFaults(t *testing.T) {
 	})
 }
 
-// sseFrame is one parsed Server-Sent Event.
-type sseFrame struct {
-	event string
-	data  []byte
-}
-
-func parseSSE(t *testing.T, body string) []sseFrame {
-	t.Helper()
-	var frames []sseFrame
-	sc := bufio.NewScanner(strings.NewReader(body))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var cur sseFrame
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			cur.event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			cur.data = []byte(strings.TrimPrefix(line, "data: "))
-		case line == "":
-			if cur.event != "" {
-				frames = append(frames, cur)
-			}
-			cur = sseFrame{}
-		default:
-			t.Fatalf("unparseable SSE line %q", line)
-		}
-	}
-	return frames
-}
-
-// TestEventsStream is the streaming acceptance test: for a finished traced
-// job, the SSE stream's trace frames are — in order — exactly the
-// non-metadata records of the Chrome trace export, followed by a metrics
-// snapshot and a done frame.
-func TestEventsStream(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	resp, v := postJob(t, ts, `{"kernel":"bfs.kernel1","trace":true,"trace_filter":"vgiw,cvt"}`, "?wait=1")
-	if resp.StatusCode != http.StatusOK || v.State != StateDone {
-		t.Fatalf("status %d state %q", resp.StatusCode, v.State)
-	}
-
-	es, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := readAll(t, es)
-	if es.StatusCode != http.StatusOK {
-		t.Fatalf("events: status %d", es.StatusCode)
-	}
-	if ct := es.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	frames := parseSSE(t, body)
-	if len(frames) < 3 {
-		t.Fatalf("only %d frames", len(frames))
-	}
-
-	tr, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	traceBody := readAll(t, tr)
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(traceBody), &doc); err != nil {
-		t.Fatal(err)
-	}
-	var records [][]byte // export records, metadata ("M") excluded
-	for _, raw := range doc.TraceEvents {
-		var ph struct {
-			Ph string `json:"ph"`
-		}
-		if err := json.Unmarshal(raw, &ph); err != nil {
-			t.Fatal(err)
-		}
-		if ph.Ph != "M" {
-			records = append(records, []byte(raw))
-		}
-	}
-
-	var got [][]byte
-	sawMetrics, sawDone := false, false
-	for i, f := range frames {
-		switch f.event {
-		case "trace":
-			if sawMetrics || sawDone {
-				t.Fatalf("trace frame %d after metrics/done", i)
-			}
-			got = append(got, f.data)
-		case "metrics":
-			var snap trace.Snapshot
-			if err := json.Unmarshal(f.data, &snap); err != nil || snap.Schema != trace.MetricsSchema {
-				t.Errorf("metrics frame: schema %q err %v", snap.Schema, err)
-			}
-			sawMetrics = true
-		case "done":
-			var final struct {
-				ID    string `json:"id"`
-				State string `json:"state"`
-			}
-			if err := json.Unmarshal(f.data, &final); err != nil || final.ID != v.ID || final.State != StateDone {
-				t.Errorf("done frame = %s (err %v)", f.data, err)
-			}
-			sawDone = true
-		default:
-			t.Errorf("unknown frame event %q", f.event)
-		}
-	}
-	if !sawMetrics || !sawDone {
-		t.Errorf("stream ended without metrics/done (metrics=%v done=%v)", sawMetrics, sawDone)
-	}
-	// In-order prefix of the export; for a finished job the prefix is total.
-	if len(got) != len(records) {
-		t.Fatalf("stream carried %d trace frames, export has %d records", len(got), len(records))
-	}
-	for i := range got {
-		if !bytes.Equal(got[i], records[i]) {
-			t.Fatalf("frame %d differs from export record:\n%s\nvs\n%s", i, got[i], records[i])
-		}
-	}
-}
-
 func readAll(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	defer resp.Body.Close()
@@ -504,87 +373,10 @@ func readAll(t *testing.T, resp *http.Response) string {
 	}
 }
 
-// TestEventsDisconnectAndDrop pins the non-blocking consumer discipline: a
-// subscriber with a tiny ring that never reads loses events (counted in
-// vgiwd/stream_dropped) while the job runs to completion untouched.
-func TestEventsDisconnectAndDrop(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-
-	// Pin the single worker so the traced job is admitted but not yet
-	// running when the stream attaches — the subscription must predate the
-	// event flood for the drop count to be deterministic.
-	_, blocker := postJob(t, ts, `{"kernel":"hotspot.kernel","scale":4}`, "")
-	waitState(t, ts, blocker.ID, StateRunning)
-	_, traced := postJob(t, ts, `{"kernel":"hotspot.kernel","scale":2,"trace":true,"trace_filter":"engine"}`, "")
-
-	es, err := http.Get(ts.URL + "/v1/jobs/" + traced.ID + "/events?buf=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unblock the worker; the traced run now floods a 1-slot ring that
-	// nobody drains (this client never reads the body).
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+blocker.ID, nil)
-	if _, err := http.DefaultClient.Do(req); err != nil {
-		t.Fatal(err)
-	}
-
-	done := waitState(t, ts, traced.ID, StateDone)
-	if done.State != StateDone {
-		t.Fatalf("traced job state %q", done.State)
-	}
-	es.Body.Close() // disconnect: must cancel nothing
-
-	// The handler unsubscribes on its way out and folds the ring's losses
-	// into the metric; poll briefly for that hand-off.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if n := metricValue(t, ts, "vgiwd/stream_dropped"); n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("stream_dropped never became positive")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// The job survived its consumer: still done, result intact.
-	final, err := http.Get(ts.URL + "/v1/jobs/" + traced.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fv := decodeView(t, final)
-	if fv.State != StateDone || len(fv.Result) == 0 {
-		t.Errorf("after disconnect: state %q, result %d bytes", fv.State, len(fv.Result))
-	}
-}
-
-// TestEventsEndpointErrors covers the stream's refusal paths.
-func TestEventsEndpointErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	_, plain := postJob(t, ts, `{"kernel":"bfs.kernel1"}`, "?wait=1")
-
-	for _, tc := range []struct {
-		path string
-		want int
-	}{
-		{"/v1/jobs/nope/events", http.StatusNotFound},
-		{"/v1/jobs/" + plain.ID + "/events", http.StatusConflict}, // untraced
-		{"/v1/jobs/" + plain.ID + "/events?buf=zero", http.StatusConflict},
-	} {
-		resp, err := http.Get(ts.URL + tc.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("GET %s: status %d, want %d", tc.path, resp.StatusCode, tc.want)
-		}
-	}
-}
-
 // TestTraceEndpointContract completes the trace handler's coverage: unknown
 // job 404, in-flight traced job 409, and a happy path whose payload passes
-// the full Chrome trace-event validator.
+// the full Chrome trace-event validator. The export is the one way to read a
+// trace: the retired /events stream answers 404 for the same finished job.
 func TestTraceEndpointContract(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 
@@ -624,6 +416,15 @@ func TestTraceEndpointContract(t *testing.T) {
 	}
 	if n == 0 {
 		t.Error("validated trace has no events")
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + slow.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("traced job events: status %d, want 404", resp.StatusCode)
 	}
 }
 

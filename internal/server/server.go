@@ -124,7 +124,6 @@ func New(cfg Config) *Server {
 		"vgiwd/jobs_completed", "vgiwd/jobs_failed", "vgiwd/jobs_cancelled",
 		"vgiwd/runs_executed", "vgiwd/queue_depth",
 		"vgiwd/store_hits", "vgiwd/store_misses", "vgiwd/store_errors",
-		"vgiwd/stream_dropped",
 	} {
 		s.reg.Add(name, 0)
 	}
@@ -209,7 +208,6 @@ func (s *Server) Submit(spec bench.JobSpec) (*Job, error) {
 			createdAt: now,
 			finished:  now,
 			result:    ent.Result,
-			metrics:   ent.Metrics,
 			done:      make(chan struct{}),
 		}
 		close(e.done) // born terminal
@@ -419,19 +417,8 @@ func (s *Server) runExecution(e *execution) {
 		result, met, stages, err = s.execute(e)
 	}
 
-	var snap *trace.Snapshot
-	if met != nil {
-		snap = &trace.Snapshot{
-			Schema:  trace.MetricsSchema,
-			Scale:   e.spec.Scale,
-			Metrics: met.Flat(),
-		}
-	}
-
 	s.mu.Lock()
 	e.result, e.err = result, err
-	e.stages = stages
-	e.metrics = snap
 	e.finished = time.Now()
 	if err != nil {
 		delete(s.byKey, e.spec)
@@ -458,7 +445,7 @@ func (s *Server) runExecution(e *execution) {
 	if debugBeforeFlush != nil {
 		debugBeforeFlush()
 	}
-	s.flushToStore(e)
+	s.flushToStore(e, met, stages)
 	s.mu.Lock()
 	delete(s.byKey, e.spec)
 	s.mu.Unlock()
@@ -469,24 +456,33 @@ func (s *Server) runExecution(e *execution) {
 var debugBeforeFlush func()
 
 // flushToStore files a successful execution's result in the persistent
-// store. Failures are counted, not fatal: persistence is an add-on to the
-// serving path, never a gate on it. Called after e.done is closed, so the
-// result fields are stable.
-func (s *Server) flushToStore(e *execution) {
+// store, with a snapshot of the run's metrics (met is nil for source jobs)
+// and its host stage split. Failures are counted, not fatal: persistence is
+// an add-on to the serving path, never a gate on it. Called after e.done is
+// closed, so the result is stable.
+func (s *Server) flushToStore(e *execution, met *trace.Registry, stages bench.StageTimes) {
 	if s.store == nil {
 		return
+	}
+	var snap *trace.Snapshot
+	if met != nil {
+		snap = &trace.Snapshot{
+			Schema:  trace.MetricsSchema,
+			Scale:   e.spec.Scale,
+			Metrics: met.Flat(),
+		}
 	}
 	err := s.store.Put(&store.Entry{
 		Spec: e.spec,
 		Host: store.NewHostMeta(),
 		StageMS: store.StageMS{
-			Instance: float64(e.stages.Instance.Nanoseconds()) / 1e6,
-			Compile:  float64(e.stages.Compile.Nanoseconds()) / 1e6,
-			Place:    float64(e.stages.Place.Nanoseconds()) / 1e6,
-			Simulate: float64(e.stages.Simulate.Nanoseconds()) / 1e6,
+			Instance: float64(stages.Instance.Nanoseconds()) / 1e6,
+			Compile:  float64(stages.Compile.Nanoseconds()) / 1e6,
+			Place:    float64(stages.Place.Nanoseconds()) / 1e6,
+			Simulate: float64(stages.Simulate.Nanoseconds()) / 1e6,
 		},
 		Result:  e.result,
-		Metrics: e.metrics,
+		Metrics: snap,
 	})
 	if err != nil {
 		s.reg.Add("vgiwd/store_errors", 1)
@@ -496,7 +492,7 @@ func (s *Server) flushToStore(e *execution) {
 // execute dispatches on the spec kind and marshals the result document. It
 // also returns the run's simulated-metrics registry and aggregate host stage
 // split (zero for source jobs, which simulate nothing), which runExecution
-// snapshots for the store and the /events metrics frame.
+// files in the store.
 func (s *Server) execute(e *execution) ([]byte, *trace.Registry, bench.StageTimes, error) {
 	if e.spec.Source != "" {
 		b, err := s.compileSource(e.ctx, e.spec.Source)

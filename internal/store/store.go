@@ -95,8 +95,10 @@ type Entry struct {
 	Result json.RawMessage `json:"result"`
 
 	// Metrics is the run's vgiw-metrics/v1 snapshot (absent for source
-	// jobs, which simulate nothing). /v1/history/diff and benchgate
-	// baselines read these.
+	// jobs, which simulate nothing). The entry as a whole is not a
+	// benchgate baseline (bench.ParseBaseline rejects its vgiw-store/v1
+	// schema), but this object is: saved on its own, two entries' metrics
+	// compare with benchgate -baseline A -current B.
 	Metrics *trace.Snapshot `json:"metrics,omitempty"`
 }
 

@@ -32,9 +32,7 @@ type chromeMeta struct {
 	Args map[string]string `json:"args"`
 }
 
-// chromeRecord renders one event as its Chrome trace-event record — the
-// single source of truth for both the file exporter and the SSE stream, so
-// a live stream replays exactly what the export would contain.
+// chromeRecord renders one event as its Chrome trace-event record.
 func chromeRecord(e *Event) chromeEvent {
 	ce := chromeEvent{
 		Name: e.Name,
@@ -61,13 +59,6 @@ func chromeRecord(e *Event) chromeEvent {
 		}
 	}
 	return ce
-}
-
-// MarshalChromeEvent renders one event as the same standalone JSON record
-// WriteChromeTrace would emit for it, for streaming consumers (the daemon's
-// SSE endpoint frames these as `data:` payloads).
-func MarshalChromeEvent(e *Event) ([]byte, error) {
-	return json.Marshal(chromeRecord(e))
 }
 
 // WriteChromeTrace exports the retained events as Chrome trace-event JSON

@@ -177,11 +177,6 @@ type Sink struct {
 	maxBlk  int
 	dropped uint64 // events lost to ring wrap-around
 
-	// Live streaming (stream.go): registered subscribers plus the drop
-	// count already accumulated by departed ones.
-	subs          []*Subscriber
-	streamDropped uint64
-
 	nextPid int32
 	procs   map[int32]string
 	tracks  map[TrackID]string
@@ -237,9 +232,6 @@ func (s *Sink) Emit(e Event) {
 	}
 	blk.ev[blk.n] = e
 	blk.n++
-	if len(s.subs) > 0 {
-		s.publishLocked(e)
-	}
 	s.mu.Unlock()
 }
 
@@ -296,6 +288,15 @@ func (s *Sink) Len() int {
 	return s.lenLocked()
 }
 
+// lenLocked counts retained events. Caller holds mu.
+func (s *Sink) lenLocked() int {
+	n := 0
+	for _, b := range s.blocks {
+		n += b.n
+	}
+	return n
+}
+
 // forEach visits retained events oldest-first. Caller must hold mu.
 func (s *Sink) forEach(fn func(*Event)) {
 	for i := 0; i < len(s.blocks); i++ {
@@ -319,12 +320,6 @@ func (s *Sink) Release() {
 	}
 	s.blocks = nil
 	s.head = 0
-	// End any live streams: their event flow is over.
-	for _, u := range s.subs {
-		s.streamDropped += u.dropped
-		close(u.ch)
-	}
-	s.subs = nil
 	s.mu.Unlock()
 }
 
