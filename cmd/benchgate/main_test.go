@@ -305,7 +305,7 @@ func TestComparesStoredHistoryMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(server.Config{Workers: 1, QueueDepth: 4, RunParallelism: 1, Store: st})
+	s := server.New(server.Config{Workers: 1, QueueDepth: 4, Store: st})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	specs := []bench.JobSpec{{Kernel: "bfs.kernel1"}, {Kernel: "bfs.kernel1", Mem: "writethrough"}}

@@ -17,8 +17,7 @@ import (
 	"io"
 	"os"
 
-	"vgiw/internal/compile"
-	"vgiw/internal/fabric"
+	"vgiw/internal/core"
 	"vgiw/internal/kasm"
 	"vgiw/internal/version"
 )
@@ -62,34 +61,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	grid, err := fabric.NewGrid(fabric.DefaultConfig())
+	// The VGIW machine compiles and places exactly as a simulation would;
+	// Checked adds the verifier after every pass and after placement.
+	cfg := core.DefaultConfig()
+	cfg.Checked = *doVerify
+	m, err := core.NewMachine(cfg)
 	if err != nil {
 		return fail(stderr, "%v", err)
 	}
-	var copts []compile.Option
-	if *doVerify {
-		copts = append(copts, compile.Checked())
-	}
-	ck, err := compile.CompileFitted(k, grid.Fits, copts...)
+	ck, err := m.Compile(k)
 	if err != nil {
 		// Compile errors arrive already prefixed "compile: <pass>: ...".
 		return fail(stderr, "%v", err)
 	}
+	prep, err := m.Prepare(ck)
+	if err != nil {
+		return fail(stderr, "%v", err)
+	}
+	grid := m.Grid()
 
 	fmt.Fprintf(stdout, "kernel %s: %d blocks, %d instructions, %d registers, %d live values\n",
 		k.Name, len(k.Blocks), k.NumInstrs(), k.NumRegs, ck.LV.NumIDs)
 	for bi, g := range ck.DFGs {
 		blk := k.Blocks[bi]
-		replicas := fabric.MaxReplicasFor(grid, g)
-		p, err := fabric.Place(grid, g, replicas)
-		if err != nil {
-			return fail(stderr, "place block %d: %v", bi, err)
-		}
-		if *doVerify {
-			if err := fabric.VerifyPlaced("place", grid, p, ck.LV.NumIDs); err != nil {
-				return fail(stderr, "%v", err)
-			}
-		}
+		replicas, p := prep.Replicas[bi], prep.Placements[bi]
 		barrier := ""
 		if blk.Barrier {
 			barrier = " (barrier)"

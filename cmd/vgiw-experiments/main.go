@@ -49,7 +49,6 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit the whole suite as JSON and exit")
 		telem    = flag.Bool("telemetry", false, "extra: harness host-time telemetry table (per-kernel stage split + cache counters)")
 		noCache  = flag.Bool("no-cache", false, "disable the artifact cache: rebuild workloads and recompile per run (results are identical either way)")
-		fast     = flag.Bool("fast", false, "functional-only engine mode: identical results and op counts, no cycle accounting (timing figures read 0)")
 		traceOut = flag.String("trace", "", "write the sweep's cycle-level Chrome trace-event JSON (Perfetto-loadable) to this file")
 		traceCat = flag.String("trace-filter", "", "comma-separated trace categories (vgiw,cvt,lvc,simt,sgmf,engine,mem; default all)")
 		metrics  = flag.String("metrics", "", "write a one-line schema-versioned metrics snapshot (e.g. BENCH_trace.json) to this file")
@@ -96,9 +95,6 @@ func main() {
 	opt := bench.DefaultOptions()
 	opt.Scale = *scale
 	opt.Parallelism = *parallel
-	opt.NoCache = *noCache
-	opt.VGIW.Engine.Fast = *fast
-	opt.SGMF.Engine.Fast = *fast
 	if *traceOut != "" {
 		mask, err := trace.ParseCats(*traceCat)
 		if err != nil {

@@ -1,6 +1,7 @@
 // vgiwd is the simulation-as-a-service daemon: it serves the experiment
 // harness over HTTP/JSON with admission control, per-job deadlines,
 // singleflight result dedup, live Prometheus metrics, and graceful drain.
+// A job runs one registry kernel on the VGIW, SIMT and SGMF machines.
 //
 // Usage:
 //
@@ -11,13 +12,13 @@
 //
 // Endpoints:
 //
-//	POST   /v1/jobs           submit a job ({"kernel":...} | {"suite":true} |
-//	                          {"source":...}); ?wait=1 blocks until terminal
+//	POST   /v1/jobs           submit a job ({"kernel":...} plus the spec's
+//	                          knobs); ?wait=1 blocks until terminal
 //	GET    /v1/jobs           list jobs
 //	GET    /v1/jobs/{id}      job status + result; ?wait=1 blocks
 //	GET    /v1/jobs/{id}/trace  Chrome trace JSON (jobs with "trace":true)
 //	DELETE /v1/jobs/{id}      cancel a job
-//	GET    /v1/history        stored results (-store-dir); ?kernel=&kind=&key=
+//	GET    /v1/history        stored results (-store-dir); ?kernel=&key=
 //	GET    /v1/history/{key}  one stored result, in full; its "metrics"
 //	                          object is a benchgate baseline
 //	GET    /healthz           liveness
@@ -62,7 +63,6 @@ func run(args []string) int {
 		addr         = fs.String("addr", ":8077", "listen address (host:port; port 0 picks one)")
 		workers      = fs.Int("workers", 0, "concurrent simulations (0 = 2)")
 		queue        = fs.Int("queue", 0, "admission queue depth (0 = 64)")
-		parallelism  = fs.Int("parallelism", 0, "per-simulation harness parallelism (0 = NumCPU/workers)")
 		timeout      = fs.Duration("timeout", 0, "default per-job deadline (0 = 2m)")
 		maxTimeout   = fs.Duration("max-timeout", 0, "cap on client-requested deadlines (0 = 10m)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long a drain waits before cancelling jobs")
@@ -85,7 +85,6 @@ func run(args []string) int {
 	s := server.New(server.Config{
 		QueueDepth:     *queue,
 		Workers:        *workers,
-		RunParallelism: *parallelism,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		Store:          st,

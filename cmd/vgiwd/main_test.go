@@ -259,12 +259,11 @@ func TestServeCheckStore(t *testing.T) {
 	var hist struct {
 		Entries []struct {
 			Key    string `json:"key"`
-			Kind   string `json:"kind"`
 			Kernel string `json:"kernel"`
 		} `json:"entries"`
 	}
 	getJSON(t, base2+"/v1/history", &hist)
-	if len(hist.Entries) != 1 || hist.Entries[0].Kind != "kernel" || hist.Entries[0].Kernel != "bfs.kernel1" {
+	if len(hist.Entries) != 1 || hist.Entries[0].Kernel != "bfs.kernel1" {
 		t.Errorf("history after restart: %+v", hist.Entries)
 	}
 	drainDaemon(t, daemon2, stderr2)

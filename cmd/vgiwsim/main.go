@@ -52,7 +52,6 @@ func main() {
 		traceOut = flag.String("trace", "", "write a cycle-level Chrome trace-event JSON (Perfetto-loadable) to this file")
 		traceCat = flag.String("trace-filter", "", "comma-separated trace categories (vgiw,cvt,lvc,simt,sgmf,engine,mem; default all)")
 		metrics  = flag.String("metrics", "", "write the flat metrics registry (one \"name value\" line per metric) to this file")
-		fast     = flag.Bool("fast", false, "functional-only engine mode: identical results and op counts, no cycle accounting (vgiw/sgmf; cycle metrics read 0)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (at exit) to this file")
 		showVer  = flag.Bool("version", false, "print version and exit")
@@ -107,7 +106,7 @@ func main() {
 
 	rc := runCfg{
 		arch: *arch, scale: *scale,
-		blocks: *blocks, grid: *grid, timeline: *timeline, fast: *fast,
+		blocks: *blocks, grid: *grid, timeline: *timeline,
 	}
 	if *traceOut != "" {
 		mask, err := trace.ParseCats(*traceCat)
@@ -195,7 +194,6 @@ type runCfg struct {
 	blocks   bool
 	grid     bool
 	timeline bool
-	fast     bool
 	sink     *trace.Sink
 	reg      *trace.Registry
 }
@@ -294,7 +292,6 @@ func runVGIW(w io.Writer, inst *kernels.Instance, rc runCfg) error {
 	if rc.grid {
 		cfg.Engine.Profile = true
 	}
-	cfg.Engine.Fast = rc.fast
 	cfg.Engine.Trace = rc.sink
 	m, err := core.NewMachine(cfg)
 	if err != nil {
@@ -451,7 +448,6 @@ func runSIMT(w io.Writer, inst *kernels.Instance, rc runCfg) error {
 
 func runSGMF(w io.Writer, inst *kernels.Instance, rc runCfg) error {
 	cfg := sgmf.DefaultConfig()
-	cfg.Engine.Fast = rc.fast
 	cfg.Engine.Trace = rc.sink
 	m, err := sgmf.NewMachine(cfg)
 	if err != nil {

@@ -38,16 +38,11 @@ type Options struct {
 	// zero value) means runtime.NumCPU(); 1 forces the serial path.
 	Parallelism int
 	// Cache shares workload, compile/place and simulation-result artifacts
-	// across runs. When nil (and NoCache is false), RunMatrix/RunSuite/
-	// LVCSweep create a private cache for the call; pass one explicitly to
-	// share artifacts across several harness calls (the experiment CLI
-	// shares one between the figure matrix and the LVC sweep).
+	// across runs and harness calls (the experiment CLI shares one between
+	// the figure matrix and the LVC sweep). nil means no cache: every run
+	// rebuilds its workload, compiles from scratch and simulates every
+	// machine. Results are byte-identical with or without one.
 	Cache *ArtifactCache
-	// NoCache disables artifact sharing entirely: every run rebuilds its
-	// workload, compiles from scratch and simulates every machine. Results
-	// are byte-identical with the cache on or off — this is an escape hatch
-	// and the reference point for the determinism tests.
-	NoCache bool
 	// Trace, when non-nil, receives cycle-level events from every machine in
 	// the sweep (the sink is mutex-protected, so parallel sweeps may share
 	// one; event interleaving across kernels then follows host scheduling,
@@ -68,24 +63,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// effectiveCache resolves the cache a run should consult: nil under
-// -no-cache (a nil *ArtifactCache builds everything fresh).
-func (o Options) effectiveCache() *ArtifactCache {
-	if o.NoCache {
-		return nil
-	}
-	return o.Cache
-}
-
-// withSweepCache equips a sweep-scoped options copy with a private cache
-// when the caller did not supply one (and caching is not disabled).
-func (o Options) withSweepCache() Options {
-	if o.Cache == nil && !o.NoCache {
-		o.Cache = NewArtifactCache()
-	}
-	return o
-}
-
 // workers resolves Parallelism for a sweep of n independent work items.
 func (o Options) workers(n int) int {
 	w := o.Parallelism
@@ -103,15 +80,10 @@ func (o Options) workers(n int) int {
 
 // forEach runs fn(i) for every i in [0,n), fanning the calls across the
 // options' worker pool. fn must be safe to call concurrently for distinct i.
-// Once ctx is done workers stop claiming new items (items already started
-// observe the cancellation themselves, through the simulators' own polls).
-// Each item is a whole kernel simulation, so polling per item is coarse.
-//
-//vgiw:coarsepoll
-func (o Options) forEach(ctx context.Context, n int, fn func(i int)) {
+func (o Options) forEach(n int, fn func(i int)) {
 	w := o.workers(n)
 	if w == 1 {
-		for i := 0; i < n && ctx.Err() == nil; i++ {
+		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
@@ -122,7 +94,7 @@ func (o Options) forEach(ctx context.Context, n int, fn func(i int)) {
 	for ; w > 0; w-- {
 		go func() {
 			defer wg.Done()
-			for ctx.Err() == nil {
+			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
@@ -225,7 +197,6 @@ func RunOne(spec kernels.Spec, opt Options) (*KernelRun, error) {
 // mid-simulation and RunOneCtx returns an error wrapping ctx.Err().
 func RunOneCtx(ctx context.Context, spec kernels.Spec, opt Options) (*KernelRun, error) {
 	start := time.Now()
-	cache := opt.effectiveCache()
 	out := &KernelRun{Spec: spec}
 	if opt.Trace != nil {
 		// Route the sweep's sink into every machine configuration (opt is a
@@ -236,14 +207,14 @@ func RunOneCtx(ctx context.Context, spec kernels.Spec, opt Options) (*KernelRun,
 		opt.SGMF.Engine.Trace = opt.Trace
 	}
 
-	w, wt, err := cache.workload(ctx, spec, opt.Scale)
+	w, wt, err := opt.Cache.workload(ctx, spec, opt.Scale)
 	if err != nil {
 		return nil, fmt.Errorf("%s: build: %w", spec.Name, err)
 	}
 	out.Stages.Add(wt)
 
 	// VGIW, simulated once per cache for its effective machine.
-	rv, vt, err := cache.vgiwRun(ctx, w, opt.VGIW)
+	rv, vt, err := opt.Cache.vgiwRun(ctx, w, opt.VGIW)
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +225,7 @@ func RunOneCtx(ctx context.Context, spec kernels.Spec, opt Options) (*KernelRun,
 
 	// SIMT baseline (compiled without fabric-driven splitting, as a native
 	// CUDA compile would be), simulated once per cache for its config.
-	rs, st, err := cache.simtRun(ctx, w, opt.SIMT)
+	rs, st, err := opt.Cache.simtRun(ctx, w, opt.SIMT)
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +235,7 @@ func RunOneCtx(ctx context.Context, spec kernels.Spec, opt Options) (*KernelRun,
 
 	// SGMF, when mappable.
 	if spec.SGMF && !opt.SkipSGMF {
-		rg, st, err := cache.sgmfRun(ctx, w, opt.SGMF)
+		rg, st, err := opt.Cache.sgmfRun(ctx, w, opt.SGMF)
 		if err != nil {
 			return nil, err
 		}
@@ -278,27 +249,18 @@ func RunOneCtx(ctx context.Context, spec kernels.Spec, opt Options) (*KernelRun,
 
 // RunMatrix executes the given kernel specs across the options' worker pool
 // (each kernel internally runs on every machine). Runs share immutable
-// artifacts through the sweep's cache but build private machines and memory
-// images, so the results are identical to a serial (or -no-cache) sweep
-// regardless of Parallelism.
+// artifacts through the options' cache, when one is set, but build private
+// machines and memory images, so the results are identical to a serial,
+// uncached sweep regardless of Parallelism.
 //
 // A failing kernel does not abort the sweep: RunMatrix returns the runs that
 // completed (in spec order) together with the joined per-kernel errors, so
 // callers can report which kernels failed and still use the rest.
 func RunMatrix(specs []kernels.Spec, opt Options) ([]*KernelRun, error) {
-	return RunMatrixCtx(context.Background(), specs, opt)
-}
-
-// RunMatrixCtx is RunMatrix with cooperative cancellation: once ctx is done
-// the worker pool stops claiming kernels, in-flight runs are preempted inside
-// their cycle loops, and the joined error includes ctx.Err() (check with
-// errors.Is). Runs that completed before the cancellation are still returned.
-func RunMatrixCtx(ctx context.Context, specs []kernels.Spec, opt Options) ([]*KernelRun, error) {
-	opt = opt.withSweepCache()
 	runs := make([]*KernelRun, len(specs))
 	errs := make([]error, len(specs))
-	opt.forEach(ctx, len(specs), func(i int) {
-		runs[i], errs[i] = RunOneCtx(ctx, specs[i], opt)
+	opt.forEach(len(specs), func(i int) {
+		runs[i], errs[i] = RunOne(specs[i], opt)
 	})
 	out := make([]*KernelRun, 0, len(specs))
 	for _, kr := range runs {
@@ -306,13 +268,7 @@ func RunMatrixCtx(ctx context.Context, specs []kernels.Spec, opt Options) ([]*Ke
 			out = append(out, kr)
 		}
 	}
-	err := errors.Join(errs...)
-	if cerr := ctx.Err(); cerr != nil {
-		// Kernels the pool never claimed have nil errs entries; surface the
-		// cancellation itself exactly once.
-		err = errors.Join(err, cerr)
-	}
-	return out, err
+	return out, errors.Join(errs...)
 }
 
 // RunAll executes the full registry.
@@ -333,9 +289,9 @@ type SuiteResult struct {
 	// user time: under parallelism it exceeds WallClock). Artifact builds
 	// are counted once, in the run that performed them.
 	Stages StageTimes
-	// Cache is the artifact cache's accounting over this sweep (zero under
-	// -no-cache). When the caller shares one cache across several sweeps
-	// the counters are deltas for this call.
+	// Cache is the artifact cache's accounting over this sweep (zero without
+	// a cache). When the caller shares one cache across several sweeps the
+	// counters are deltas for this call.
 	Cache CacheStats
 	// Metrics is the unified metrics registry folded from every run
 	// ("<kernel>/<backend>.<metric>" plus suite-level counters).
@@ -345,20 +301,12 @@ type SuiteResult struct {
 // RunSuite executes the full registry and records the sweep's wall-clock
 // time, per-stage split, cache accounting, and allocation count.
 func RunSuite(opt Options) (*SuiteResult, error) {
-	return RunSuiteCtx(context.Background(), opt)
-}
-
-// RunSuiteCtx is RunSuite with cooperative cancellation (see RunMatrixCtx
-// for the cancellation contract).
-func RunSuiteCtx(ctx context.Context, opt Options) (*SuiteResult, error) {
-	opt = opt.withSweepCache()
 	specs := kernels.All()
-	cache := opt.effectiveCache()
-	stats0 := cache.Stats()
+	stats0 := opt.Cache.Stats()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
-	runs, err := RunMatrixCtx(ctx, specs, opt)
+	runs, err := RunMatrix(specs, opt)
 	wall := time.Since(start)
 	runtime.ReadMemStats(&m1)
 	out := &SuiteResult{
@@ -366,7 +314,7 @@ func RunSuiteCtx(ctx context.Context, opt Options) (*SuiteResult, error) {
 		WallClock:   wall,
 		Parallelism: opt.workers(len(specs)),
 		Mallocs:     m1.Mallocs - m0.Mallocs,
-		Cache:       cache.Stats().sub(stats0),
+		Cache:       opt.Cache.Stats().sub(stats0),
 	}
 	for _, kr := range runs {
 		out.Stages.Add(kr.Stages)

@@ -55,9 +55,9 @@ func TestArtifactCacheDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four full-suite sweeps")
 	}
-	sweep := func(noCache bool, parallelism int) string {
+	sweep := func(cache *ArtifactCache, parallelism int) string {
 		opt := DefaultOptions()
-		opt.NoCache = noCache
+		opt.Cache = cache
 		opt.Parallelism = parallelism
 		runs, err := RunAll(opt)
 		if err != nil {
@@ -65,46 +65,45 @@ func TestArtifactCacheDeterminism(t *testing.T) {
 		}
 		return reportFingerprint(t, runs)
 	}
-	ref := sweep(true, 1) // uncached serial: the ground truth
+	ref := sweep(nil, 1) // uncached serial: the ground truth
 	for _, c := range []struct {
 		name        string
-		noCache     bool
+		cache       *ArtifactCache
 		parallelism int
 	}{
-		{"cached-serial", false, 1},
-		{"cached-parallel8", false, 8},
-		{"nocache-parallel8", true, 8},
+		{"cached-serial", NewArtifactCache(), 1},
+		{"cached-parallel8", NewArtifactCache(), 8},
+		{"nocache-parallel8", nil, 8},
 	} {
-		if got := sweep(c.noCache, c.parallelism); got != ref {
+		if got := sweep(c.cache, c.parallelism); got != ref {
 			t.Errorf("%s sweep diverged from the uncached serial sweep:\nwant %s\ngot  %s", c.name, ref, got)
 		}
 	}
 
 	lvcOpt := DefaultOptions()
-	lvcOpt.NoCache = true
 	lvcOpt.Parallelism = 1
 	lvcRef := lvcFingerprint(t, lvcOpt)
-	lvcOpt.NoCache = false
+	lvcOpt.Cache = NewArtifactCache()
 	lvcOpt.Parallelism = 8
 	if got := lvcFingerprint(t, lvcOpt); got != lvcRef {
 		t.Errorf("cached parallel LVC sweep diverged:\nwant %s\ngot  %s", lvcRef, got)
 	}
 
 	// A config matrix shares baseline results across configs that differ
-	// only in VGIW knobs; each config's runs must still match NoCache.
-	matrixRef := configMatrixFingerprint(t, true, 1)
+	// only in VGIW knobs; each config's runs must still match uncached ones.
+	matrixRef := configMatrixFingerprint(t, nil, 1)
 	for _, parallelism := range []int{1, 8} {
-		if got := configMatrixFingerprint(t, false, parallelism); got != matrixRef {
+		if got := configMatrixFingerprint(t, NewArtifactCache(), parallelism); got != matrixRef {
 			t.Errorf("cached config matrix (%d workers) diverged:\nwant %s\ngot  %s", parallelism, matrixRef, got)
 		}
 	}
 }
 
 // configMatrixFingerprint runs kernels x {LVC size, CVT bits, VGIW L1 write
-// policy}, every cell through RunOneCtx on one cache (none under noCache)
+// policy}, every cell through RunOneCtx on one cache (none when cache is nil)
 // fanned across parallelism workers, and renders each config's runs in
 // canonical JSON form.
-func configMatrixFingerprint(t *testing.T, noCache bool, parallelism int) string {
+func configMatrixFingerprint(t *testing.T, cache *ArtifactCache, parallelism int) string {
 	t.Helper()
 	names := []string{"hotspot.kernel", "nn.euclid", "pf.normalize_weights"}
 	var cfgs []Options
@@ -119,17 +118,17 @@ func configMatrixFingerprint(t *testing.T, noCache bool, parallelism int) string
 			}
 		}
 	}
-	pool := Options{Parallelism: parallelism, NoCache: noCache}.withSweepCache()
+	pool := Options{Parallelism: parallelism}
 	runs := make([]*KernelRun, len(cfgs)*len(names))
 	errs := make([]error, len(runs))
-	pool.forEach(context.Background(), len(runs), func(i int) {
+	pool.forEach(len(runs), func(i int) {
 		spec, ok := kernels.ByName(names[i%len(names)])
 		if !ok {
 			errs[i] = errors.New(names[i%len(names)] + " not registered")
 			return
 		}
 		opt := cfgs[i/len(names)]
-		opt.Cache, opt.NoCache = pool.Cache, noCache
+		opt.Cache = cache
 		runs[i], errs[i] = RunOneCtx(context.Background(), spec, opt)
 	})
 	if err := errors.Join(errs...); err != nil {
@@ -593,13 +592,12 @@ func TestTracedRunAlwaysSimulates(t *testing.T) {
 }
 
 // BenchmarkSuiteColdVsWarm is the perf guard for the artifact cache: "cold"
-// rebuilds every artifact per run (-no-cache), "warm" serves every run from
+// rebuilds every artifact per run (no cache), "warm" serves every run from
 // a persistent primed cache. The gap between them is the compile/place/
 // workload-synthesis cost the cache removes from sweep iteration time.
 func BenchmarkSuiteColdVsWarm(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		opt := DefaultOptions()
-		opt.NoCache = true
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := RunAll(opt); err != nil {
@@ -648,7 +646,7 @@ func TestVGIWRunTierExact(t *testing.T) {
 	c := NewArtifactCache()
 	specs := kernels.All()
 	var configs atomic.Int64
-	Options{}.forEach(ctx, len(specs), func(i int) {
+	Options{}.forEach(len(specs), func(i int) {
 		spec := specs[i]
 		w, _, err := c.workload(ctx, spec, 1)
 		if err != nil {

@@ -37,17 +37,3 @@ func TestRunOneCtxDeadline(t *testing.T) {
 		t.Fatalf("RunOneCtx err = %v, want context.DeadlineExceeded", err)
 	}
 }
-
-// TestRunMatrixCtxCancelled verifies the worker pool stops claiming kernels
-// once the context is cancelled and the joined error reports it.
-func TestRunMatrixCtxCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	runs, err := RunMatrixCtx(ctx, kernels.All(), DefaultOptions())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunMatrixCtx err = %v, want context.Canceled", err)
-	}
-	if len(runs) != 0 {
-		t.Fatalf("RunMatrixCtx completed %d runs under a pre-cancelled context", len(runs))
-	}
-}

@@ -234,13 +234,12 @@ func median(vals []float64) float64 {
 // and only show results for a 64KB LVC", §3.4): VGIW cycles on the
 // live-value-heavy kernels across LVC sizes. The kernel×size cells fan out
 // across the options' worker pool and go through the same cache lookups as
-// RunOneCtx's VGIW run. The compile/place artifact's key excludes the LVC
-// capacity, so each kernel is compiled and placed exactly once for the whole
-// sweep; the VGIW result tier's key holds the capacity only where it can
-// evict, so sizes that yield the same machine, for the sweep or for a figure
-// run sharing its cache, are simulated once.
+// RunOneCtx's VGIW run. With a cache, the compile/place artifact's key
+// excludes the LVC capacity, so each kernel is compiled and placed exactly
+// once for the whole sweep; the VGIW result tier's key holds the capacity
+// only where it can evict, so sizes that yield the same machine, for the
+// sweep or for a figure run sharing its cache, are simulated once.
 func LVCSweep(opt Options, sizesKB []int, kernelNames []string) (*report.Table, error) {
-	opt = opt.withSweepCache()
 	specs := make([]kernels.Spec, len(kernelNames))
 	for i, name := range kernelNames {
 		spec, ok := kernels.ByName(name)
@@ -254,7 +253,7 @@ func LVCSweep(opt Options, sizesKB []int, kernelNames []string) (*report.Table, 
 	cycles := make([]int64, nCells)
 	errs := make([]error, nCells)
 	ctx := context.Background()
-	opt.forEach(ctx, nCells, func(cell int) {
+	opt.forEach(nCells, func(cell int) {
 		spec, kb := specs[cell/len(sizesKB)], sizesKB[cell%len(sizesKB)]
 		cycles[cell], errs[cell] = lvcCell(ctx, opt, spec, kb)
 	})
@@ -277,16 +276,15 @@ func LVCSweep(opt Options, sizesKB []int, kernelNames []string) (*report.Table, 
 }
 
 // lvcCell returns one kernel's VGIW cycle count at one LVC size, from the
-// sweep's VGIW result tier.
+// options' VGIW result tier.
 func lvcCell(ctx context.Context, opt Options, spec kernels.Spec, kb int) (int64, error) {
 	cfg := opt.VGIW
 	cfg.LVC.SizeBytes = kb << 10
-	cache := opt.effectiveCache()
-	w, _, err := cache.workload(ctx, spec, opt.Scale)
+	w, _, err := opt.Cache.workload(ctx, spec, opt.Scale)
 	if err != nil {
 		return 0, fmt.Errorf("%s: build: %w", spec.Name, err)
 	}
-	res, _, err := cache.vgiwRun(ctx, w, cfg)
+	res, _, err := opt.Cache.vgiwRun(ctx, w, cfg)
 	if err != nil {
 		return 0, fmt.Errorf("LVC %d KB: %w", kb, err)
 	}

@@ -11,29 +11,19 @@ import (
 )
 
 // JobSpec is the wire-level description of one harness job — the request
-// body the vgiwd daemon accepts and the serving-side twin of Options. It
-// covers the design-space knobs a config-sweep client varies (scale, LVC
-// capacity, CVT budget, L1 write policy, ablations) without exposing the
-// host-side tuning in Options (parallelism, cache handles, sinks), which the
-// server owns.
+// body the vgiwd daemon accepts and the serving-side twin of Options. A job
+// runs one registry kernel on every machine. The spec covers the
+// design-space knobs a config-sweep client varies (scale, LVC capacity, CVT
+// budget, L1 write policy, ablations) without exposing the host-side tuning
+// in Options (parallelism, cache handles, sinks), which the server owns.
 //
-// The zero value means "the paper's default machine on the full registry at
-// scale 1". Normalize fills defaults and validates; after Normalize, equal
-// JobSpec values describe identical simulations, so the normalized spec is
-// the job-level content key the daemon's singleflight dedup uses (the same
+// Normalize fills defaults and validates; after Normalize, equal JobSpec
+// values describe identical simulations, so the normalized spec is the
+// job-level content key the daemon's singleflight dedup uses (the same
 // content-keying idea the ArtifactCache applies per artifact).
 type JobSpec struct {
-	// Kernel is a registry name ("bfs.kernel1"). Empty with Suite unset is
-	// rejected; mutually exclusive with Suite and Source.
+	// Kernel is a registry name ("bfs.kernel1"); required.
 	Kernel string `json:"kernel,omitempty"`
-	// Suite runs the full benchmark registry.
-	Suite bool `json:"suite,omitempty"`
-	// Source is kasm kernel-assembly text. A source job runs the compiler
-	// pipeline (parse, fabric-fitted compile, place) and reports the
-	// per-block placement summary; it has no workload, so nothing is
-	// simulated.
-	Source string `json:"source,omitempty"`
-
 	// Scale is the workload scale factor (0 = 1).
 	Scale int `json:"scale,omitempty"`
 	// SkipSGMF disables the SGMF runs.
@@ -53,11 +43,6 @@ type JobSpec struct {
 	// TraceFilter is the comma-separated category filter for Trace
 	// (vgiw,cvt,lvc,simt,sgmf,engine,mem; empty = all).
 	TraceFilter string `json:"trace_filter,omitempty"`
-	// Fast runs both simulators' engines in functional-only mode
-	// (engine.Options.Fast): identical results and operation counts, no
-	// cycle-level accounting — for result validation and functional sweeps
-	// where timing is irrelevant.
-	Fast bool `json:"fast,omitempty"`
 	// TimeoutMS caps the job's execution time in milliseconds (0 = the
 	// server's default deadline).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -94,26 +79,11 @@ func DecodeJobSpec(r io.Reader) (JobSpec, error) {
 // normalized specs describe identical simulations. A spec it rejects is
 // left as it was.
 func (s *JobSpec) Normalize() error {
-	modes := 0
-	if s.Kernel != "" {
-		modes++
+	if s.Kernel == "" {
+		return fmt.Errorf("spec: kernel is required")
 	}
-	if s.Suite {
-		modes++
-	}
-	if s.Source != "" {
-		modes++
-	}
-	if modes == 0 {
-		return fmt.Errorf("spec: one of kernel, suite, or source is required")
-	}
-	if modes > 1 {
-		return fmt.Errorf("spec: kernel, suite, and source are mutually exclusive")
-	}
-	if s.Kernel != "" {
-		if _, ok := kernels.ByName(s.Kernel); !ok {
-			return fmt.Errorf("spec: unknown kernel %q", s.Kernel)
-		}
+	if _, ok := kernels.ByName(s.Kernel); !ok {
+		return fmt.Errorf("spec: unknown kernel %q", s.Kernel)
 	}
 	scale := s.Scale
 	if scale == 0 {
@@ -144,9 +114,9 @@ func (s *JobSpec) Normalize() error {
 }
 
 // Options maps the normalized spec onto harness options: the paper's default
-// machines with the spec's design-space overrides applied. Host-side fields
-// (Parallelism, Cache, Trace sink) are left at their zero values for the
-// caller — the daemon, which owns those resources — to fill in.
+// machines with the spec's design-space overrides applied. The Cache and the
+// Trace sink are left nil for the caller — the daemon, which owns those
+// resources — to fill in.
 func (s *JobSpec) Options() (Options, error) {
 	if err := s.Normalize(); err != nil {
 		return Options{}, err
@@ -154,7 +124,6 @@ func (s *JobSpec) Options() (Options, error) {
 	opt := DefaultOptions()
 	opt.Scale = s.Scale
 	opt.SkipSGMF = s.SkipSGMF
-	opt.Parallelism = 0
 	if s.LVCKB > 0 {
 		opt.VGIW.LVC.SizeBytes = s.LVCKB << 10
 	}
@@ -167,23 +136,7 @@ func (s *JobSpec) Options() (Options, error) {
 	opt.VGIW.ReplicationOff = s.ReplicationOff
 	opt.VGIW.Checked = s.Verify
 	opt.SGMF.Checked = s.Verify
-	opt.VGIW.Engine.Fast = s.Fast
-	opt.SGMF.Engine.Fast = s.Fast
 	return opt, nil
-}
-
-// Specs resolves the kernel set the job runs: the named kernel or the full
-// registry. Source jobs return nil (nothing is simulated).
-func (s *JobSpec) Specs() []kernels.Spec {
-	switch {
-	case s.Suite:
-		return kernels.All()
-	case s.Kernel != "":
-		if spec, ok := kernels.ByName(s.Kernel); ok {
-			return []kernels.Spec{spec}
-		}
-	}
-	return nil
 }
 
 // Key is the job-level content key: two jobs with equal keys are guaranteed

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"vgiw/internal/mem"
@@ -16,28 +17,38 @@ func TestJobSpecNormalizeDefaults(t *testing.T) {
 	if s.Scale != 1 {
 		t.Fatalf("Scale = %d, want 1", s.Scale)
 	}
-	if got := s.Specs(); len(got) != 1 || got[0].Name != "bfs.kernel1" {
-		t.Fatalf("Specs() = %v", got)
-	}
 }
 
 // rejectedSpecs are specs Normalize must refuse.
 var rejectedSpecs = []JobSpec{
-	{},                                   // no mode
-	{Kernel: "bfs.kernel1", Suite: true}, // two modes
+	{}, // no kernel
 	{Kernel: "no.such.kernel"},
-	{Suite: true, Scale: 65},
-	{Suite: true, Mem: "writeback2"},
-	{Suite: true, TimeoutMS: -1},
-	{Suite: true, TraceFilter: "vgiw"},    // filter without trace
-	{Kernel: "nn.euclid", LVCKB: 1 << 53}, // LVCKB<<10 wraps negative
-	{Kernel: "nn.euclid", LVCKB: 1 << 30}, // 2^33 cache lines
+	{Kernel: "bfs.kernel1", Scale: 65},
+	{Kernel: "bfs.kernel1", Mem: "writeback2"},
+	{Kernel: "bfs.kernel1", TimeoutMS: -1},
+	{Kernel: "bfs.kernel1", TraceFilter: "vgiw"}, // filter without trace
+	{Kernel: "nn.euclid", LVCKB: 1 << 53},        // LVCKB<<10 wraps negative
+	{Kernel: "nn.euclid", LVCKB: 1 << 30},        // 2^33 cache lines
+}
+
+// removedJobKinds are request bodies for the job kinds vgiwd no longer runs:
+// a whole-registry suite, kasm source and a functional-only run. Each must
+// fail to decode, since the spec has no field for it.
+var removedJobKinds = []string{
+	`{"suite":true}`,
+	`{"source":"kernel k params=0 shared=0\n@0 entry:\n  ret\n"}`,
+	`{"kernel":"bfs.kernel1","fast":true}`,
 }
 
 func TestJobSpecRejects(t *testing.T) {
 	for i, s := range rejectedSpecs {
 		if err := s.Normalize(); err == nil {
 			t.Errorf("spec %d (%+v): Normalize accepted, want error", i, s)
+		}
+	}
+	for _, body := range removedJobKinds {
+		if s, err := DecodeJobSpec(strings.NewReader(body)); err == nil {
+			t.Errorf("%s: decoded as %+v, want an unknown-field error", body, s)
 		}
 	}
 }
@@ -60,8 +71,11 @@ func FuzzJobSpec(f *testing.F) {
 		`{"kernel":"nn.euclid"} trailing-garbage`,
 		`{"kernel":"hotspot.kernel","scale":1,"lvc_kb":48}`,                                      // the sweep workload
 		`{"kernel":"lud.internal","scale":1,"lvc_kb":200,"cvt_bits":69632,"mem":"writethrough"}`, // vgiwd's fresh draws
-		`{"suite":true,"trace":true,"trace_filter":"vgiw,lvc"} ` + "\n",
+		`{"kernel":"bfs.kernel2","trace":true,"trace_filter":"vgiw,lvc"} ` + "\n",
 	} {
+		f.Add([]byte(body))
+	}
+	for _, body := range removedJobKinds {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -19,7 +19,6 @@ import (
 // entry, result document included, is at /v1/history/{key}).
 type HistoryEntry struct {
 	Key     string         `json:"key"`
-	Kind    string         `json:"kind"`
 	Kernel  string         `json:"kernel,omitempty"`
 	Spec    bench.JobSpec  `json:"spec"`
 	Created time.Time      `json:"created"`
@@ -38,8 +37,7 @@ func (s *Server) storeOr404(w http.ResponseWriter) (*store.Store, bool) {
 }
 
 // handleHistory lists stored results in stable (created, key) order.
-// Filters: ?kernel= (exact kernel name), ?kind= (kernel|suite|source),
-// ?key= (exact spec content key).
+// Filters: ?kernel= (exact kernel name), ?key= (exact spec content key).
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	st, ok := s.storeOr404(w)
 	if !ok {
@@ -47,13 +45,10 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	}
 	entries, lerr := st.List()
 	q := r.URL.Query()
-	kernel, kind, key := q.Get("kernel"), q.Get("kind"), q.Get("key")
+	kernel, key := q.Get("kernel"), q.Get("key")
 	out := make([]HistoryEntry, 0, len(entries))
 	for _, e := range entries {
 		if kernel != "" && e.Spec.Kernel != kernel {
-			continue
-		}
-		if kind != "" && e.Kind != kind {
 			continue
 		}
 		if key != "" && e.Key != key {
@@ -61,7 +56,6 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		}
 		h := HistoryEntry{
 			Key:     e.Key,
-			Kind:    e.Kind,
 			Kernel:  e.Spec.Kernel,
 			Spec:    e.Spec,
 			Created: e.Created,

@@ -123,9 +123,8 @@ type JobView struct {
 	// result store instead of a fresh execution (byte-identical either way).
 	Cached string `json:"cached,omitempty"`
 
-	// Result is the job's result document once State is "done": a
-	// bench.JSONReport for kernel and suite jobs, a CompileReport for
-	// source jobs. Byte-identical across every job that shared the
-	// execution.
+	// Result is the job's result document once State is "done": the
+	// bench.JSONReport of its kernel's run. Byte-identical across every job
+	// that shared the execution.
 	Result json.RawMessage `json:"result,omitempty"`
 }

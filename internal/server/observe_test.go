@@ -102,7 +102,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("history entries = %d, want 1", len(hist.Entries))
 	}
 	he := hist.Entries[0]
-	if he.Kind != "kernel" || he.Kernel != "bfs.kernel1" || he.Metrics == 0 {
+	if he.Kernel != "bfs.kernel1" || he.Metrics == 0 {
 		t.Errorf("history entry = %+v", he)
 	}
 	getJSON(t, tsB, "/v1/history?kernel=nonexistent", &hist)

@@ -6,11 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
 	"vgiw/internal/bench"
+	"vgiw/internal/kernels"
 	"vgiw/internal/store"
 	"vgiw/internal/trace"
 )
@@ -22,15 +22,8 @@ type Config struct {
 	// Retry-After rather than growing goroutines or memory without bound.
 	// 0 = 64.
 	QueueDepth int
-	// Workers is the number of executions simulated concurrently. 0 = 2
-	// (each suite execution fans its kernels across RunParallelism workers
-	// of its own, so a small number of executions already saturates the
-	// host).
+	// Workers is the number of executions simulated concurrently. 0 = 2.
 	Workers int
-	// RunParallelism is the per-execution harness parallelism (Options.
-	// Parallelism). 0 = NumCPU/Workers, so the default configuration
-	// saturates without oversubscribing.
-	RunParallelism int
 	// DefaultTimeout applies to jobs that set no timeout_ms; MaxTimeout
 	// caps what a client may request. The deadline covers queue wait plus
 	// execution. Defaults: 2m / 10m.
@@ -54,9 +47,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 2
-	}
-	if c.RunParallelism <= 0 {
-		c.RunParallelism = max(1, runtime.NumCPU()/c.Workers)
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 2 * time.Minute
@@ -456,21 +446,13 @@ func (s *Server) runExecution(e *execution) {
 var debugBeforeFlush func()
 
 // flushToStore files a successful execution's result in the persistent
-// store, with a snapshot of the run's metrics (met is nil for source jobs)
-// and its host stage split. Failures are counted, not fatal: persistence is
-// an add-on to the serving path, never a gate on it. Called after e.done is
-// closed, so the result is stable.
+// store, with a snapshot of the run's metrics and its host stage split.
+// Failures are counted, not fatal: persistence is an add-on to the serving
+// path, never a gate on it. Called after e.done is closed, so the result is
+// stable.
 func (s *Server) flushToStore(e *execution, met *trace.Registry, stages bench.StageTimes) {
 	if s.store == nil {
 		return
-	}
-	var snap *trace.Snapshot
-	if met != nil {
-		snap = &trace.Snapshot{
-			Schema:  trace.MetricsSchema,
-			Scale:   e.spec.Scale,
-			Metrics: met.Flat(),
-		}
 	}
 	err := s.store.Put(&store.Entry{
 		Spec: e.spec,
@@ -481,62 +463,43 @@ func (s *Server) flushToStore(e *execution, met *trace.Registry, stages bench.St
 			Place:    float64(stages.Place.Nanoseconds()) / 1e6,
 			Simulate: float64(stages.Simulate.Nanoseconds()) / 1e6,
 		},
-		Result:  e.result,
-		Metrics: snap,
+		Result: e.result,
+		Metrics: &trace.Snapshot{
+			Schema:  trace.MetricsSchema,
+			Scale:   e.spec.Scale,
+			Metrics: met.Flat(),
+		},
 	})
 	if err != nil {
 		s.reg.Add("vgiwd/store_errors", 1)
 	}
 }
 
-// execute dispatches on the spec kind and marshals the result document. It
-// also returns the run's simulated-metrics registry and aggregate host stage
-// split (zero for source jobs, which simulate nothing), which runExecution
-// files in the store.
+// execute runs the spec's kernel on every machine and marshals the result
+// document. It also returns the run's simulated-metrics registry and host
+// stage split, which runExecution files in the store, after folding both
+// into the /metrics exposition and the per-stage latency histograms.
 func (s *Server) execute(e *execution) ([]byte, *trace.Registry, bench.StageTimes, error) {
-	if e.spec.Source != "" {
-		b, err := s.compileSource(e.ctx, e.spec.Source)
-		return b, nil, bench.StageTimes{}, err
-	}
 	opt, err := e.spec.Options()
 	if err != nil {
 		return nil, nil, bench.StageTimes{}, err
 	}
-	opt.Parallelism = s.cfg.RunParallelism
 	opt.Cache = s.cache
 	opt.Trace = e.sink
-
-	if e.spec.Suite {
-		suite, err := bench.RunSuiteCtx(e.ctx, opt)
-		if err != nil {
-			return nil, nil, bench.StageTimes{}, err
-		}
-		s.foldRunMetrics(suite.Metrics, suite.Runs)
-		b, err := json.Marshal(suite.Report(opt.Scale))
-		return b, suite.Metrics, suite.Stages, err
-	}
-	kr, err := bench.RunOneCtx(e.ctx, e.spec.Specs()[0], opt)
+	spec, _ := kernels.ByName(e.spec.Kernel) // Normalize checked the name
+	kr, err := bench.RunOneCtx(e.ctx, spec, opt)
 	if err != nil {
 		return nil, nil, bench.StageTimes{}, err
 	}
 	runs := []*bench.KernelRun{kr}
 	met := bench.CollectMetrics(runs)
-	s.foldRunMetrics(met, runs)
+	s.simReg.Merge(met)
+	s.reg.Observe("vgiwd/stage_instance_ms", kr.Stages.Instance.Milliseconds())
+	s.reg.Observe("vgiwd/stage_compile_ms", kr.Stages.Compile.Milliseconds())
+	s.reg.Observe("vgiwd/stage_place_ms", kr.Stages.Place.Milliseconds())
+	s.reg.Observe("vgiwd/stage_simulate_ms", kr.Stages.Simulate.Milliseconds())
 	b, err := json.Marshal(bench.BuildJSON(runs, opt.Scale))
 	return b, met, kr.Stages, err
-}
-
-// foldRunMetrics accumulates completed runs' simulated metrics into the
-// /metrics exposition and their host-side stage split into the per-stage
-// latency histograms.
-func (s *Server) foldRunMetrics(met *trace.Registry, runs []*bench.KernelRun) {
-	s.simReg.Merge(met)
-	for _, kr := range runs {
-		s.reg.Observe("vgiwd/stage_instance_ms", kr.Stages.Instance.Milliseconds())
-		s.reg.Observe("vgiwd/stage_compile_ms", kr.Stages.Compile.Milliseconds())
-		s.reg.Observe("vgiwd/stage_place_ms", kr.Stages.Place.Milliseconds())
-		s.reg.Observe("vgiwd/stage_simulate_ms", kr.Stages.Simulate.Milliseconds())
-	}
 }
 
 // SnapshotRegistry merges the server's own counters, the shared artifact

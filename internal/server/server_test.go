@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -16,17 +15,14 @@ import (
 	"time"
 
 	"vgiw/internal/bench"
+	"vgiw/internal/kernels"
 	"vgiw/internal/leaktest"
-	"vgiw/internal/trace"
 )
 
 // newTestServer builds a server + httptest frontend and registers shutdown
 // cleanup (idempotence is handled by ignoring the double-shutdown error).
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.RunParallelism == 0 {
-		cfg.RunParallelism = 2
-	}
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -332,48 +328,62 @@ func TestForcedDrainPreempts(t *testing.T) {
 }
 
 // TestKernelResultCrosschecksHarness proves the daemon's result document is
-// the one the harness produces in-process for the same spec: a single-kernel
-// job, and a suite job over the whole kernel registry (metrics registry
-// included). Both sides are compared in JSONReport.Canonical() form, so
-// only host telemetry may differ.
+// the one the harness produces in-process for the same spec: one job per
+// registry kernel, which covers the whole registry through the daemon, and
+// one on a non-default machine. Both sides are compared in
+// JSONReport.Canonical() form, so only host telemetry may differ.
 func TestKernelResultCrosschecksHarness(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	all := kernels.All()
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: len(all) + 1})
 
-	for _, body := range []string{
-		`{"kernel":"bfs.kernel2","lvc_kb":16,"mem":"writethrough"}`,
-		`{"suite":true}`,
-	} {
-		resp, v := postJob(t, ts, body, "?wait=1")
-		if resp.StatusCode != http.StatusOK || v.State != StateDone {
-			t.Fatalf("%s: status %d state %q (reason %q), want 200/done", body, resp.StatusCode, v.State, v.Reason)
-		}
-
-		var spec bench.JobSpec
-		if err := json.Unmarshal([]byte(body), &spec); err != nil {
-			t.Fatal(err)
-		}
-		opt, err := spec.Options()
+	specs := []bench.JobSpec{{Kernel: "bfs.kernel2", LVCKB: 16, Mem: "writethrough"}}
+	for _, k := range all {
+		specs = append(specs, bench.JobSpec{Kernel: k.Name})
+	}
+	ids := make([]string, len(specs))
+	for i, spec := range specs {
+		body, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs, err := bench.RunMatrix(spec.Specs(), opt)
-		if err != nil {
-			t.Fatal(err)
+		resp, v := postJob(t, ts, string(body), "")
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: status %d, want 202", body, resp.StatusCode)
 		}
-		want := bench.BuildJSON(runs, opt.Scale)
-		if spec.Suite {
-			want.MetricsSchema = trace.MetricsSchema
-			want.Metrics = bench.CollectMetrics(runs).Flat()
-		}
+		ids[i] = v.ID
+	}
 
+	// The harness side, fanned across the CPUs: the non-default machine's
+	// kernel, then the registry at the default spec's options.
+	opt, err := specs[0].Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, _ := kernels.ByName(specs[0].Kernel)
+	first, err := bench.RunOne(k, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt, err = specs[1].Options(); err != nil {
+		t.Fatal(err)
+	}
+	runs, err := bench.RunMatrix(all, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs = append([]*bench.KernelRun{first}, runs...)
+
+	for i, spec := range specs {
+		v := waitState(t, ts, ids[i], StateDone)
 		var got bench.JSONReport
 		if err := json.Unmarshal(v.Result, &got); err != nil {
-			t.Fatalf("%s: daemon result is not a JSONReport: %v\n%s", body, err, v.Result)
+			t.Fatalf("%+v: daemon result is not a JSONReport: %v\n%s", spec, err, v.Result)
 		}
+		want := bench.BuildJSON(runs[i:i+1], 1)
 		gb, _ := json.Marshal(got.Canonical())
 		wb, _ := json.Marshal(want.Canonical())
 		if !bytes.Equal(gb, wb) {
-			t.Errorf("%s: daemon result diverges from harness run:\ndaemon: %s\nharness: %s", body, gb, wb)
+			t.Errorf("%+v: daemon result diverges from harness run:\ndaemon: %s\nharness: %s", spec, gb, wb)
 		}
 	}
 }
@@ -417,37 +427,21 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestSourceJob compiles the example kasm kernel through the API.
-func TestSourceJob(t *testing.T) {
-	src, err := os.ReadFile("../../examples/kasm/kernel.kasm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-
-	body, _ := json.Marshal(map[string]any{"source": string(src)})
-	resp, v := postJob(t, ts, string(body), "?wait=1")
-	if resp.StatusCode != http.StatusOK || v.State != StateDone {
-		t.Fatalf("status %d state %q (reason %q), want 200/done", resp.StatusCode, v.State, v.Reason)
-	}
-	var rep CompileReport
-	if err := json.Unmarshal(v.Result, &rep); err != nil {
-		t.Fatalf("source job result: %v\n%s", err, v.Result)
-	}
-	if rep.Kernel != "absdiff" || rep.Blocks != 3 || len(rep.Placements) != 3 {
-		t.Errorf("compile report = %+v, want absdiff with 3 placed blocks", rep)
-	}
-
-	// Parse errors surface as a failed job, not a hung one.
-	resp2, v2 := postJob(t, ts, `{"source":"kernel broken\n@0 entry:\n  r0 = bogus\n"}`, "?wait=1")
-	if resp2.StatusCode != http.StatusOK || v2.State != StateFailed {
-		t.Fatalf("bad source: status %d state %q, want failed", resp2.StatusCode, v2.State)
-	}
-}
-
-// TestBadSpecsRejected covers the 400 path.
+// TestBadSpecsRejected covers the 400 path. The job kinds the daemon no
+// longer runs (suite, source and functional-only jobs) must fail to decode,
+// so none can reach the store or the harness.
 func TestBadSpecsRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	post := func(body string) (int, string) {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var msg apiError
+		json.NewDecoder(resp.Body).Decode(&msg) //nolint:errcheck // a non-400 answer is the failure reported
+		return resp.StatusCode, msg.Error
+	}
 	for _, body := range []string{
 		`{`,
 		`{}`,
@@ -460,14 +454,17 @@ func TestBadSpecsRejected(t *testing.T) {
 		`{"kernel":"nn.euclid"}{"kernel":"ge.fan1"}`,
 		`{"kernel":"nn.euclid"} trailing-garbage`,
 	} {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		if code, msg := post(body); code != http.StatusBadRequest {
+			t.Errorf("spec %s: status %d (%q), want 400", body, code, msg)
 		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("spec %s: status %d, want 400", body, resp.StatusCode)
+	}
+	for _, body := range []string{
+		`{"suite":true}`,
+		`{"source":"kernel k params=0 shared=0\n@0 entry:\n  ret\n"}`,
+		`{"kernel":"bfs.kernel1","fast":true}`,
+	} {
+		if code, msg := post(body); code != http.StatusBadRequest || !strings.HasPrefix(msg, "bad job spec") {
+			t.Errorf("removed job kind %s: status %d (%q), want 400 bad job spec", body, code, msg)
 		}
 	}
 }

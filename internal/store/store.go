@@ -85,7 +85,6 @@ type Entry struct {
 	Schema  string        `json:"schema"`
 	Key     string        `json:"key"`
 	Spec    bench.JobSpec `json:"spec"` // normalized content key (TimeoutMS stripped)
-	Kind    string        `json:"kind"` // "kernel", "suite", or "source"
 	Created time.Time     `json:"created"`
 	Host    HostMeta      `json:"host"`
 	StageMS StageMS       `json:"stage_ms"`
@@ -94,11 +93,10 @@ type Entry struct {
 	// store hit is byte-identical to the execution that produced it.
 	Result json.RawMessage `json:"result"`
 
-	// Metrics is the run's vgiw-metrics/v1 snapshot (absent for source
-	// jobs, which simulate nothing). The entry as a whole is not a
-	// benchgate baseline (bench.ParseBaseline rejects its vgiw-store/v1
-	// schema), but this object is: saved on its own, two entries' metrics
-	// compare with benchgate -baseline A -current B.
+	// Metrics is the run's vgiw-metrics/v1 snapshot. The entry as a whole is
+	// not a benchgate baseline (bench.ParseBaseline rejects its
+	// vgiw-store/v1 schema), but this object is: saved on its own, two
+	// entries' metrics compare with benchgate -baseline A -current B.
 	Metrics *trace.Snapshot `json:"metrics,omitempty"`
 }
 
@@ -109,18 +107,6 @@ func NewHostMeta() HostMeta {
 		Go:      runtime.Version(),
 		OS:      runtime.GOOS,
 		Arch:    runtime.GOARCH,
-	}
-}
-
-// Kind classifies a spec for history filtering.
-func Kind(spec bench.JobSpec) string {
-	switch {
-	case spec.Suite:
-		return "suite"
-	case spec.Source != "":
-		return "source"
-	default:
-		return "kernel"
 	}
 }
 
@@ -198,15 +184,17 @@ func (s *Store) Get(key string) (*Entry, error) {
 		return nil, fmt.Errorf("store: %s: schema %q, want %q", key, e.Schema, Schema)
 	}
 	// Self-check: the embedded spec must hash back to the key it was filed
-	// under (guards hand-edited or cross-copied files).
+	// under. This guards hand-edited or cross-copied files, and it refuses
+	// entries of job kinds the daemon no longer runs: their spec fields do
+	// not decode, so what is left hashes to a different key.
 	if got := Key(e.Spec); got != key {
 		return nil, fmt.Errorf("store: %s: content is for key %s", key, got)
 	}
 	return &e, nil
 }
 
-// Put files one entry under its spec's key, atomically. The entry's Schema,
-// Key, and Kind fields are filled here so callers cannot file inconsistent
+// Put files one entry under its spec's key, atomically. The entry's Schema
+// and Key fields are filled here so callers cannot file inconsistent
 // records.
 func (s *Store) Put(e *Entry) error {
 	if s == nil {
@@ -214,7 +202,6 @@ func (s *Store) Put(e *Entry) error {
 	}
 	e.Schema = Schema
 	e.Key = Key(e.Spec)
-	e.Kind = Kind(e.Spec)
 	if e.Created.IsZero() {
 		e.Created = time.Now().UTC()
 	}

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,6 +30,83 @@ func TestKeyContentAddressing(t *testing.T) {
 	}
 	if len(Key(a)) != 64 {
 		t.Errorf("key %q is not hex sha256", Key(a))
+	}
+}
+
+// TestKeyPinned pins a kernel spec's store key. Every stored result is filed
+// under a key like this one, so a change that moves it orphans the entries
+// of every existing store directory. The model fingerprint of ROADMAP item
+// 1, step 0, is the change allowed to move it; nothing else is.
+func TestKeyPinned(t *testing.T) {
+	spec := bench.JobSpec{Kernel: "bfs.kernel1", LVCKB: 16, Mem: "writethrough"}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "3388560049872fefdbd6ea0eec2c738f5cbb6b0029ae4f7e48b7ab0a428cab6c"
+	if got := Key(spec); got != want {
+		t.Errorf("Key(%+v) = %s, want %s", spec, got, want)
+	}
+}
+
+// writeOlderEntry files an entry in the on-disk form of earlier builds,
+// which carried a "kind" field and accepted suite, source and fast specs:
+// the key is hashed from specJSON as Key hashed it. It returns the key.
+func writeOlderEntry(t *testing.T, dir, kind, specJSON string) string {
+	t.Helper()
+	sum := sha256.Sum256([]byte(Schema + "\x00" + specJSON))
+	key := hex.EncodeToString(sum[:])
+	body := fmt.Sprintf(`{"schema":%q,"key":%q,"spec":%s,"kind":%q,"created":"2026-10-01T12:00:00Z",`+
+		`"host":{"version":"vgiw dev","go":"go1.24.0","os":"linux","arch":"amd64"},"stage_ms":{"simulate":1.5},`+
+		`"result":{"scale":1,"runs":[]}}`+"\n", Schema, key, specJSON, kind)
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// TestOlderEntryForms reads a store directory written by an earlier build.
+// Its kernel entries keep serving. An entry of a job kind the daemon no
+// longer runs decodes to a spec that does not hash back to its file name,
+// so Get refuses it and List skips it: none can be served for a kernel spec.
+func TestOlderEntryForms(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := bench.JobSpec{Kernel: "bfs.kernel1", LVCKB: 16, Mem: "writethrough"}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	key := writeOlderEntry(t, dir, "kernel", `{"kernel":"bfs.kernel1","scale":1,"lvc_kb":16,"mem":"writethrough"}`)
+	if key != Key(spec) {
+		t.Fatalf("older kernel entry filed under %s, Key gives %s", key, Key(spec))
+	}
+	e, err := s.Get(key)
+	if err != nil || e == nil || e.Spec != spec.Key() || string(e.Result) != `{"scale":1,"runs":[]}` {
+		t.Fatalf("older kernel entry: Get = (%+v, %v), want a hit", e, err)
+	}
+
+	var removed []string
+	for _, old := range []struct{ kind, spec string }{
+		{"suite", `{"suite":true,"scale":1}`},
+		{"source", `{"source":"kernel k params=0 shared=0\n@0 entry:\n  ret\n","scale":1}`},
+		{"kernel", `{"kernel":"bfs.kernel1","scale":1,"fast":true}`},
+	} {
+		k := writeOlderEntry(t, dir, old.kind, old.spec)
+		if e, err := s.Get(k); e != nil || err == nil {
+			t.Errorf("older %s entry %s: Get = (%+v, %v), want an error", old.kind, old.spec, e, err)
+		}
+		removed = append(removed, k)
+	}
+	list, err := s.List()
+	if len(list) != 1 || list[0].Key != key {
+		t.Errorf("List = %d entries, want the kernel entry alone", len(list))
+	}
+	for _, k := range removed {
+		if err == nil || !strings.Contains(err.Error(), k+".json") {
+			t.Errorf("List error %v does not name the skipped entry %s.json", err, k)
+		}
 	}
 }
 
@@ -64,7 +143,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !bytes.Equal(got.Result, result) {
 		t.Errorf("result not byte-identical: %s vs %s", got.Result, result)
 	}
-	if got.Kind != "kernel" || got.Schema != Schema || got.Spec != spec.Key() {
+	if got.Schema != Schema || got.Spec != spec.Key() {
 		t.Errorf("entry envelope wrong: %+v", got)
 	}
 	if got.Metrics == nil || got.Metrics.Metrics["bfs.kernel1/vgiw.cycles"] != 1234 {
@@ -78,7 +157,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 
 	// Unknown key: clean miss, no error.
-	if e, err := s.Get(Key(bench.JobSpec{Suite: true})); e != nil || err != nil {
+	if e, err := s.Get(Key(bench.JobSpec{Kernel: "bfs.kernel2", Scale: 1})); e != nil || err != nil {
 		t.Errorf("miss = (%v, %v), want (nil, nil)", e, err)
 	}
 }
@@ -270,7 +349,7 @@ func TestSharedStoreConcurrentWriters(t *testing.T) {
 			return fmt.Errorf("entry under unexpected key %q", e.Key)
 		}
 		created, ok := stamps[string(e.Result)]
-		if !ok || !e.Created.Equal(created) || Key(e.Spec) != e.Key || e.Kind != "kernel" {
+		if !ok || !e.Created.Equal(created) || Key(e.Spec) != e.Key {
 			return fmt.Errorf("entry %s matches no write: result %s created %v", e.Key, e.Result, e.Created)
 		}
 		return nil
