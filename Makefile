@@ -32,12 +32,13 @@ verify-check:
 	$(GO) test ./internal/verify/ ./internal/fabric/ -run 'Test'
 	$(GO) test ./internal/compile/ -run 'TestBrokenPassCaught|TestCheckedCompileCatchesMutation|TestVerifyGraphCatchesCorruption|TestRegistryPipelinesChecked|TestCheckSelectChain'
 
-# fuzz-smoke runs the parser/verifier/interp fuzzer and the job-spec
-# decode/normalize fuzzer briefly — enough to catch gross regressions
-# without holding up the gate.
+# fuzz-smoke runs the parser/verifier/interp fuzzer, the job-spec
+# decode/normalize fuzzer and the slot allocator's oracle fuzzer briefly —
+# enough to catch gross regressions without holding up the gate.
 fuzz-smoke:
 	$(GO) test ./internal/verify/ -run '^$$' -fuzz FuzzKasmVerify -fuzztime 5s
 	$(GO) test ./internal/bench/ -run '^$$' -fuzz FuzzJobSpec -fuzztime 5s
+	$(GO) test ./internal/mem/ -run '^$$' -fuzz FuzzSlotAlloc -fuzztime 5s
 
 build:
 	$(GO) build ./...
@@ -58,9 +59,10 @@ race:
 # The engine benchmarks report threads/s beside ns/op; the ledger records
 # both.
 ENGINE_BENCH = BenchmarkEngineHotPath|BenchmarkEngineVector|BenchmarkEngineFast
-# The memory-model microbenchmark (AccessWord across bank counts and
-# conflict rates) rides the same trajectory file.
-MEM_BENCH = BenchmarkMemAccessWord
+# The memory-model microbenchmarks (AccessWord across bank counts and
+# conflict rates; SlotAlloc on a fixed mixed ready stream, which fails if it
+# allocates) ride the same trajectory file.
+MEM_BENCH = BenchmarkMemAccessWord|BenchmarkSlotAlloc
 # The SIMT layer's row: every registry kernel at scale 1 through the SIMT
 # model alone (compiled outside the timer), with B/op and allocs/op beside
 # ns/op.

@@ -21,13 +21,14 @@
 //	GET    /v1/history        stored results (-store-dir); ?kernel=&key=
 //	GET    /v1/history/{key}  one stored result, in full; its "metrics"
 //	                          object is a benchgate baseline
-//	GET    /healthz           liveness
+//	GET    /healthz           liveness and the model fingerprint
 //	GET    /readyz            readiness (503 while draining)
 //	GET    /metrics           Prometheus text exposition
 //
 // With -store-dir, completed results persist in a content-addressed store and
 // a restarted daemon serves matching submissions from it byte-identically
-// (marked "cached": "store").
+// (marked "cached": "store"). The store keeps one subdirectory per model
+// fingerprint; a build whose model differs reads and writes a new one.
 //
 // SIGINT/SIGTERM starts a graceful drain: readiness flips, in-flight jobs
 // finish (up to -drain-timeout, then they are cancelled), final metrics are

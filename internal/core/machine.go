@@ -268,10 +268,12 @@ func (m *Machine) RunPreparedCtx(ctx context.Context, prep *Prepared, launch kir
 	res.LVCStores = lvc.Stores
 	res.LVCStats = lvc.Stats()
 	res.MemStats = sys.Stats()
-	// Stats are snapshotted; recycle the cache directories for the next run
-	// (the parallel harness builds a fresh machine + memory system per run).
+	// Stats are snapshotted; recycle the cache directories and slot rings
+	// for the next run (the parallel harness builds a fresh machine + memory
+	// system per run).
 	lvc.Release()
 	sys.Release()
+	m.eng.Release()
 	return res, nil
 }
 

@@ -77,12 +77,13 @@ func BenchmarkEngineHotPath(b *testing.B) {
 // TestEngineHotPathZeroAllocDisabledSink enforces the tracing overhead
 // contract as a hard failure (the benchmark only reports): with no sink, and
 // with a sink filtered away from CatEngine, steady-state RunVector must have
-// no unconditional per-op allocation. The memory model's MSHR bookkeeping
-// (mem.SlotAlloc, mem.Outstanding) legitimately grows on rare runs as
-// simulated time advances, so the guard takes the minimum over several
-// rounds: if any round is alloc-free, the disabled-sink path itself costs
-// nothing, and only an every-op allocation — which is what an Emit on the
-// hot path would be — can fail it.
+// no unconditional per-op allocation. The memory model's MSHR window
+// (mem.Outstanding) legitimately grows on rare runs as simulated time
+// advances (a mem.SlotAlloc never grows: it takes its fixed-size ring at
+// most once, during the warm-up), so the guard takes the minimum over
+// several rounds: if any round is alloc-free, the disabled-sink path itself
+// costs nothing, and only an every-op allocation — which is what an Emit on
+// the hot path would be — can fail it.
 func TestEngineHotPathZeroAllocDisabledSink(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -251,6 +251,14 @@ func New(grid *fabric.Grid, opt Options) *Engine {
 	return &Engine{grid: grid, opt: opt}
 }
 
+// Release returns the units' slot rings to their pool. Call once a run is
+// finished; the engine stays usable and takes rings again as it needs them.
+func (e *Engine) Release() {
+	for i := range e.units {
+		e.units[i].Release()
+	}
+}
+
 // cancelCheckStride is how many threads the engine streams between
 // ctx.Err() polls. A poll is two atomic-ish loads, so the stride only needs
 // to be large enough to keep it off the per-token path; 64 threads bound the

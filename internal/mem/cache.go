@@ -199,13 +199,14 @@ func pow2Mask(n int64) int64 {
 	return 0
 }
 
-// Release returns the directory slab to the pool. The cache must not be
-// accessed afterwards; Stats remain readable.
+// Release returns the directory slab and the banks' slot rings to their
+// pools. The cache must not be accessed afterwards; Stats remain readable.
 func (c *Cache) Release() {
 	if c.lines != nil {
 		linePool.Put(c.lines)
 		c.lines = nil
 	}
+	releaseSlots(c.banks)
 }
 
 // Config returns the cache configuration.

@@ -248,31 +248,6 @@ func TestCacheStatsConsistency(t *testing.T) {
 	}
 }
 
-// Properties of the out-of-order slot allocator.
-func TestSlotAllocProperties(t *testing.T) {
-	var a SlotAlloc
-	seen := map[int64]bool{}
-	rng := int64(12345)
-	for i := 0; i < 3000; i++ {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		ready := (rng >> 33) % 512
-		if ready < 0 {
-			ready = -ready
-		}
-		got := a.Alloc(ready)
-		if got < ready {
-			t.Fatalf("Alloc(%d) = %d < ready", ready, got)
-		}
-		if seen[got] {
-			t.Fatalf("cycle %d double-booked", got)
-		}
-		seen[got] = true
-	}
-	if len(a.spans) > maxSpans {
-		t.Errorf("span list grew to %d", len(a.spans))
-	}
-}
-
 func TestOutstandingCapacity(t *testing.T) {
 	o := NewOutstanding(4)
 	// Fill with completions far in the future.

@@ -1,5 +1,11 @@
 package mem
 
+import (
+	"math"
+	"math/bits"
+	"sync"
+)
+
 // SlotAlloc models a fully pipelined unit that accepts one new token set per
 // cycle, with tagged-token out-of-order semantics: a request ready at cycle c
 // takes the smallest *free* cycle >= c, even if later-arriving work already
@@ -7,231 +13,211 @@ package mem
 // stalled on memory (§3.5) — a simple monotonic next-free counter would
 // serialize everything behind the slowest thread.
 //
-// Busy cycles are kept as disjoint inclusive spans. The list is bounded:
-// once it would exceed maxSpans, compact merges every consecutive pair of
-// spans, whatever the gap between them, which marks the free cycles in those
-// gaps busy. So "smallest free cycle >= ready" holds exactly only until an
-// allocator first passes maxSpans spans; the gaps a compaction closes stay
-// busy, and from then on the model over-estimates contention. Registry
-// kernels pass the bound routinely, so it is part of the simulated results,
-// not a rare fallback.
+// The claimed set is kept in two parts. The trailing busy run [lo, end) —
+// the run of claimed cycles that ends at the newest claim, which almost every
+// allocation extends — lives in two scalar fields, so the extend and
+// inside-the-run cases touch nothing but the struct and Alloc's hot path
+// inlines at the engine's call sites. Every cycle below the run, back to
+// slotWindow cycles under the newest claim, is one bit of a ring searched a
+// word at a time. A request ready further back than that is clamped to the
+// window's start; below the window the allocator remembers nothing. The
+// clamp is the only difference from exact tracking, and over the registry
+// at scales 1-16 it never fires (EXPERIMENTS.md, *Slot-allocator window*).
 //
-// The trailing span — the one almost every allocation extends — lives in
-// dedicated fields (tailLo, tailEnd) rather than at the end of the slice, so
-// the hot path of Alloc is small enough for the compiler to inline at the
-// engine's call sites. tailEnd is the exclusive end (hi+1); tailEnd == 0
-// doubles as "no trailing span" so the zero value is an empty allocator.
+// The zero value is an empty allocator. lo == end means nothing is claimed.
 type SlotAlloc struct {
-	spans   []span // all spans except the trailing one, in order
-	tailLo  int64
-	tailEnd int64
-	// hint/hint2 remember where the two most recent distinct before-tail
-	// allocations landed. A stream of rising ready times revisits the same
-	// (large, merged) span many times before moving on, and a bank typically
-	// serves two interleaved streams probing two distant regions (e.g. a load
-	// stream inside the long-merged past and a store stream in the recently
-	// archived suffix), so checking both recent positions almost always
-	// replaces the binary search. Purely accelerators: validity is re-checked
-	// on every use, so a stale hint costs one failed check, never a wrong
-	// slot.
-	hint  int
-	hint2 int
+	lo, end int64
+	// ring holds the claimed cycles below lo inside the window: bit
+	// c mod slotWindow is cycle c. It is taken from ringPool on first need
+	// and is nil until then.
+	ring *slotRing
+	// low bounds the ring's set bits: every set bit is the bit of some
+	// cycle in [low, end), so Reset clears only that range. It is
+	// math.MaxInt64 when no bit has been set since the last Reset.
+	low int64
 }
 
-type span struct{ lo, hi int64 }
+// slotWindow is W, how many cycles below the newest claim an allocator
+// remembers, and the ring's size in bits (8 KB). It is twice the deepest
+// request the registry makes at scale 16 (31,106 cycles below the newest
+// claim), so no registry run at scales 1-16 is clamped. It must stay a
+// multiple of 64, so a ring word never wraps.
+const slotWindow = 1 << 16
 
-// maxSpans bounds the span list; beyond it, compact merges every
-// consecutive pair of spans, closing each gap whatever its size.
-const maxSpans = 128
+// slotRing is one allocator's window bitmap.
+type slotRing [slotWindow / 64]uint64
+
+// ringPool recycles rings across allocators and runs. Every ring in it is
+// all zero: Release clears what its allocator set before putting it back.
+var ringPool = sync.Pool{New: func() any { return new(slotRing) }}
 
 // Alloc claims and returns the smallest free cycle >= ready. The body is
-// just the hottest case — extending the trailing span by one cycle, which is
-// what happens when unit ready times advance with simulated time; everything
-// else lives in allocSlow. (A genuine trailing span ending at cycle -1 also
-// has tailEnd == 0 and falls through to the slow path, which handles it
-// correctly — the fast path only needs to never extend the empty state.)
+// just the hottest case — extending the trailing run by one cycle, which is
+// what happens when unit ready times advance with simulated time (from the
+// empty state, lo == end == 0, it opens the run [0, 1)); everything else
+// lives in allocSlow.
 func (a *SlotAlloc) Alloc(ready int64) int64 {
-	if ready == a.tailEnd && ready != 0 {
-		a.tailEnd = ready + 1
+	if ready == a.end {
+		a.end = ready + 1
 		return ready
 	}
 	return a.allocSlow(ready)
 }
 
-// allocSlow handles everything the inline fast path does not. The two
-// common residual cases — ready past the trailing span (banks see strided
-// arrival times) and a completely empty allocator — stay O(1). An allocation
-// before the trailing span runs allocBefore on the archived span list with
-// the tail kept in its dedicated fields: banks that see two interleaved
-// arrival streams (one ahead of the other, e.g. loads trailing the store
-// stream that owns the tail) land past every archived span, which
-// allocBefore resolves with one O(1) comparison instead of materializing the
-// tail into the slice and searching around it.
+// allocSlow handles everything the inline fast path does not: the first
+// claim, a gap past the run (banks see strided arrival times), a request
+// inside the run, and one below it.
 func (a *SlotAlloc) allocSlow(ready int64) int64 {
-	// Empty is exactly (0, 0): a genuine span ending at -1 (possible only
-	// with negative cycles) has a nonzero tailLo, so it is not mistaken for
-	// the empty state.
-	hasTail := a.tailEnd != 0 || a.tailLo != 0
-	if hasTail && ready > a.tailEnd {
-		// Gap past the trailing span: archive it and open a new one.
-		a.spans = append(a.spans, span{a.tailLo, a.tailEnd - 1})
-		a.tailLo, a.tailEnd = ready, ready+1
-		if len(a.spans)+1 > maxSpans {
-			a.compactAll()
-		}
+	switch {
+	case a.lo == a.end:
+		a.lo, a.end = ready, ready+1
+		return ready
+	case ready > a.end:
+		a.archive(ready)
+		a.lo, a.end = ready, ready+1
 		return ready
 	}
-	if hasTail && ready >= a.tailLo {
-		// Ready inside (or abutting) the trailing span: the smallest free
-		// cycle is just past it — the tail is the last span, so nothing
-		// claimed lies beyond. This is the steady state of a warm allocator
-		// whose spans have merged into one long busy run.
-		got := a.tailEnd
-		a.tailEnd = got + 1
+	if ws := a.end - 1 - slotWindow; ready < ws {
+		ready = ws
+	}
+	if ready >= a.lo {
+		// Inside the run: nothing is free before its end, and nothing
+		// beyond it is claimed.
+		got := a.end
+		a.end = got + 1
 		return got
 	}
-	if !hasTail {
-		// Invariant: no trailing span means no spans at all.
-		a.tailLo, a.tailEnd = ready, ready+1
-		return ready
-	}
-	return a.allocBefore(ready)
+	return a.allocBelow(ready)
 }
 
-// compactAll runs compact over the whole span set including the trailing
-// span.
-func (a *SlotAlloc) compactAll() {
-	a.spans = append(a.spans, span{a.tailLo, a.tailEnd - 1})
-	a.compact()
-	n := len(a.spans) - 1
-	a.tailLo, a.tailEnd = a.spans[n].lo, a.spans[n].hi+1
-	a.spans = a.spans[:n]
+// archive moves the trailing run into the ring before a new run opens at
+// next, and clears whatever older claims the free gap between them could
+// alias, so that the ring then holds every cycle of the new window below next
+// exactly.
+func (a *SlotAlloc) archive(next int64) {
+	ws := next - slotWindow
+	from := max(a.lo, ws)
+	clr := next // the gap's bits from clr on may hold older claims
+	if a.ring == nil {
+		if from >= a.end {
+			return // the old run is entirely below the new window
+		}
+		a.ring = ringPool.Get().(*slotRing)
+		a.low = from
+	} else {
+		if a.low <= ws {
+			// Gap cycles a window or more above the lowest set bit may
+			// share a bit with an older claim.
+			clr = max(a.end, ws, a.low+slotWindow)
+		}
+		a.low = max(min(a.low, from), ws)
+	}
+	if from>>6 == (next-1)>>6 {
+		// The usual case: the run's kept part and the gap share one word.
+		base := from &^ 63
+		w := &a.ring[uint64(from)&(slotWindow-1)>>6]
+		*w = *w&^bitSpan(clr-base, next-base) | bitSpan(from-base, a.end-base)
+		return
+	}
+	a.ring.fill(clr, next, false)
+	a.ring.fill(from, a.end, true)
 }
 
-// allocBefore claims the smallest free cycle >= ready when ready lies
-// strictly before the trailing span (so the result never lands inside the
-// tail: archived spans are separated from it by at least one free cycle).
-// The span list plus the tail fields always describe the same claimed set
-// the old materialize-search-restore algorithm kept, in the same canonical
-// sorted disjoint form, so allocation results are bit-identical — only the
-// bookkeeping cost changed.
-func (a *SlotAlloc) allocBefore(ready int64) int64 {
-	n := len(a.spans)
-	// Ready past every archived span: the gap between the archived spans and
-	// the trailing span is free. This is the hot case for banks serving two
-	// interleaved arrival streams and costs one comparison.
-	if n == 0 || ready > a.spans[n-1].hi {
-		touchPrev := n > 0 && a.spans[n-1].hi == ready-1
-		touchTail := a.tailLo == ready+1
-		switch {
-		case touchPrev && touchTail:
-			a.tailLo = a.spans[n-1].lo
-			a.spans = a.spans[:n-1]
-		case touchPrev:
-			a.spans[n-1].hi = ready
-		case touchTail:
-			a.tailLo = ready
-		default:
-			a.spans = append(a.spans, span{ready, ready})
-			if len(a.spans)+1 > maxSpans {
-				a.compactAll()
-			}
-		}
-		return ready
+// allocBelow claims the smallest free cycle >= ready for a ready inside the
+// window and below the run.
+func (a *SlotAlloc) allocBelow(ready int64) int64 {
+	r := a.ring
+	if r == nil {
+		r = ringPool.Get().(*slotRing)
+		a.ring, a.low = r, ready
 	}
-
-	// Find the first span with hi >= ready (it exists: the last span
-	// qualifies). The hint checks match the search's postcondition exactly —
-	// spans[i].hi >= ready and either i == 0 or spans[i-1].hi < ready — so
-	// hint hits and misses produce the same index. Miss on both recent
-	// positions: plain binary search, kept closure-free.
-	i := a.hint
-	if !(i < n && a.spans[i].hi >= ready && (i == 0 || a.spans[i-1].hi < ready)) {
-		i = a.hint2
-		if !(i < n && a.spans[i].hi >= ready && (i == 0 || a.spans[i-1].hi < ready)) {
-			lo, hi := 0, n-1
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if a.spans[mid].hi >= ready {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
-			i = lo
+	for c := ready; c < a.lo; {
+		p := uint64(c) & (slotWindow - 1)
+		free := ^r[p>>6] >> (p & 63) // bit i: cycle c+i is free
+		if free == 0 {
+			c += 64 - int64(p&63)
+			continue
 		}
-	}
-	if i != a.hint {
-		a.hint2 = a.hint
-		a.hint = i
-	}
-
-	start := ready
-	if a.spans[i].lo <= start {
-		// ready is inside span i: the next candidate is just after it;
-		// skip across any subsequent abutting spans (defensive — archived
-		// spans keep a free cycle between neighbours).
-		start = a.spans[i].hi + 1
-		for i+1 < n && a.spans[i+1].lo <= start {
-			i++
-			start = a.spans[i].hi + 1
+		c += int64(bits.TrailingZeros64(free))
+		if c >= a.lo {
+			break
 		}
-		// Extend span i and merge with its successor — or with the trailing
-		// span — if they now touch.
-		a.spans[i].hi = start
-		switch {
-		case i+1 < n && a.spans[i+1].lo == start+1:
-			a.spans[i].hi = a.spans[i+1].hi
-			a.spans = append(a.spans[:i+1], a.spans[i+2:]...)
-		case i+1 == n && a.tailLo == start+1:
-			a.tailLo = a.spans[i].lo
-			a.spans = a.spans[:i]
-		}
-		return start
+		p = uint64(c) & (slotWindow - 1)
+		r[p>>6] |= 1 << (p & 63)
+		a.low = min(a.low, c)
+		return c
 	}
-
-	// `start` is free. It may abut span i-1 (hi == start-1) or span i
-	// (lo == start+1), or both.
-	touchPrev := i > 0 && a.spans[i-1].hi == start-1
-	touchNext := a.spans[i].lo == start+1
-	switch {
-	case touchPrev && touchNext:
-		a.spans[i-1].hi = a.spans[i].hi
-		a.spans = append(a.spans[:i], a.spans[i+1:]...)
-	case touchPrev:
-		a.spans[i-1].hi = start
-	case touchNext:
-		a.spans[i].lo = start
-	default:
-		a.spans = append(a.spans, span{})
-		copy(a.spans[i+1:], a.spans[i:])
-		a.spans[i] = span{start, start}
-		if len(a.spans)+1 > maxSpans {
-			a.compactAll()
-		}
-	}
-	return start
+	// Every cycle from ready up to the run is busy.
+	got := a.end
+	a.end = got + 1
+	return got
 }
 
-// compact halves the span list by merging each pair of neighbours across
-// their gap (a pessimistic approximation used only under fragmentation).
-func (a *SlotAlloc) compact() {
-	out := a.spans[:0]
-	for i := 0; i < len(a.spans); i += 2 {
-		s := a.spans[i]
-		if i+1 < len(a.spans) {
-			s.hi = a.spans[i+1].hi
+// fill sets (busy) or clears the bits of cycles [from, to); to-from must not
+// exceed slotWindow. Whole words in between take one store each.
+func (r *slotRing) fill(from, to int64, busy bool) {
+	for from < to {
+		p := uint64(from) & (slotWindow - 1)
+		q := min(p+uint64(to-from), slotWindow) // stop at the ring's end
+		i, j := p>>6, (q-1)>>6
+		lo, hi := ^uint64(0)<<(p&63), ^uint64(0)>>(63-(q-1)&63)
+		if i == j {
+			lo &= hi
+			hi = 0
 		}
-		out = append(out, s)
+		var mid uint64
+		if busy {
+			r[i] |= lo
+			r[j] |= hi
+			mid = ^uint64(0)
+		} else {
+			r[i] &^= lo
+			r[j] &^= hi
+		}
+		for k := i + 1; k < j; k++ {
+			r[k] = mid
+		}
+		from += int64(q - p)
 	}
-	a.spans = out
 }
 
-// Reset clears all allocations.
+// bitSpan is the mask of bits [i, j) of a word, for 0 <= i and j <= 64;
+// it is empty when i >= j.
+func bitSpan(i, j int64) uint64 {
+	if i >= j {
+		return 0
+	}
+	return ^uint64(0) >> (64 - (j - i)) << i
+}
+
+// Reset clears all allocations, keeping the ring for the next run.
 func (a *SlotAlloc) Reset() {
-	a.spans = a.spans[:0]
-	a.tailLo, a.tailEnd = 0, 0
-	a.hint = 0
+	if a.ring != nil && a.low < a.end {
+		if a.end-a.low >= slotWindow {
+			clear(a.ring[:])
+		} else {
+			a.ring.fill(a.low, a.end, false)
+		}
+	}
+	a.lo, a.end, a.low = 0, 0, math.MaxInt64
+}
+
+// Release clears all allocations and returns the ring to the pool, where
+// another allocator may take it. The allocator stays usable and takes a
+// ring again when it next needs one.
+func (a *SlotAlloc) Release() {
+	a.Reset()
+	if a.ring != nil {
+		ringPool.Put(a.ring)
+		a.ring = nil
+	}
+}
+
+// releaseSlots releases every allocator of a bank array.
+func releaseSlots(s []SlotAlloc) {
+	for i := range s {
+		s[i].Release()
+	}
 }
 
 // Outstanding models a reservation buffer: at most cap operations in flight.

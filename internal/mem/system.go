@@ -157,12 +157,14 @@ func (s *System) Stats() SystemStats {
 	return SystemStats{L1: s.L1.Stats, L2: s.L2.Stats, DRAM: s.DRAM.Stats}
 }
 
-// Release returns the cache directories to the slab pool. Call once a run is
-// finished and its Stats have been snapshotted; the system must not be
-// accessed afterwards.
+// Release returns the cache directories and every bank's slot ring to their
+// pools. Call once a run is finished and its Stats have been snapshotted;
+// the system must not be accessed afterwards.
 func (s *System) Release() {
 	s.L1.Release()
 	s.L2.Release()
+	releaseSlots(s.DRAM.banks)
+	releaseSlots(s.sharedBanks)
 }
 
 // AccessWord performs a global-memory access for one word and returns its

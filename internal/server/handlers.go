@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"vgiw/internal/bench"
+	"vgiw/internal/version"
 )
 
 // Handler builds the daemon's HTTP API on the Go 1.22 pattern mux.
@@ -145,9 +146,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.View(j))
 }
 
+// handleHealthz answers liveness with the model fingerprint, so a client
+// can tell which generation of stored results this daemon serves.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintln(w, "ok")
+	writeJSON(w, http.StatusOK, struct {
+		Status string `json:"status"`
+		Model  string `json:"model"`
+	}{"ok", version.Model()})
 }
 
 // handleReadyz flips to 503 once drain begins, so load balancers stop

@@ -24,6 +24,7 @@ import (
 	"vgiw/internal/kernels"
 	"vgiw/internal/store"
 	"vgiw/internal/trace"
+	"vgiw/internal/version"
 )
 
 func newStoreServer(t *testing.T, dir string, cfg Config) (*Server, *httptest.Server) {
@@ -263,7 +264,11 @@ func TestStoreFaults(t *testing.T) {
 	// is a store hit serving the same bytes.
 	t.Run("truncated entry", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte(`{"schema":"vgiw-store/v1","key":"`), 0o644); err != nil {
+		gen := filepath.Join(dir, version.Model())
+		if err := os.Mkdir(gen, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(gen, key+".json"), []byte(`{"schema":"vgiw-store/v1","key":"`), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, ts := newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 4})
@@ -324,13 +329,17 @@ func TestStoreFaults(t *testing.T) {
 		if err := donor.Put(&store.Entry{Spec: spec, Result: json.RawMessage(`{"orphan":true}`)}); err != nil {
 			t.Fatal(err)
 		}
-		full, err := os.ReadFile(filepath.Join(donor.Dir(), key+".json"))
+		full, err := os.ReadFile(filepath.Join(donor.Dir(), version.Model(), key+".json"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
+		gen := filepath.Join(dir, version.Model())
+		if err := os.Mkdir(gen, 0o755); err != nil {
+			t.Fatal(err)
+		}
 		for name, data := range map[string][]byte{".tmp-1234567890": full, ".tmp-0987654321": full[:len(full)/2]} {
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o600); err != nil {
+			if err := os.WriteFile(filepath.Join(gen, name), data, 0o600); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -357,6 +366,79 @@ func TestStoreFaults(t *testing.T) {
 			t.Errorf("store_errors = %d, want 0", got)
 		}
 	})
+}
+
+// TestHistoryListsCurrentGeneration runs a job, then files its store entry
+// under another model fingerprint, as a build with another model would have
+// left it, and again in the layout from before fingerprints. A daemon of the
+// running model lists neither, does not serve either, runs the job again,
+// and then lists its own entry alone; the other generations stay untouched.
+func TestHistoryListsCurrentGeneration(t *testing.T) {
+	const body = `{"kernel":"bfs.kernel1"}`
+	dir := t.TempDir()
+	sA, tsA := newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 4})
+	if _, v := postJob(t, tsA, body, "?wait=1"); v.State != StateDone {
+		t.Fatalf("first run: state %q", v.State)
+	}
+	waitFiled(t, sA)
+	var hist struct {
+		Entries []HistoryEntry `json:"entries"`
+		Skipped string         `json:"skipped"`
+	}
+	getJSON(t, tsA, "/v1/history", &hist)
+	if len(hist.Entries) != 1 || hist.Entries[0].Host.Model != version.Model() {
+		t.Fatalf("history after the run = %+v, want one entry of model %s", hist, version.Model())
+	}
+	key := hist.Entries[0].Key
+	gen := filepath.Join(dir, version.Model())
+	entry, err := os.ReadFile(filepath.Join(gen, key+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	older := filepath.Join(dir, "0000000000000000")
+	if err := os.Rename(gen, older); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), entry, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sB, tsB := newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 4})
+	getJSON(t, tsB, "/v1/history", &hist)
+	if len(hist.Entries) != 0 || hist.Skipped != "" {
+		t.Errorf("history over other generations = %+v, want none and nothing skipped", hist)
+	}
+	if resp, err := http.Get(tsB.URL + "/v1/history/" + key); err != nil {
+		t.Fatal(err)
+	} else if readAll(t, resp); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/history/{key} of another generation: status %d, want 404", resp.StatusCode)
+	}
+	if _, v := postJob(t, tsB, body, "?wait=1"); v.State != StateDone || v.Cached != "" {
+		t.Errorf("rerun over other generations: state %q cached %q, want an executed job", v.State, v.Cached)
+	}
+	waitFiled(t, sB)
+	getJSON(t, tsB, "/v1/history", &hist)
+	if len(hist.Entries) != 1 || hist.Entries[0].Key != key || hist.Entries[0].Host.Model != version.Model() {
+		t.Errorf("history after the rerun = %+v, want the rerun's entry alone", hist)
+	}
+	if kept, err := os.ReadFile(filepath.Join(older, key+".json")); err != nil || !bytes.Equal(kept, entry) {
+		t.Errorf("the other generation's entry changed: %v", err)
+	}
+}
+
+// TestHealthzReportsModel pins /healthz: 200, with the model fingerprint.
+func TestHealthzReportsModel(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct{ Status, Model string }
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || got.Status != "ok" || got.Model != version.Model() {
+		t.Errorf("/healthz = %d %+v (%v), want 200 ok with model %s", resp.StatusCode, got, err, version.Model())
+	}
 }
 
 func readAll(t *testing.T, resp *http.Response) string {

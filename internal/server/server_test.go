@@ -59,10 +59,18 @@ func decodeView(t *testing.T, resp *http.Response) JobView {
 	return v
 }
 
-// waitState polls a job until it reaches the wanted state.
+// waitState polls a job until it reaches the wanted state. It waits as long
+// as the test binary may run (its -timeout deadline, less a margin to report
+// the failure), or 60 s when there is no deadline: a traced scale-4 job under
+// -race, sharing the CPUs with other packages' tests, can outlast any short
+// fixed bound.
 func waitState(t *testing.T, ts *httptest.Server, id, want string) JobView {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
+	if d, ok := t.Deadline(); ok {
+		deadline = d.Add(-5 * time.Second)
+	}
+	var last JobView
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 		if err != nil {
@@ -75,9 +83,10 @@ func waitState(t *testing.T, ts *httptest.Server, id, want string) JobView {
 		if terminal(v.State) {
 			t.Fatalf("job %s reached %q (reason %q), want %q", id, v.State, v.Reason, want)
 		}
+		last = v
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("job %s never reached %q", id, want)
+	t.Fatalf("job %s never reached %q; its last state was %q", id, want, last.State)
 	return JobView{}
 }
 

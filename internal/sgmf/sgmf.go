@@ -221,7 +221,9 @@ func (m *Machine) RunMappedCtx(ctx context.Context, mapped *Mapped, launch kir.L
 			Track: tracks.mem, Ts: st.EndCycle,
 			K1: "reads", V1: int64(ms.DRAM.Reads), K2: "writes", V2: int64(ms.DRAM.Writes)})
 	}
-	defer sys.Release() // stats snapshotted below; recycle the directories
+	// Stats are snapshotted below; recycle the directories and slot rings.
+	defer sys.Release()
+	defer m.eng.Release()
 	return &Result{
 		Kernel:         k.Name,
 		Threads:        launch.Threads(),

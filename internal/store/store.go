@@ -6,13 +6,17 @@
 // and host/build metadata. A restarted daemon consults the store before the
 // singleflight path, so warm results survive the process — the same
 // content-keying idea the ArtifactCache applies per artifact and the
-// singleflight applies per in-flight job, extended to disk and to forever.
+// singleflight applies per in-flight job, extended to disk and across restarts.
 //
-// The layout is one file per key (<dir>/<key>.json, written atomically via
-// rename) plus free-form snapshot files (<dir>/<name>.snapshot.json) for the
-// shutdown flight recorder. Files are self-describing: each entry embeds the
-// schema version and its own spec, so Get verifies the content actually
-// matches the key before serving it.
+// The layout is one directory per model generation, named by the simulator's
+// model fingerprint (version.Model), holding one file per key
+// (<dir>/<fingerprint>/<key>.json, written atomically via rename), plus
+// free-form snapshot files (<dir>/<name>.snapshot.json) for the shutdown
+// flight recorder. The fingerprint is also hashed into every key, so a
+// model change misses every older entry and retires the old generation as
+// one directory, which can be deleted whole. Files are self-describing: each
+// entry embeds the schema version and its own spec, so Get verifies the
+// content actually matches the key before serving it.
 //
 // A nil *Store is valid and means "persistence disabled": Get always misses,
 // Put and PutSnapshot discard, List is empty — mirroring the nil Sink and
@@ -25,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -43,11 +48,15 @@ import (
 const Schema = "vgiw-store/v1"
 
 // Key derives the store's content key for a spec: a hex SHA-256 over the
-// schema version and the canonical JSON of the job-level content key
-// (JobSpec.Key(), which strips the deadline — a deadline changes when a job
-// may fail, never what it computes). Equal keys guarantee byte-identical
-// results, so a stored entry can be served in place of a re-execution.
-func Key(spec bench.JobSpec) string {
+// schema version, the model fingerprint and the canonical JSON of the
+// job-level content key (JobSpec.Key(), which strips the deadline — a
+// deadline changes when a job may fail, never what it computes). Equal keys
+// guarantee byte-identical results, so a stored entry can be served in place
+// of a re-execution.
+func Key(spec bench.JobSpec) string { return modelKey(version.Model(), spec) }
+
+// modelKey is Key under a given model fingerprint.
+func modelKey(model string, spec bench.JobSpec) string {
 	b, err := json.Marshal(spec.Key())
 	if err != nil {
 		// JobSpec is plain data; Marshal cannot fail on it. Keep the
@@ -57,6 +66,8 @@ func Key(spec bench.JobSpec) string {
 	h := sha256.New()
 	h.Write([]byte(Schema))
 	h.Write([]byte{0})
+	h.Write([]byte(model))
+	h.Write([]byte{0})
 	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -65,6 +76,7 @@ func Key(spec bench.JobSpec) string {
 // directories are copied between machines.
 type HostMeta struct {
 	Version string `json:"version"` // vgiw build identifier
+	Model   string `json:"model"`   // model fingerprint (version.Model)
 	Go      string `json:"go"`
 	OS      string `json:"os"`
 	Arch    string `json:"arch"`
@@ -104,6 +116,7 @@ type Entry struct {
 func NewHostMeta() HostMeta {
 	return HostMeta{
 		Version: version.String(),
+		Model:   version.Model(),
 		Go:      runtime.Version(),
 		OS:      runtime.GOOS,
 		Arch:    runtime.GOARCH,
@@ -114,20 +127,25 @@ func NewHostMeta() HostMeta {
 // the daemon's workers: writes are atomic (temp file + rename) and reads
 // only ever observe complete files.
 type Store struct {
-	dir string
+	dir   string
+	model string // the generation this store reads and writes
 }
 
-// Open creates (if needed) and opens a store directory. An empty dir returns
-// a nil store — persistence disabled — so callers thread the flag value
-// straight through.
-func Open(dir string) (*Store, error) {
+// Open creates (if needed) and opens a store directory, reading and writing
+// the generation of the running model. An empty dir returns a nil store —
+// persistence disabled — so callers thread the flag value straight through.
+func Open(dir string) (*Store, error) { return openModel(dir, version.Model()) }
+
+// openModel is Open for the generation of a given model fingerprint. Its
+// directory is made by the first Put, so opening stays one stat of dir.
+func openModel(dir, model string) (*Store, error) {
 	if dir == "" {
 		return nil, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, model: model}, nil
 }
 
 // Dir reports the backing directory ("" for a nil store).
@@ -138,7 +156,10 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
-func (s *Store) entryPath(key string) string { return filepath.Join(s.dir, key+".json") }
+// genDir is the directory of this store's generation.
+func (s *Store) genDir() string { return filepath.Join(s.dir, s.model) }
+
+func (s *Store) entryPath(key string) string { return filepath.Join(s.genDir(), key+".json") }
 
 // ErrBadKey is Get's answer to a key that Key cannot produce. Get joins the
 // key into a file path, so only 64 lowercase hex characters reach the file
@@ -184,24 +205,26 @@ func (s *Store) Get(key string) (*Entry, error) {
 		return nil, fmt.Errorf("store: %s: schema %q, want %q", key, e.Schema, Schema)
 	}
 	// Self-check: the embedded spec must hash back to the key it was filed
-	// under. This guards hand-edited or cross-copied files, and it refuses
+	// under. This guards hand-edited or cross-copied files (an entry copied
+	// in from another generation hashes to another key), and it refuses
 	// entries of job kinds the daemon no longer runs: their spec fields do
 	// not decode, so what is left hashes to a different key.
-	if got := Key(e.Spec); got != key {
+	if got := modelKey(s.model, e.Spec); got != key {
 		return nil, fmt.Errorf("store: %s: content is for key %s", key, got)
 	}
 	return &e, nil
 }
 
-// Put files one entry under its spec's key, atomically. The entry's Schema
-// and Key fields are filled here so callers cannot file inconsistent
-// records.
+// Put files one entry under its spec's key, atomically. The entry's Schema,
+// Key and Host.Model fields are filled here so callers cannot file
+// inconsistent records.
 func (s *Store) Put(e *Entry) error {
 	if s == nil {
 		return nil
 	}
 	e.Schema = Schema
-	e.Key = Key(e.Spec)
+	e.Key = modelKey(s.model, e.Spec)
+	e.Host.Model = s.model
 	if e.Created.IsZero() {
 		e.Created = time.Now().UTC()
 	}
@@ -211,26 +234,35 @@ func (s *Store) Put(e *Entry) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	return s.writeAtomic(s.entryPath(e.Key), append(data, '\n'))
+	path := s.entryPath(e.Key)
+	err = s.writeAtomic(path, append(data, '\n'))
+	if errors.Is(err, fs.ErrNotExist) {
+		// The generation's first entry. Mkdir, not MkdirAll: a store
+		// directory removed under the daemon stays removed.
+		if err = os.Mkdir(s.genDir(), 0o755); err == nil || errors.Is(err, fs.ErrExist) {
+			err = s.writeAtomic(path, append(data, '\n'))
+		} else {
+			err = fmt.Errorf("store: %w", err)
+		}
+	}
+	return err
 }
 
-// List loads every entry, ordered stably by creation time then key.
-// Unreadable files are skipped (a torn copy must not take the history API
-// down) and reported in the error alongside the successfully loaded entries.
+// List loads every entry of this store's generation, ordered stably by
+// creation time then key; other generations are not read. Unreadable files
+// are skipped (a torn copy must not take the history API down) and reported
+// in the error alongside the successfully loaded entries.
 func (s *Store) List() ([]*Entry, error) {
 	if s == nil {
 		return nil, nil
 	}
-	names, err := filepath.Glob(filepath.Join(s.dir, "*.json"))
+	names, err := filepath.Glob(filepath.Join(s.genDir(), "*.json"))
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	var entries []*Entry
 	var bad []string
 	for _, name := range names {
-		if strings.HasSuffix(name, ".snapshot.json") {
-			continue // flight-recorder snapshots are not result entries
-		}
 		key := strings.TrimSuffix(filepath.Base(name), ".json")
 		e, err := s.Get(key)
 		if err != nil || e == nil {
@@ -286,7 +318,7 @@ func (s *Store) ReadSnapshot(name string) (*trace.Snapshot, error) {
 // so concurrent readers and a mid-write crash both observe either the old
 // complete file or the new complete file, never a torn one.
 func (s *Store) writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}

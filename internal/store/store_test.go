@@ -16,6 +16,7 @@ import (
 
 	"vgiw/internal/bench"
 	"vgiw/internal/trace"
+	"vgiw/internal/version"
 )
 
 func TestKeyContentAddressing(t *testing.T) {
@@ -33,24 +34,78 @@ func TestKeyContentAddressing(t *testing.T) {
 	}
 }
 
-// TestKeyPinned pins a kernel spec's store key. Every stored result is filed
-// under a key like this one, so a change that moves it orphans the entries
-// of every existing store directory. The model fingerprint of ROADMAP item
-// 1, step 0, is the change allowed to move it; nothing else is.
+// TestKeyPinned pins a kernel spec's store key under a fixed model
+// fingerprint. Every stored result is filed under a key like this one, so a
+// change to the key's formula orphans the entries of every existing store
+// directory; nothing but a schema change may move it. A model change moves
+// Key through the fingerprint instead, as it should.
 func TestKeyPinned(t *testing.T) {
 	spec := bench.JobSpec{Kernel: "bfs.kernel1", LVCKB: 16, Mem: "writethrough"}
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	const want = "3388560049872fefdbd6ea0eec2c738f5cbb6b0029ae4f7e48b7ab0a428cab6c"
-	if got := Key(spec); got != want {
-		t.Errorf("Key(%+v) = %s, want %s", spec, got, want)
+	const want = "00b5541d8d01f8aff98e31013d2e2c17c3d229803ad666bc30849d382c48380d"
+	if got := modelKey("0123456789abcdef", spec); got != want {
+		t.Errorf("modelKey(%+v) = %s, want %s", spec, got, want)
+	}
+	if Key(spec) != modelKey(version.Model(), spec) {
+		t.Error("Key does not hash the running model's fingerprint")
+	}
+}
+
+// TestGenerationsAreSeparate files entries under two model fingerprints in
+// one directory: each generation lives in its own subdirectory, and an
+// entry filed under one fingerprint is a miss, and absent from List, under
+// the other.
+func TestGenerationsAreSeparate(t *testing.T) {
+	dir := t.TempDir()
+	oldGen, err := openModel(dir, "00000000000000aa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newGen, err := openModel(dir, "00000000000000bb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := bench.JobSpec{Kernel: "bfs.kernel1", Scale: 1}
+	if err := oldGen.Put(&Entry{Spec: spec, Result: json.RawMessage(`{"old":true}`)}); err != nil {
+		t.Fatal(err)
+	}
+	oldKey := modelKey(oldGen.model, spec)
+	if _, err := os.Stat(filepath.Join(dir, oldGen.model, oldKey+".json")); err != nil {
+		t.Fatalf("entry not filed at <dir>/<fingerprint>/<key>.json: %v", err)
+	}
+	newKey := modelKey(newGen.model, spec)
+	if newKey == oldKey {
+		t.Fatal("two fingerprints give one key")
+	}
+	for _, key := range []string{newKey, oldKey} {
+		if e, err := newGen.Get(key); e != nil || err != nil {
+			t.Errorf("new generation Get(%s) = (%v, %v), want a miss", key, e, err)
+		}
+	}
+	if list, err := newGen.List(); len(list) != 0 || err != nil {
+		t.Errorf("new generation List = %d entries, %v; want none", len(list), err)
+	}
+
+	if err := newGen.Put(&Entry{Spec: spec, Result: json.RawMessage(`{"new":true}`)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, gen := range []*Store{oldGen, newGen} {
+		list, err := gen.List()
+		if err != nil || len(list) != 1 || list[0].Host.Model != gen.model {
+			t.Fatalf("generation %s List = %d entries, %v; want its own entry alone", gen.model, len(list), err)
+		}
+		e, err := gen.Get(modelKey(gen.model, spec))
+		if err != nil || e == nil || !bytes.Equal(e.Result, list[0].Result) {
+			t.Errorf("generation %s Get = (%v, %v), want its own entry", gen.model, e, err)
+		}
 	}
 }
 
 // writeOlderEntry files an entry in the on-disk form of earlier builds,
-// which carried a "kind" field and accepted suite, source and fast specs:
-// the key is hashed from specJSON as Key hashed it. It returns the key.
+// directly in dir, with a "kind" field, and with a key hashed from the
+// schema and specJSON alone. It returns the key.
 func writeOlderEntry(t *testing.T, dir, kind, specJSON string) string {
 	t.Helper()
 	sum := sha256.Sum256([]byte(Schema + "\x00" + specJSON))
@@ -64,10 +119,12 @@ func writeOlderEntry(t *testing.T, dir, kind, specJSON string) string {
 	return key
 }
 
-// TestOlderEntryForms reads a store directory written by an earlier build.
-// Its kernel entries keep serving. An entry of a job kind the daemon no
-// longer runs decodes to a spec that does not hash back to its file name,
-// so Get refuses it and List skips it: none can be served for a kernel spec.
+// TestOlderEntryForms reads a store directory written by builds from before
+// the model fingerprint, whose entries sit directly in the directory under
+// keys without one. None of them is served, since they predate the running
+// model: Get misses the spec's key, and List neither lists nor reports
+// them. The same files copied into the current generation under their old
+// names are refused by the self-check, and List names them.
 func TestOlderEntryForms(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -78,32 +135,38 @@ func TestOlderEntryForms(t *testing.T) {
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	key := writeOlderEntry(t, dir, "kernel", `{"kernel":"bfs.kernel1","scale":1,"lvc_kb":16,"mem":"writethrough"}`)
-	if key != Key(spec) {
-		t.Fatalf("older kernel entry filed under %s, Key gives %s", key, Key(spec))
-	}
-	e, err := s.Get(key)
-	if err != nil || e == nil || e.Spec != spec.Key() || string(e.Result) != `{"scale":1,"runs":[]}` {
-		t.Fatalf("older kernel entry: Get = (%+v, %v), want a hit", e, err)
-	}
-
-	var removed []string
+	var older []string
 	for _, old := range []struct{ kind, spec string }{
+		{"kernel", `{"kernel":"bfs.kernel1","scale":1,"lvc_kb":16,"mem":"writethrough"}`},
 		{"suite", `{"suite":true,"scale":1}`},
 		{"source", `{"source":"kernel k params=0 shared=0\n@0 entry:\n  ret\n","scale":1}`},
 		{"kernel", `{"kernel":"bfs.kernel1","scale":1,"fast":true}`},
 	} {
-		k := writeOlderEntry(t, dir, old.kind, old.spec)
-		if e, err := s.Get(k); e != nil || err == nil {
-			t.Errorf("older %s entry %s: Get = (%+v, %v), want an error", old.kind, old.spec, e, err)
+		older = append(older, writeOlderEntry(t, dir, old.kind, old.spec))
+	}
+	if e, err := s.Get(Key(spec)); e != nil || err != nil {
+		t.Errorf("Get over an older layout = (%+v, %v), want a miss", e, err)
+	}
+	if list, err := s.List(); len(list) != 0 || err != nil {
+		t.Errorf("List over an older layout = %d entries, %v; want none and no error", len(list), err)
+	}
+
+	if err := os.MkdirAll(s.genDir(), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range older {
+		if err := os.Rename(filepath.Join(dir, k+".json"), s.entryPath(k)); err != nil {
+			t.Fatal(err)
 		}
-		removed = append(removed, k)
+		if e, err := s.Get(k); e != nil || err == nil {
+			t.Errorf("older entry %s in the current generation: Get = (%+v, %v), want an error", k, e, err)
+		}
 	}
 	list, err := s.List()
-	if len(list) != 1 || list[0].Key != key {
-		t.Errorf("List = %d entries, want the kernel entry alone", len(list))
+	if len(list) != 0 {
+		t.Errorf("List = %d entries, want none", len(list))
 	}
-	for _, k := range removed {
+	for _, k := range older {
 		if err == nil || !strings.Contains(err.Error(), k+".json") {
 			t.Errorf("List error %v does not name the skipped entry %s.json", err, k)
 		}
@@ -169,7 +232,10 @@ func TestGetRejectsCorruptAndMismatched(t *testing.T) {
 	key := Key(spec)
 
 	// Corrupt JSON under a valid key name: error, not a crash or a hit.
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte("{torn"), 0o644); err != nil {
+	if err := os.MkdirAll(s.genDir(), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.entryPath(key), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get(key); err == nil {
@@ -181,7 +247,7 @@ func TestGetRejectsCorruptAndMismatched(t *testing.T) {
 	if err := s.Put(&Entry{Spec: other, Result: json.RawMessage(`{}`)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(filepath.Join(dir, Key(other)+".json"), filepath.Join(dir, key+".json")); err != nil {
+	if err := os.Rename(s.entryPath(Key(other)), s.entryPath(key)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get(key); err == nil {
@@ -404,7 +470,7 @@ func TestSharedStoreConcurrentWriters(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	files, err := os.ReadDir(dir)
+	files, err := os.ReadDir(handles[0].genDir())
 	if err != nil {
 		t.Fatal(err)
 	}
