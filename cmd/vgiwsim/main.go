@@ -12,7 +12,7 @@
 //	vgiwsim -kernel bfs.kernel1,nn.euclid  # a comma-separated subset
 //	vgiwsim -kernel bfs.kernel2 -trace out.json   # Perfetto-loadable trace
 //	vgiwsim -kernel bfs.kernel2 -trace out.json -trace-filter vgiw,cvt
-//	vgiwsim -kernel bfs.kernel2 -metrics out.txt  # flat metrics registry
+//	vgiwsim -kernel bfs.kernel2 -metrics out.json # vgiw-metrics/v1 snapshot
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"sync"
 
@@ -51,7 +50,7 @@ func main() {
 		timeline = flag.Bool("timeline", false, "print a timeline of block schedules (vgiw only)")
 		traceOut = flag.String("trace", "", "write a cycle-level Chrome trace-event JSON (Perfetto-loadable) to this file")
 		traceCat = flag.String("trace-filter", "", "comma-separated trace categories (vgiw,cvt,lvc,simt,sgmf,engine,mem; default all)")
-		metrics  = flag.String("metrics", "", "write the flat metrics registry (one \"name value\" line per metric) to this file")
+		metrics  = flag.String("metrics", "", "write the metrics registry as a one-line vgiw-metrics/v1 snapshot (benchgate's format) to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (at exit) to this file")
 		showVer  = flag.Bool("version", false, "print version and exit")
@@ -120,17 +119,19 @@ func main() {
 	}
 	finish := func() {
 		if rc.sink != nil {
-			if err := writeTrace(*traceOut, rc.sink); err != nil {
+			if err := writeFile(*traceOut, rc.sink.WriteChromeTrace); err != nil {
 				fail("%v", err)
 			}
 			fmt.Fprintf(os.Stderr, "vgiwsim: wrote %d trace events to %s (%d dropped)\n",
 				rc.sink.Len(), *traceOut, rc.sink.Dropped())
 		}
 		if rc.reg != nil {
-			if err := writeMetrics(*metrics, rc.reg); err != nil {
+			snapshot := func(w io.Writer) error { return rc.reg.WriteSnapshot(w, *scale) }
+			if err := writeFile(*metrics, snapshot); err != nil {
 				fail("%v", err)
 			}
-			fmt.Fprintf(os.Stderr, "vgiwsim: wrote %d metrics to %s\n", len(rc.reg.Names()), *metrics)
+			fmt.Fprintf(os.Stderr, "vgiwsim: wrote metrics snapshot (%s, %d metrics) to %s\n",
+				trace.MetricsSchema, len(rc.reg.Names()), *metrics)
 		}
 	}
 
@@ -198,36 +199,15 @@ type runCfg struct {
 	reg      *trace.Registry
 }
 
-// writeTrace exports the sink as Chrome trace-event JSON.
-func writeTrace(path string, s *trace.Sink) error {
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := s.WriteChromeTrace(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
-	}
-	return f.Close()
-}
-
-// writeMetrics dumps the registry as sorted "name value" lines.
-func writeMetrics(path string, reg *trace.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	flat := reg.Flat()
-	names := make([]string, 0, len(flat))
-	for n := range flat {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, err := fmt.Fprintf(f, "%s %d\n", n, flat[n]); err != nil {
-			f.Close()
-			return err
-		}
 	}
 	return f.Close()
 }

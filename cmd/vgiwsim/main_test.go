@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"vgiw/internal/bench"
 	"vgiw/internal/kernels"
 )
 
@@ -16,12 +17,15 @@ import (
 // on SGMF. vgiwsim checks every simulation against its kernel's host
 // reference and exits 1 on a mismatch, so a zero exit with one "validated"
 // line per kernel is an output check. An unknown kernel exits 1 and an
-// unknown flag, -fast among them, exits 2 before anything runs.
+// unknown flag, -fast among them, exits 2 before anything runs. The
+// -metrics file is a metrics snapshot that benchgate accepts.
 func TestSmoke(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skipf("go toolchain not on PATH: %v", err)
 	}
-	bin := filepath.Join(t.TempDir(), "vgiwsim")
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "vgiwsim")
+	metrics := filepath.Join(dir, "metrics.json")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -36,6 +40,7 @@ func TestSmoke(t *testing.T) {
 		{[]string{"-arch", "sgmf", "-kernel", strings.Join(sgmfKernels, ",")}, 0, len(sgmfKernels)},
 		{[]string{"-kernel", "no.such"}, 1, 0},
 		{[]string{"-fast", "-kernel", "bfs.kernel1"}, 2, 0},
+		{[]string{"-kernel", "nn.euclid", "-metrics", metrics}, 0, 1},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, c.args...)
@@ -54,5 +59,15 @@ func TestSmoke(t *testing.T) {
 		if got := strings.Count(stdout.String(), "output validated against the host reference."); got != c.validated {
 			t.Errorf("vgiwsim %v: %d kernels validated, want %d", c.args, got, c.validated)
 		}
+	}
+	b, err := bench.LoadBaseline(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if b.Kind() != "metrics" {
+		t.Errorf("-metrics wrote a %s file, want a metrics snapshot", b.Kind())
 	}
 }

@@ -25,10 +25,6 @@ const (
 	TierWorkload Tier = iota
 	// TierVGIW: VGIW compile + fabric place & route (core.Prepared).
 	TierVGIW
-	// TierSIMT: baseline compile without fabric fitting (CompiledKernel).
-	TierSIMT
-	// TierSGMF: schedule/unroll/if-convert + whole-kernel place (Mapped).
-	TierSGMF
 	// TierSIMTRun: one validated SIMT baseline simulation (simt.Result).
 	TierSIMTRun
 	// TierSGMFRun: one validated SGMF baseline simulation (sgmf.Result).
@@ -45,10 +41,6 @@ func (t Tier) String() string {
 		return "workload"
 	case TierVGIW:
 		return "vgiw"
-	case TierSIMT:
-		return "simt"
-	case TierSGMF:
-		return "sgmf"
 	case TierSIMTRun:
 		return "simt_run"
 	case TierSGMFRun:
@@ -136,10 +128,16 @@ func (s CacheStats) sub(earlier CacheStats) CacheStats {
 // freely, so the VGIW tier holds at most maxVGIWRuns results and drops the
 // oldest beyond that. The result tiers live in process memory only.
 //
-// Values are immutable shared artifacts (see kernels.Workload,
-// core.Prepared, sgmf.Mapped for the per-type contracts; the result tiers
-// hand every caller its own copy). Concurrent lookups of the same key share
-// a single build (duplicate suppression), and later callers count as hits.
+// The baselines have no build tier: they compile and place on their result
+// tiers' miss paths. A result key holds every field their builds depend on,
+// and no job spec varies the rest, so a build tier would hit only for traced
+// runs and the SIMT scheduler ablation, whose rebuilds take well under a
+// millisecond per kernel.
+//
+// Values are immutable shared artifacts (see kernels.Workload and
+// core.Prepared for the per-type contracts; the result tiers hand every
+// caller its own copy). Concurrent lookups of the same key share a single
+// build (duplicate suppression), and later callers count as hits.
 // A failed or cancelled build is never stored: its waiters retry, and the
 // next caller builds again.
 //
@@ -279,16 +277,6 @@ type (
 		replicationOff bool
 		checked        bool
 	}
-	simtKey struct {
-		name  string
-		scale int
-	}
-	sgmfKey struct {
-		name    string
-		scale   int
-		fabric  fabric.Config
-		checked bool
-	}
 	// The result tiers' configs have their trace sinks cleared: a sink
 	// changes what a run emits, never what it computes.
 	simtRunKey struct {
@@ -351,73 +339,32 @@ func (c *ArtifactCache) vgiwPrepared(ctx context.Context, w *kernels.Workload, c
 	return v.(*core.Prepared), st, nil
 }
 
-// simtCompiled resolves the baseline's compile artifact (no fabric fitting,
-// as a native CUDA compile would be; no machine-config dependence at all).
-func (c *ArtifactCache) simtCompiled(ctx context.Context, w *kernels.Workload) (*compile.CompiledKernel, StageTimes, error) {
-	v, st, err := c.get(ctx, simtKey{w.Spec.Name, w.Scale}, TierSIMT, func(context.Context) (any, StageTimes, error) {
+// simtRun resolves the SIMT baseline's validated result for w under cfg.
+// The miss path compiles (no fabric fitting, as a native CUDA compile
+// would be), simulates on a private memory image and checks it against the
+// host reference; the returned stage times are that build's when this
+// caller ran it. Every caller gets its own copy of the result. A traced run
+// (cfg.Trace set) always simulates and stores nothing: its events are the
+// product.
+func (c *ArtifactCache) simtRun(ctx context.Context, w *kernels.Workload, cfg simt.Config) (*simt.Result, StageTimes, error) {
+	sim := func(ctx context.Context) (any, StageTimes, error) {
 		t0 := time.Now()
 		ck, err := compile.Compile(w.Kernel())
-		return ck, StageTimes{Compile: time.Since(t0)}, err
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	return v.(*compile.CompiledKernel), st, nil
-}
-
-// sgmfMapped resolves SGMF's compile/place artifact.
-func (c *ArtifactCache) sgmfMapped(ctx context.Context, w *kernels.Workload, cfg sgmf.Config) (*sgmf.Mapped, StageTimes, error) {
-	v, st, err := c.get(ctx, sgmfKey{w.Spec.Name, w.Scale, cfg.Fabric, cfg.Checked}, TierSGMF, func(context.Context) (any, StageTimes, error) {
-		var st StageTimes
-		m, err := sgmf.NewMachine(cfg)
+		st := StageTimes{Compile: time.Since(t0)}
 		if err != nil {
-			return nil, st, err
-		}
-		k := w.Kernel()
-		t0 := time.Now()
-		g, err := m.Translate(k)
-		st.Compile = time.Since(t0)
-		if err != nil {
-			return nil, st, err
+			return nil, st, fmt.Errorf("%s: simt compile: %w", w.Spec.Name, err)
 		}
 		t0 = time.Now()
-		p, err := m.PlaceGraph(k.Name, g)
-		st.Place = time.Since(t0)
-		if err != nil {
-			return nil, st, err
-		}
-		return &sgmf.Mapped{Kernel: k, Placement: p}, st, nil
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	return v.(*sgmf.Mapped), st, nil
-}
-
-// simtRun resolves the SIMT baseline's validated result for w under cfg.
-// The miss path compiles (through the SIMT compile tier), simulates on a
-// private memory image and checks it against the host reference; the
-// returned stage times include that compile when this caller built it.
-// Every caller gets its own copy of the result. A traced run (cfg.Trace
-// set) always simulates and stores nothing: its events are the product.
-func (c *ArtifactCache) simtRun(ctx context.Context, w *kernels.Workload, cfg simt.Config) (*simt.Result, StageTimes, error) {
-	var compiled StageTimes
-	sim := func(ctx context.Context) (any, StageTimes, error) {
-		ck, st, err := c.simtCompiled(ctx, w)
-		compiled = st
-		if err != nil {
-			return nil, StageTimes{}, fmt.Errorf("%s: simt compile: %w", w.Spec.Name, err)
-		}
-		t0 := time.Now()
 		global := w.Global()
 		r, err := simt.NewMachine(cfg).RunCtx(ctx, ck, w.Launch, global)
 		if err != nil {
-			return nil, StageTimes{}, fmt.Errorf("%s: simt: %w", w.Spec.Name, err)
+			return nil, st, fmt.Errorf("%s: simt: %w", w.Spec.Name, err)
 		}
 		if err := w.Check(global); err != nil {
-			return nil, StageTimes{}, fmt.Errorf("%s: simt output: %w", w.Spec.Name, err)
+			return nil, st, fmt.Errorf("%s: simt output: %w", w.Spec.Name, err)
 		}
-		return r, StageTimes{Simulate: time.Since(t0)}, nil
+		st.Simulate = time.Since(t0)
+		return r, st, nil
 	}
 	results := c
 	if cfg.Trace != nil {
@@ -429,36 +376,45 @@ func (c *ArtifactCache) simtRun(ctx context.Context, w *kernels.Workload, cfg si
 	if err != nil {
 		return nil, StageTimes{}, err
 	}
-	st.Add(compiled)
 	r := *v.(*simt.Result)
 	return &r, st, nil
 }
 
-// sgmfRun is simtRun for the SGMF baseline: it maps through the SGMF
-// compile/place tier on a miss, and a sink in cfg.Engine.Trace makes the
-// run always simulate. The copy it returns has its own Ops map.
+// sgmfRun is simtRun for the SGMF baseline: its miss path translates and
+// places the whole kernel before it simulates, and a sink in
+// cfg.Engine.Trace makes the run always simulate. The copy it returns has
+// its own Ops map.
 func (c *ArtifactCache) sgmfRun(ctx context.Context, w *kernels.Workload, cfg sgmf.Config) (*sgmf.Result, StageTimes, error) {
-	var mapped StageTimes
 	sim := func(ctx context.Context) (any, StageTimes, error) {
-		mp, st, err := c.sgmfMapped(ctx, w, cfg)
-		mapped = st
-		if err != nil {
-			return nil, StageTimes{}, fmt.Errorf("%s: sgmf: %w", w.Spec.Name, err)
-		}
+		var st StageTimes
 		m, err := sgmf.NewMachine(cfg)
 		if err != nil {
-			return nil, StageTimes{}, err
+			return nil, st, fmt.Errorf("%s: sgmf: %w", w.Spec.Name, err)
 		}
+		k := w.Kernel()
 		t0 := time.Now()
-		global := w.Global()
-		r, err := m.RunMappedCtx(ctx, mp, w.Launch, global)
+		g, err := m.Translate(k)
+		st.Compile = time.Since(t0)
 		if err != nil {
-			return nil, StageTimes{}, fmt.Errorf("%s: sgmf: %w", w.Spec.Name, err)
+			return nil, st, fmt.Errorf("%s: sgmf: %w", w.Spec.Name, err)
+		}
+		t0 = time.Now()
+		p, err := m.PlaceGraph(k.Name, g)
+		st.Place = time.Since(t0)
+		if err != nil {
+			return nil, st, fmt.Errorf("%s: sgmf: %w", w.Spec.Name, err)
+		}
+		t0 = time.Now()
+		global := w.Global()
+		r, err := m.RunMappedCtx(ctx, &sgmf.Mapped{Kernel: k, Placement: p}, w.Launch, global)
+		if err != nil {
+			return nil, st, fmt.Errorf("%s: sgmf: %w", w.Spec.Name, err)
 		}
 		if err := w.Check(global); err != nil {
-			return nil, StageTimes{}, fmt.Errorf("%s: sgmf output: %w", w.Spec.Name, err)
+			return nil, st, fmt.Errorf("%s: sgmf output: %w", w.Spec.Name, err)
 		}
-		return r, StageTimes{Simulate: time.Since(t0)}, nil
+		st.Simulate = time.Since(t0)
+		return r, st, nil
 	}
 	results := c
 	if cfg.Engine.Trace != nil {
@@ -470,7 +426,6 @@ func (c *ArtifactCache) sgmfRun(ctx context.Context, w *kernels.Workload, cfg sg
 	if err != nil {
 		return nil, StageTimes{}, err
 	}
-	st.Add(mapped)
 	r := *v.(*sgmf.Result)
 	r.Ops = maps.Clone(r.Ops)
 	return &r, st, nil

@@ -211,7 +211,7 @@ func TestNilCacheBuildsFresh(t *testing.T) {
 	var c *ArtifactCache
 	var builds int
 	for i := 0; i < 3; i++ {
-		if _, _, err := c.get(context.Background(), "key", TierSIMT, func(context.Context) (any, StageTimes, error) {
+		if _, _, err := c.get(context.Background(), "key", TierWorkload, func(context.Context) (any, StageTimes, error) {
 			builds++
 			return nil, StageTimes{}, nil
 		}); err != nil {

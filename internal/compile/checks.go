@@ -8,7 +8,7 @@ import (
 )
 
 // Option configures the compile pipeline entry points (Compile,
-// CompileFitted, UnrollLoops, IfConvert, ScheduleBlocks).
+// CompileFitted, IfConvert).
 type Option func(*options)
 
 type options struct {

@@ -234,13 +234,10 @@ func TestRegistryPipelinesChecked(t *testing.T) {
 			if _, err := CompileFitted(inst.Kernel.Clone(), fits, Checked()); err != nil {
 				t.Errorf("CompileFitted: %v", err)
 			}
-			// SGMF path: schedule, unroll, if-convert (acyclic kernels only).
+			// SGMF path: schedule, if-convert (acyclic kernels only).
 			k := inst.Kernel.Clone()
 			if _, err := ScheduleBlocks(k); err != nil {
 				t.Fatalf("ScheduleBlocks: %v", err)
-			}
-			if _, err := UnrollLoops(k, 16, 96, Checked()); err != nil {
-				t.Fatalf("UnrollLoops: %v", err)
 			}
 			if !k.HasLoops() && !hasBarrier(k) {
 				if _, err := IfConvert(k, Checked()); err != nil {

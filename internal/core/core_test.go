@@ -349,10 +349,15 @@ func TestCVTReadResetAndBatches(t *testing.T) {
 	if c.Writes != 4 {
 		t.Errorf("writes = %d, want 4", c.Writes)
 	}
-	c.RegisterBatch(0, 1, 0xFF)
+	// One write per registered thread, also for threads sharing a word.
+	c.Register(0, 64)
+	c.Register(0, 65)
+	if c.Writes != 6 {
+		t.Errorf("writes = %d, want 6 (one per registered thread)", c.Writes)
+	}
 	ids = c.Drain(0, nil)
-	if len(ids) != 8 || ids[0] != 64 {
-		t.Fatalf("batch drain = %v", ids)
+	if len(ids) != 2 || ids[0] != 64 || ids[1] != 65 {
+		t.Fatalf("shared-word drain = %v", ids)
 	}
 }
 

@@ -16,7 +16,7 @@ type CVT struct {
 	vecs [][]uint64 // [block][word]
 
 	Reads  uint64 // 64-bit word reads (read-and-reset scans)
-	Writes uint64 // 64-bit word writes (batch packet ORs)
+	Writes uint64 // 64-bit word writes: one per SetAll word and per Register
 }
 
 // NewCVT builds a table for numBlocks blocks and a tile of tileSize threads.
@@ -39,25 +39,16 @@ func (c *CVT) SetAll(block, n int) {
 	c.Writes += uint64((n + 63) / 64)
 }
 
-// Register ORs a thread into a block's vector, counting one word write per
-// touched word. The BBS receives <base, bitmap> batch packets from the
-// terminator CVUs; threads completing out of order still coalesce into the
-// same word, so the write count tracks touched words, not threads.
+// Register ORs a thread into a block's vector and counts one word write
+// for that thread. The paper's BBS receives <base, bitmap> batch packets
+// from the terminator CVUs and writes each packet's word once; this model
+// counts a write per registered thread instead, even when threads share a
+// word, so Writes (each priced as a 64-bit word access) bounds the packet
+// writes from above.
 //
 //vgiw:hotpath
 func (c *CVT) Register(block, thread int) {
-	w := &c.vecs[block][thread/64]
-	if *w&(1<<(thread%64)) == 0 {
-		*w |= 1 << (thread % 64)
-	}
-	c.Writes++
-}
-
-// RegisterBatch ORs a whole batch bitmap at the given word index.
-//
-//vgiw:hotpath
-func (c *CVT) RegisterBatch(block, wordIdx int, bitmap uint64) {
-	c.vecs[block][wordIdx] |= bitmap
+	c.vecs[block][thread/64] |= 1 << (thread % 64)
 	c.Writes++
 }
 

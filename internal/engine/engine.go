@@ -72,9 +72,8 @@ type Hooks struct {
 	Branch func(tid int, cond uint32, now int64)
 	// AccessMemFast is the functional-only variant of AccessMem used by
 	// Options.Fast: same functional effect and error behaviour, no timing.
-	// When nil, the fast executor falls back to AccessMem (whose timing
-	// side effects are then meaningless but harmless — fast-mode cycle
-	// metrics are undefined either way).
+	// Fast mode calls the two fast twins only, so it needs both set (it
+	// needs AccessLVFast only for graphs with live-value nodes).
 	AccessMemFast func(space Space, addr int64, write bool, value uint32, tid int) (word uint32, err error)
 	// AccessLVFast mirrors AccessMemFast for live-value accesses.
 	AccessLVFast func(lv int, tid int, write bool, value uint32) uint32

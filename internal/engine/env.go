@@ -33,75 +33,70 @@ func NewDataEnv(k *kir.Kernel, launch kir.Launch, global []uint32, sys *mem.Syst
 	return &DataEnv{Launch: launch, Global: global, Shared: shared, Sys: sys}, nil
 }
 
-// Hooks builds the engine hooks for this environment. Branch and AccessLV
-// start nil; the caller wires them in.
+// Hooks builds the engine hooks for this environment. Branch, AccessLV and
+// AccessLVFast start nil; the caller wires them in.
 func (d *DataEnv) Hooks() *Hooks {
 	return &Hooks{
-		Param:     func(i int) uint32 { return d.Launch.Params[i] },
-		Geometry:  d.Launch.Geometry,
-		AccessMem: d.accessMem,
-		AccessMemFast: func(space Space, addr int64, write bool, value uint32, tid int) (uint32, error) {
-			// Functional twin of AccessMem: identical bounds checks, errors
-			// and data effects, no timing-model calls.
-			switch space {
-			case SpaceGlobal:
-				if addr < 0 || addr >= int64(len(d.Global)) {
-					return 0, fmt.Errorf("engine: thread %d: global %s out of bounds: %d (size %d)",
-						tid, rw(write), addr, len(d.Global))
-				}
-				if write {
-					d.Global[addr] = value
-					return 0, nil
-				}
-				return d.Global[addr], nil
-			case SpaceShared:
-				cta := d.Launch.CTAOf(tid)
-				sh := d.Shared[cta]
-				if addr < 0 || addr >= int64(len(sh)) {
-					return 0, fmt.Errorf("engine: thread %d: shared %s out of bounds: %d (size %d)",
-						tid, rw(write), addr, len(sh))
-				}
-				if write {
-					sh[addr] = value
-					return 0, nil
-				}
-				return sh[addr], nil
-			}
-			return 0, fmt.Errorf("engine: unknown address space %d", space)
-		},
+		Param:         func(i int) uint32 { return d.Launch.Params[i] },
+		Geometry:      d.Launch.Geometry,
+		AccessMem:     d.accessMem,
+		AccessMemFast: d.accessMemFast,
 	}
 }
 
 // accessMem is the timed memory hook: bounds check, timing-model access,
 // then the data effect.
 func (d *DataEnv) accessMem(space Space, addr int64, write bool, value uint32, tid int, now int64) (uint32, int64, error) {
+	w, err := d.word(space, addr, write, tid)
+	if err != nil {
+		return 0, 0, err
+	}
+	var done int64
+	if space == SpaceShared {
+		done = d.Sys.AccessShared(addr, now)
+	} else {
+		done = d.Sys.AccessWord(addr, write, now)
+	}
+	return access(w, write, value), done, nil
+}
+
+// accessMemFast is accessMem without the timing model: the same bounds
+// check, errors and data effect.
+func (d *DataEnv) accessMemFast(space Space, addr int64, write bool, value uint32, tid int) (uint32, error) {
+	w, err := d.word(space, addr, write, tid)
+	if err != nil {
+		return 0, err
+	}
+	return access(w, write, value), nil
+}
+
+// word returns the memory word a thread addresses, or the error for an
+// address outside its space.
+func (d *DataEnv) word(space Space, addr int64, write bool, tid int) (*uint32, error) {
+	var mem []uint32
+	var name string
 	switch space {
 	case SpaceGlobal:
-		if addr < 0 || addr >= int64(len(d.Global)) {
-			return 0, 0, fmt.Errorf("engine: thread %d: global %s out of bounds: %d (size %d)",
-				tid, rw(write), addr, len(d.Global))
-		}
-		done := d.Sys.AccessWord(addr, write, now)
-		if write {
-			d.Global[addr] = value
-			return 0, done, nil
-		}
-		return d.Global[addr], done, nil
+		mem, name = d.Global, "global"
 	case SpaceShared:
-		cta := d.Launch.CTAOf(tid)
-		sh := d.Shared[cta]
-		if addr < 0 || addr >= int64(len(sh)) {
-			return 0, 0, fmt.Errorf("engine: thread %d: shared %s out of bounds: %d (size %d)",
-				tid, rw(write), addr, len(sh))
-		}
-		done := d.Sys.AccessShared(addr, now)
-		if write {
-			sh[addr] = value
-			return 0, done, nil
-		}
-		return sh[addr], done, nil
+		mem, name = d.Shared[d.Launch.CTAOf(tid)], "shared"
+	default:
+		return nil, fmt.Errorf("engine: unknown address space %d", space)
 	}
-	return 0, 0, fmt.Errorf("engine: unknown address space %d", space)
+	if addr < 0 || addr >= int64(len(mem)) {
+		return nil, fmt.Errorf("engine: thread %d: %s %s out of bounds: %d (size %d)",
+			tid, name, rw(write), addr, len(mem))
+	}
+	return &mem[addr], nil
+}
+
+// access stores value to *w, or loads *w: the data effect of one access.
+func access(w *uint32, write bool, value uint32) uint32 {
+	if write {
+		*w = value
+		return 0
+	}
+	return *w
 }
 
 func rw(write bool) string {

@@ -627,12 +627,12 @@ func (e *Engine) formWave(prog *nodeProg, threads []int, base, replicas, depth i
 }
 
 // execStaticNode fires one pure node for every lane of the wave: a timing
-// pass and a branch-free value pass. The timing pass of a collapsible node
-// reduces to its closed form — done = inject + konst, already folded into
-// laneEnd and the consumers' sbase by runBatched/compileCollapse — leaving
-// per-replica profile bookkeeping (a collapsed node issues one unit slot
-// per lane, so its unit's count grows by the replica's lane count). A
-// non-collapsible node (an SCU, or a
+// pass, then the value pass (staticValues). The timing pass of a
+// collapsible node reduces to its closed form — done = inject + konst,
+// already folded into laneEnd and the consumers' sbase by
+// runBatched/compileCollapse — leaving per-replica profile bookkeeping (a
+// collapsed node issues one unit slot per lane, so its unit's count grows
+// by the replica's lane count). A non-collapsible node (an SCU, or a
 // consumer of one) keeps the per-lane slot allocation in thread order,
 // reading collapsed inputs through the sbase fold and the filtered edge
 // list, since collapsed nodes never write their completion planes.
@@ -647,12 +647,6 @@ func (e *Engine) execStaticNode(prog *nodeProg, pn *progNode, lanes int, h *Hook
 			for r, cnt := range e.repCnt {
 				st.UnitIssues[prog.unit[r*prog.n+ni]] += uint64(cnt)
 			}
-		}
-		if pn.exec == xInit {
-			for l := 0; l < lanes; l++ {
-				e.pvals[l*stride+ni] = uint32(e.laneTid[l])
-			}
-			return
 		}
 	} else {
 		for l := 0; l < lanes; l++ {
@@ -683,35 +677,7 @@ func (e *Engine) execStaticNode(prog *nodeProg, pn *progNode, lanes int, h *Hook
 			}
 		}
 	}
-
-	switch pn.exec {
-	case xParam:
-		v := h.Param(int(pn.imm))
-		for l := 0; l < lanes; l++ {
-			e.pvals[l*stride+ni] = v
-		}
-	case xGeom:
-		op := pn.op
-		for l := 0; l < lanes; l++ {
-			e.pvals[l*stride+ni] = h.Geometry(op, e.laneTid[l])
-		}
-	case xSplit:
-		src := int(pn.in0)
-		for l := 0; l < lanes; l++ {
-			e.pvals[l*stride+ni] = e.pvals[l*stride+src]
-		}
-	case xJoin:
-		for l := 0; l < lanes; l++ {
-			e.pvals[l*stride+ni] = 0
-		}
-	default: // xALU, xSCU: branch-free Eval over the wave's lane stripes
-		a, b, c := int(pn.in0), int(pn.in1), int(pn.in2)
-		op, imm := pn.op, pn.imm
-		for l := 0; l < lanes; l++ {
-			vals := e.pvals[l*stride : l*stride+stride]
-			vals[ni] = kir.Eval(op, vals[a], vals[b], vals[c], imm)
-		}
-	}
+	e.staticValues(prog, pn, lanes, h)
 }
 
 // execDynLane walks the dynamic (hook-dependent) nodes of one lane in
@@ -875,7 +841,7 @@ func (e *Engine) runFast(ctx context.Context, p *fabric.Placement, threads []int
 		}
 		copy(e.laneTid[:lanes], threads[base:base+lanes])
 		for i := range prog.static {
-			e.fastStaticNode(prog, &prog.static[i], lanes, h)
+			e.staticValues(prog, &prog.static[i], lanes, h)
 		}
 		for l := 0; l < lanes; l++ {
 			if err := e.fastDynLane(prog, l, startCycle, h, st); err != nil {
@@ -887,10 +853,11 @@ func (e *Engine) runFast(ctx context.Context, p *fabric.Placement, threads []int
 	return st, nil
 }
 
-// fastStaticNode computes one pure node's values for a batch of lanes.
+// staticValues is the value pass of one pure node over a batch of lanes,
+// shared by the batched and fast executors: node-major, with no timing.
 //
 //vgiw:hotpath
-func (e *Engine) fastStaticNode(prog *nodeProg, pn *progNode, lanes int, h *Hooks) {
+func (e *Engine) staticValues(prog *nodeProg, pn *progNode, lanes int, h *Hooks) {
 	ni := int(pn.id)
 	stride := prog.n + 1
 	switch pn.exec {
@@ -917,7 +884,7 @@ func (e *Engine) fastStaticNode(prog *nodeProg, pn *progNode, lanes int, h *Hook
 		for l := 0; l < lanes; l++ {
 			e.pvals[l*stride+ni] = 0
 		}
-	default: // xALU, xSCU
+	default: // xALU, xSCU: branch-free Eval over the lane stripes
 		a, b, c := int(pn.in0), int(pn.in1), int(pn.in2)
 		op, imm := pn.op, pn.imm
 		for l := 0; l < lanes; l++ {
@@ -927,9 +894,8 @@ func (e *Engine) fastStaticNode(prog *nodeProg, pn *progNode, lanes int, h *Hook
 	}
 }
 
-// fastDynLane walks one lane's dynamic nodes functionally, using the fast
-// hook variants when wired (falling back to the timed hooks with their
-// timing results discarded).
+// fastDynLane walks one lane's dynamic nodes functionally, through the
+// fast hook variants.
 //
 //vgiw:hotpath
 func (e *Engine) fastDynLane(prog *nodeProg, l int, now int64, h *Hooks, st *Stats) error {
@@ -949,17 +915,9 @@ func (e *Engine) fastDynLane(prog *nodeProg, l int, now int64, h *Hooks, st *Sta
 			val = vals[pn.in0]
 		case xJoin:
 		case xLVLoad:
-			if h.AccessLVFast != nil {
-				val = h.AccessLVFast(int(pn.lv), tid, false, 0)
-			} else {
-				val, _ = h.AccessLV(int(pn.lv), tid, false, 0, now)
-			}
+			val = h.AccessLVFast(int(pn.lv), tid, false, 0)
 		case xLVStore:
-			if h.AccessLVFast != nil {
-				h.AccessLVFast(int(pn.lv), tid, true, vals[pn.in0])
-			} else {
-				_, _ = h.AccessLV(int(pn.lv), tid, true, vals[pn.in0], now)
-			}
+			h.AccessLVFast(int(pn.lv), tid, true, vals[pn.in0])
 		case xMem:
 			if pn.pred >= 0 && vals[pn.pred] == 0 {
 				st.SkippedMemOps++
@@ -977,13 +935,7 @@ func (e *Engine) fastDynLane(prog *nodeProg, l int, now int64, h *Hooks, st *Sta
 			} else {
 				st.GlobalAccesses++
 			}
-			var word uint32
-			var err error
-			if h.AccessMemFast != nil {
-				word, err = h.AccessMemFast(space, addr, pn.store, value, tid)
-			} else {
-				word, _, err = h.AccessMem(space, addr, pn.store, value, tid, now)
-			}
+			word, err := h.AccessMemFast(space, addr, pn.store, value, tid)
 			if err != nil {
 				return err
 			}

@@ -106,7 +106,7 @@ func TestKernelsCompile(t *testing.T) {
 }
 
 // TestSGMFEligibilityClaims verifies the registry's SGMF flags against the
-// actual SGMF compiler outcome (unrolling + if-conversion + placement).
+// actual SGMF compiler outcome (scheduling + if-conversion + placement).
 func TestSGMFEligibilityClaims(t *testing.T) {
 	m, err := sgmf.NewMachine(sgmf.DefaultConfig())
 	if err != nil {

@@ -631,13 +631,13 @@ func TestRepeatAfterOffLockMissIsNotRerun(t *testing.T) {
 
 // TestCacheTierMetrics pins the shared artifact cache's exposition: one
 // hits and one misses counter per tier, present as zeros from the first
-// scrape. An LVC sweep over the registry on one daemon then simulates each
-// kernel's baselines once, since no VGIW knob is in their result-tier keys,
-// and simulates VGIW once per distinct effective machine: the 105 jobs are
-// 34 machines.
+// scrape, and no other tier. An LVC sweep over the registry on one daemon
+// then simulates each kernel's baselines once, since no VGIW knob is in
+// their result-tier keys, and simulates VGIW once per distinct effective
+// machine: the 105 jobs are 34 machines.
 func TestCacheTierMetrics(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 128})
-	tiers := []string{"workload", "vgiw", "simt", "sgmf", "simt_run", "sgmf_run", "vgiw_run"}
+	tiers := []string{"workload", "vgiw", "simt_run", "sgmf_run", "vgiw_run"}
 	metrics := scrapeMetrics(t, ts)
 	for _, tier := range tiers {
 		for _, name := range []string{"vgiwd/cache_hits/" + tier, "vgiwd/cache_misses/" + tier} {
@@ -645,6 +645,9 @@ func TestCacheTierMetrics(t *testing.T) {
 				t.Errorf("fresh daemon's metrics missing %q", want)
 			}
 		}
+	}
+	if got := strings.Count(metrics, `{name="vgiwd/cache_hits/`); got != len(tiers) {
+		t.Errorf("fresh daemon exposes %d cache tiers, want %d", got, len(tiers))
 	}
 
 	sizes := []int{16, 32, 64, 128, 256}

@@ -4,7 +4,8 @@
 // dataflow — onto the MT-CGRF at once (Figure 1c). It therefore:
 //
 //   - cannot run kernels whose flattened graph exceeds the fabric, nor
-//     kernels with data-dependent loops or barriers (§2, §5);
+//     kernels with loops or barriers (§2, §5): no loop is unrolled, so
+//     every kernel with a back edge is rejected;
 //   - wastes units on not-taken paths under control divergence;
 //   - needs no reconfiguration, no live value cache, and no control vector
 //     table, which makes it faster than VGIW on small low-divergence kernels
@@ -78,10 +79,10 @@ func NewMachine(cfg Config) (*Machine, error) {
 	return &Machine{cfg: cfg, grid: grid, eng: engine.New(grid, cfg.Engine)}, nil
 }
 
-// Mapped is SGMF's compile/place artifact: the scheduled, unrolled,
-// if-converted kernel together with its whole-kernel placement. It is
-// immutable once built — RunMapped only reads it — so one Mapped may be
-// shared by concurrent runs on machines with the same fabric configuration.
+// Mapped is SGMF's compile/place artifact: the scheduled, if-converted
+// kernel together with its whole-kernel placement. It is immutable once
+// built — RunMapped only reads it — so one Mapped may be shared by
+// concurrent runs on machines with the same fabric configuration.
 type Mapped struct {
 	// Kernel is the transformed kernel the graph was built from (the
 	// mapping passes mutate their input in place; keep this one, not the
@@ -90,21 +91,16 @@ type Mapped struct {
 	Placement *fabric.Placement
 }
 
-// Translate lowers a kernel to SGMF's whole-kernel dataflow graph,
-// reporting why a kernel is not SGMF-mappable (loops, barriers). The kernel
-// is mutated in place (block scheduling, loop unrolling).
+// Translate lowers a kernel to SGMF's whole-kernel dataflow graph: it
+// schedules the blocks, then if-converts them, which reports why a kernel
+// is not SGMF-mappable (loops, barriers). The kernel is mutated in place
+// (block scheduling).
 func (m *Machine) Translate(k *kir.Kernel) (*compile.BlockDFG, error) {
 	var opts []compile.Option
 	if m.cfg.Checked {
 		opts = append(opts, compile.Checked())
 	}
 	if _, err := compile.ScheduleBlocks(k); err != nil {
-		return nil, err
-	}
-	// Counted loops with compile-time trip counts can be fully unrolled,
-	// which turns some loopy kernels into SGMF-mappable acyclic graphs
-	// (bounded so the result still has a chance of fitting the fabric).
-	if _, err := compile.UnrollLoops(k, 16, 96, opts...); err != nil {
 		return nil, err
 	}
 	return compile.IfConvert(k, opts...)

@@ -1,6 +1,7 @@
 package sgmf
 
 import (
+	"strings"
 	"testing"
 
 	"vgiw/internal/kir"
@@ -88,28 +89,57 @@ func TestSGMFDiamondMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSGMFRejectsLoops: SGMF maps no kernel with a back edge, whether its
+// trip count is data-dependent or a compile-time constant.
 func TestSGMFRejectsLoops(t *testing.T) {
-	b := kir.NewBuilder("loopy")
-	entry := b.NewBlock("entry")
-	loop := b.NewBlock("loop")
-	exit := b.NewBlock("exit")
-	b.SetBlock(entry)
-	i := b.Const(0)
-	b.Jump(loop)
-	b.SetBlock(loop)
-	i1 := b.AddI(i, 1)
-	b.MovTo(i, i1)
-	b.Branch(b.SetLT(i1, b.Tid()), loop, exit)
-	b.SetBlock(exit)
-	b.Ret()
-	k := b.MustBuild()
+	dataDependent := func() *kir.Kernel {
+		b := kir.NewBuilder("loopy")
+		entry := b.NewBlock("entry")
+		loop := b.NewBlock("loop")
+		exit := b.NewBlock("exit")
+		b.SetBlock(entry)
+		i := b.Const(0)
+		b.Jump(loop)
+		b.SetBlock(loop)
+		i1 := b.AddI(i, 1)
+		b.MovTo(i, i1)
+		b.Branch(b.SetLT(i1, b.Tid()), loop, exit)
+		b.SetBlock(exit)
+		b.Ret()
+		return b.MustBuild()
+	}
+	constantTrip := func() *kir.Kernel {
+		b := kir.NewBuilder("trip3")
+		b.SetParams(1)
+		entry := b.NewBlock("entry")
+		loop := b.NewBlock("loop")
+		exit := b.NewBlock("exit")
+		b.SetBlock(entry)
+		tid := b.Tid()
+		i := b.Const(0)
+		acc := b.Const(0)
+		b.Jump(loop)
+		b.SetBlock(loop)
+		a1 := b.Add(acc, i)
+		b.MovTo(acc, a1)
+		i1 := b.AddI(i, 1)
+		b.MovTo(i, i1)
+		b.Branch(b.SetLT(i1, b.Const(3)), loop, exit)
+		b.SetBlock(exit)
+		b.Store(b.Add(b.Param(0), tid), 0, acc)
+		b.Ret()
+		return b.MustBuild()
+	}
 
 	m, err := NewMachine(checkedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Supported(k) {
-		t.Error("loopy kernel should not be SGMF-supported")
+	for _, build := range []func() *kir.Kernel{dataDependent, constantTrip} {
+		k := build()
+		if _, err := m.Map(k); err == nil || !strings.Contains(err.Error(), "has loops") {
+			t.Errorf("%s: Map error = %v, want a \"has loops\" rejection", k.Name, err)
+		}
 	}
 }
 
@@ -211,53 +241,6 @@ func TestSGMFReplicationThroughput(t *testing.T) {
 	if res.Cycles >= resOne.Cycles {
 		t.Errorf("replicated run (%d cycles) not faster than single replica (%d)",
 			res.Cycles, resOne.Cycles)
-	}
-}
-
-// TestSGMFUnrollsCountedLoops: a constant-trip loop becomes mappable via the
-// compiler's full unrolling.
-func TestSGMFUnrollsCountedLoops(t *testing.T) {
-	build := func() *kir.Kernel {
-		b := kir.NewBuilder("trip3")
-		b.SetParams(1)
-		entry := b.NewBlock("entry")
-		loop := b.NewBlock("loop")
-		exit := b.NewBlock("exit")
-		b.SetBlock(entry)
-		tid := b.Tid()
-		i := b.Const(0)
-		acc := b.Const(0)
-		b.Jump(loop)
-		b.SetBlock(loop)
-		a1 := b.Add(acc, i)
-		b.MovTo(acc, a1)
-		i1 := b.AddI(i, 1)
-		b.MovTo(i, i1)
-		b.Branch(b.SetLT(i1, b.Const(3)), loop, exit)
-		b.SetBlock(exit)
-		b.Store(b.Add(b.Param(0), tid), 0, acc)
-		b.Ret()
-		return b.MustBuild()
-	}
-	const n = 128
-	ref := make([]uint32, n)
-	in := &kir.Interp{Kernel: build(), Launch: kir.Launch1D(n/32, 32, 0), Global: ref}
-	if err := in.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := NewMachine(checkedConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]uint32, n)
-	if _, err := m.Run(build(), kir.Launch1D(n/32, 32, 0), got); err != nil {
-		t.Fatalf("unrollable loop should be SGMF-mappable: %v", err)
-	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("out[%d] = %d, want %d", i, got[i], ref[i])
-		}
 	}
 }
 
