@@ -27,9 +27,12 @@ analyze:
 # verify-check exercises the kernel-IR verifier: the invalid-kernel corpus
 # must produce its exact diagnostics, every registry kernel must compile
 # cleanly through the Checked pipelines, and the mutation tests must catch
-# deliberately broken passes.
+# deliberately broken passes. TestMalformedInputSameError runs malformed
+# kernels and launches through the interpreter and all three machines,
+# which must each return kir's one input check's error and never panic.
 verify-check:
 	$(GO) test ./internal/verify/ ./internal/fabric/ -run 'Test'
+	$(GO) test . -run 'TestMalformedInputSameError'
 	$(GO) test ./internal/compile/ -run 'TestBrokenPassCaught|TestCheckedCompileCatchesMutation|TestVerifyGraphCatchesCorruption|TestRegistryPipelinesChecked|TestCheckSelectChain'
 
 # fuzz-smoke runs the parser/verifier/interp fuzzer, the job-spec

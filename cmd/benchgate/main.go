@@ -1,6 +1,6 @@
 // Command benchgate is the repo's performance-record tool: it compares a
-// current series against a checked-in baseline under per-metric tolerance
-// rules and exits non-zero on a move past tolerance, so `make check` fails
+// current series against a checked-in baseline under one tolerance and
+// exits non-zero on a move past it, so `make check` fails
 // when a change moves the simulated numbers, and it records new rows into
 // the micro-benchmark ledger.
 //
@@ -31,9 +31,10 @@
 //	    or both vgiw-bench/v1 trajectories, compared by latest ns/op).
 //
 // The default tolerance is 0 — exact match — which the simulators earn by
-// being deterministic: equal specs produce byte-identical metrics. Loosen
-// per metric with repeatable -tol 'glob=frac' rules (first match wins) or
-// globally with -tolerance. -update writes the freshly produced series back
+// being deterministic: equal specs produce byte-identical metrics.
+// -tolerance loosens every metric by a fraction of its baseline value (the
+// on-demand engine-ledger comparison uses it). -update writes the freshly
+// produced series back
 // to the baseline instead of failing: the snapshot -run made, or the
 // trajectory with the stream's rows recorded. Recording is idempotent per
 // (commit, bench) and leaves every other row byte-for-byte as it was.
@@ -57,66 +58,11 @@ import (
 	"vgiw/internal/trace"
 )
 
-// tolRule is one -tol glob=frac override; the first matching rule wins.
-type tolRule struct {
-	pattern string
-	frac    float64
-}
-
-type tolRules []tolRule
-
-func (t *tolRules) String() string { return fmt.Sprint(*t) }
-
-func (t *tolRules) Set(s string) error {
-	pat, frac, ok := strings.Cut(s, "=")
-	if !ok {
-		return fmt.Errorf("want glob=frac, got %q", s)
-	}
-	f, err := strconv.ParseFloat(frac, 64)
-	if err != nil || f < 0 {
-		return fmt.Errorf("bad tolerance fraction %q", frac)
-	}
-	*t = append(*t, tolRule{pattern: pat, frac: f})
-	return nil
-}
-
-// globMatch matches name against a pattern where '*' matches any run of
-// characters — slashes included, unlike path.Match, because metric names
-// ("vgiw/cycles") use '/' as an ordinary separator.
-func globMatch(pattern, name string) bool {
-	parts := strings.Split(pattern, "*")
-	if len(parts) == 1 {
-		return pattern == name
-	}
-	if !strings.HasPrefix(name, parts[0]) {
-		return false
-	}
-	name = name[len(parts[0]):]
-	last := len(parts) - 1
-	for _, part := range parts[1:last] {
-		i := strings.Index(name, part)
-		if i < 0 {
-			return false
-		}
-		name = name[i+len(part):]
-	}
-	return strings.HasSuffix(name, parts[last])
-}
-
-// tolFor resolves the tolerance fraction for a metric name.
-func tolFor(name string, global float64, rules tolRules) float64 {
-	for _, r := range rules {
-		if globMatch(r.pattern, name) {
-			return r.frac
-		}
-	}
-	return global
-}
-
 // compareSeries checks cur against base. A metric missing from cur, or
-// moved beyond its tolerance, is a failure; a metric only in cur is a
-// warning (new metrics are growth, not regression). Output is name-sorted.
-func compareSeries(base, cur map[string]float64, global float64, rules tolRules) (fails, warns []string) {
+// moved beyond tol (a fraction of its baseline value), is a failure; a
+// metric only in cur is a warning (new metrics are growth, not regression).
+// Output is name-sorted.
+func compareSeries(base, cur map[string]float64, tol float64) (fails, warns []string) {
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
@@ -129,7 +75,6 @@ func compareSeries(base, cur map[string]float64, global float64, rules tolRules)
 			fails = append(fails, fmt.Sprintf("%s: missing (baseline %g)", name, bv))
 			continue
 		}
-		tol := tolFor(name, global, rules)
 		diff := cv - bv
 		if diff < 0 {
 			diff = -diff
@@ -180,9 +125,7 @@ func main() {
 		run       = flag.Bool("run", false, "produce the current series by running the suite at the baseline's scale")
 		tolerance = flag.Float64("tolerance", 0, "global tolerance as a fraction of the baseline value (0 = exact)")
 		update    = flag.Bool("update", false, "write the freshly produced series (-run or -current -) back to the baseline")
-		rules     tolRules
 	)
-	flag.Var(&rules, "tol", "per-metric tolerance override, glob=frac (repeatable; first match wins)")
 	flag.Parse()
 
 	switch {
@@ -261,7 +204,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	fails, warns := compareSeries(base.Series(), curSeries, *tolerance, rules)
+	fails, warns := compareSeries(base.Series(), curSeries, *tolerance)
 	for _, wmsg := range warns {
 		fmt.Fprintf(os.Stderr, "benchgate: note: %s\n", wmsg)
 	}

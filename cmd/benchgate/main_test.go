@@ -22,7 +22,7 @@ import (
 func TestCompareSeriesExact(t *testing.T) {
 	base := map[string]float64{"a": 10, "b": 20, "c": 0}
 	cur := map[string]float64{"a": 10, "b": 20, "c": 0}
-	fails, warns := compareSeries(base, cur, 0, nil)
+	fails, warns := compareSeries(base, cur, 0)
 	if len(fails) != 0 || len(warns) != 0 {
 		t.Fatalf("identical series: fails=%v warns=%v", fails, warns)
 	}
@@ -31,7 +31,7 @@ func TestCompareSeriesExact(t *testing.T) {
 func TestCompareSeriesRegressionAndMissing(t *testing.T) {
 	base := map[string]float64{"a": 10, "b": 20}
 	cur := map[string]float64{"a": 11} // a moved, b missing
-	fails, _ := compareSeries(base, cur, 0, nil)
+	fails, _ := compareSeries(base, cur, 0)
 	if len(fails) != 2 {
 		t.Fatalf("fails = %v, want a-moved and b-missing", fails)
 	}
@@ -44,53 +44,23 @@ func TestCompareSeriesRegressionAndMissing(t *testing.T) {
 func TestCompareSeriesTolerance(t *testing.T) {
 	base := map[string]float64{"vgiw/cycles": 100, "vgiw/ops": 50}
 	cur := map[string]float64{"vgiw/cycles": 104, "vgiw/ops": 50}
-	if fails, _ := compareSeries(base, cur, 0.05, nil); len(fails) != 0 {
+	if fails, _ := compareSeries(base, cur, 0.05); len(fails) != 0 {
 		t.Errorf("4%% drift under 5%% global tolerance failed: %v", fails)
 	}
-	if fails, _ := compareSeries(base, cur, 0.01, nil); len(fails) != 1 {
+	if fails, _ := compareSeries(base, cur, 0.01); len(fails) != 1 {
 		t.Errorf("4%% drift over 1%% tolerance passed")
-	}
-	// Per-metric rule overrides the (tight) global.
-	rules := tolRules{{pattern: "vgiw/cyc*", frac: 0.10}}
-	if fails, _ := compareSeries(base, cur, 0, rules); len(fails) != 0 {
-		t.Errorf("per-metric rule not applied: %v", fails)
 	}
 }
 
 func TestCompareSeriesNewMetricWarnsOnly(t *testing.T) {
 	base := map[string]float64{"a": 1}
 	cur := map[string]float64{"a": 1, "z": 9}
-	fails, warns := compareSeries(base, cur, 0, nil)
+	fails, warns := compareSeries(base, cur, 0)
 	if len(fails) != 0 {
 		t.Errorf("new metric treated as failure: %v", fails)
 	}
 	if len(warns) != 1 || !strings.Contains(warns[0], "z") {
 		t.Errorf("warns = %v", warns)
-	}
-}
-
-func TestTolRulesFirstMatchWins(t *testing.T) {
-	var rules tolRules
-	if err := rules.Set("vgiw/*=0.5"); err != nil {
-		t.Fatal(err)
-	}
-	if err := rules.Set("*=0.1"); err != nil {
-		t.Fatal(err)
-	}
-	if got := tolFor("vgiw/cycles", 0, rules); got != 0.5 {
-		t.Errorf("tolFor(vgiw/cycles) = %g, want first rule's 0.5", got)
-	}
-	if got := tolFor("mem/hits", 0, rules); got != 0.1 {
-		t.Errorf("tolFor(mem/hits) = %g, want 0.1", got)
-	}
-	if got := tolFor("anything", 0.2, nil); got != 0.2 {
-		t.Errorf("no rules: tolFor = %g, want global 0.2", got)
-	}
-	if err := rules.Set("no-equals-sign"); err == nil {
-		t.Error("malformed rule accepted")
-	}
-	if err := rules.Set("a=notafloat"); err == nil {
-		t.Error("malformed fraction accepted")
 	}
 }
 
@@ -363,7 +333,7 @@ func TestComparesStoredHistoryMetrics(t *testing.T) {
 	if _, ok := series[0][simt]; !ok || !slices.Contains(moved, vgiw) || slices.Contains(moved, simt) {
 		t.Fatalf("moved = %v, want %s and not %s under a VGIW-only knob", moved, vgiw, simt)
 	}
-	fails, warns := compareSeries(series[0], series[1], 0, nil)
+	fails, warns := compareSeries(series[0], series[1], 0)
 	if len(fails) != len(moved) || len(warns) != 0 {
 		t.Fatalf("benchgate reported %d moved and %d new metrics, want %d and 0:\n%s",
 			len(fails), len(warns), len(moved), strings.Join(append(fails, warns...), "\n"))

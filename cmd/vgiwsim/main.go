@@ -17,6 +17,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -24,7 +25,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 
 	"vgiw/internal/bench"
 	"vgiw/internal/compile"
@@ -44,7 +44,7 @@ func main() {
 		name     = flag.String("kernel", "", "kernel(s) to run: a name, a comma-separated list, or \"all\" (see -list)")
 		arch     = flag.String("arch", "vgiw", "architecture: vgiw, simt, or sgmf")
 		scale    = flag.Int("scale", 1, "workload scale factor")
-		parallel = flag.Int("parallel", runtime.NumCPU(), "concurrent kernel runs when several kernels are given")
+		parallel = flag.Int("parallel", runtime.NumCPU(), "concurrent kernel runs when several kernels are given (0 = all CPUs)")
 		blocks   = flag.Bool("blocks", false, "print per-block scheduling detail (vgiw only)")
 		grid     = flag.Bool("grid", false, "print the fabric occupancy heatmap (vgiw only)")
 		timeline = flag.Bool("timeline", false, "print a timeline of block schedules (vgiw only)")
@@ -148,29 +148,9 @@ func main() {
 	// its own instance and machine, so results match a serial sweep.
 	outs := make([]bytes.Buffer, len(specs))
 	errs := make([]error, len(specs))
-	workers := *parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				errs[i] = runOne(&outs[i], specs[i], rc)
-			}
-		}()
-	}
-	for i := range specs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	bench.Options{Parallelism: *parallel}.ForEach(len(specs), func(i int) {
+		errs[i] = runOne(&outs[i], specs[i], rc)
+	})
 
 	failed := 0
 	for i := range specs {
@@ -408,7 +388,7 @@ func runSIMT(w io.Writer, inst *kernels.Instance, rc runCfg) error {
 	}
 	cfg := simt.DefaultConfig()
 	cfg.Trace = rc.sink
-	res, err := simt.NewMachine(cfg).Run(ck, inst.Launch, inst.Global)
+	res, err := simt.NewMachine(cfg).RunCtx(context.Background(), ck, inst.Launch, inst.Global)
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
 	}

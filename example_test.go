@@ -4,8 +4,10 @@ import (
 	_ "embed"
 	"fmt"
 	"math"
+	"slices"
 
 	"vgiw"
+	"vgiw/internal/core"
 )
 
 // ExampleRunVGIW doubles an array on the VGIW machine.
@@ -184,4 +186,110 @@ func Example_kasm() {
 	//   jmp @2
 	// @2 exit:
 	//   ret
+}
+
+// fig1a reproduces the Figure 1a control flow:
+//
+//	BB1: if (c1) -> BB2 else BB3
+//	BB3: if (c2) -> BB4 else BB5
+//	BB2, BB4, BB5 -> BB6 (merge)
+func fig1a() *vgiw.Kernel {
+	b := vgiw.NewKernelBuilder("fig1a")
+	b.SetParams(2) // inBase, outBase
+	bb1 := b.NewBlock("BB1")
+	bb2 := b.NewBlock("BB2")
+	bb3 := b.NewBlock("BB3")
+	bb4 := b.NewBlock("BB4")
+	bb5 := b.NewBlock("BB5")
+	bb6 := b.NewBlock("BB6")
+
+	b.SetBlock(bb1)
+	v := b.Load(b.Add(b.Param(0), b.Tid()), 0)
+	b.Branch(b.SetLT(v, b.Const(10)), bb2, bb3)
+
+	b.SetBlock(bb2)
+	r := b.Mov(b.MulI(v, 2))
+	b.Jump(bb6)
+
+	b.SetBlock(bb3)
+	b.Branch(b.SetLT(v, b.Const(100)), bb4, bb5)
+
+	b.SetBlock(bb4)
+	b.MovTo(r, b.AddI(v, 7))
+	b.Jump(bb6)
+
+	b.SetBlock(bb5)
+	b.MovTo(r, b.Sub(v, b.Tid()))
+	b.Jump(bb6)
+
+	b.SetBlock(bb6)
+	b.Store(b.Add(b.Param(1), b.Tid()), 0, r)
+	b.Ret()
+	return b.MustBuild()
+}
+
+// fig1aInput steers the eight threads (numbered from 1, as in the paper)
+// onto Figure 1a's three paths: 1, 3 and 8 take BB2 (v < 10), 2 and 7 take
+// BB4 (10 <= v < 100), and 4, 5 and 6 take BB5 (v >= 100).
+func fig1aInput() []uint32 {
+	mem := make([]uint32, 16)
+	copy(mem, []uint32{5, 50, 7, 200, 300, 400, 60, 9})
+	return mem
+}
+
+// Example_divergence walks through the paper's running example (Figures 1
+// and 2): eight threads of a nested conditional split three ways, and the
+// VGIW machine schedules each basic block once, running the threads pending
+// for it as one coalesced vector. The number of schedules tracks basic
+// blocks, not divergent paths. The same kernel then runs on the SIMT and
+// SGMF baselines, and all three outputs are checked against the reference
+// interpreter.
+func Example_divergence() {
+	launch := vgiw.Launch1D(1, 8, 0, 8)
+	cfg := vgiw.DefaultVGIWConfig()
+	cfg.Engine.Profile = true // records each schedule's thread vector
+	m, err := core.NewMachine(cfg)
+	if err != nil {
+		panic(err)
+	}
+	ck, err := m.Compile(fig1a())
+	if err != nil {
+		panic(err)
+	}
+	mem := fig1aInput()
+	res, err := m.Run(ck, launch, mem)
+	if err != nil {
+		panic(err)
+	}
+	for step, br := range res.BlockRuns {
+		ids := make([]int, len(br.ThreadIDs))
+		for i, t := range br.ThreadIDs {
+			ids[i] = t + 1
+		}
+		fmt.Printf("step %d: schedule %s -> thread vector %v\n", step+1, ck.Kernel.Blocks[br.Block].Label, ids)
+	}
+	fmt.Printf("%d reconfigurations for %d blocks\n", res.Reconfigs, len(ck.Kernel.Blocks))
+
+	simtMem, sgmfMem, ref := fig1aInput(), fig1aInput(), fig1aInput()
+	if _, err := vgiw.RunSIMT(fig1a(), launch, simtMem, nil); err != nil {
+		panic(err)
+	}
+	if _, err := vgiw.RunSGMF(fig1a(), launch, sgmfMem, nil); err != nil {
+		panic(err)
+	}
+	if err := vgiw.Interpret(fig1a(), launch, ref); err != nil {
+		panic(err)
+	}
+	if slices.Equal(mem, ref) && slices.Equal(simtMem, ref) && slices.Equal(sgmfMem, ref) {
+		fmt.Println("VGIW, SIMT and SGMF outputs match the reference interpreter")
+	}
+	// Output:
+	// step 1: schedule BB1 -> thread vector [1 2 3 4 5 6 7 8]
+	// step 2: schedule BB2 -> thread vector [1 3 8]
+	// step 3: schedule BB3 -> thread vector [2 4 5 6 7]
+	// step 4: schedule BB4 -> thread vector [2 7]
+	// step 5: schedule BB5 -> thread vector [4 5 6]
+	// step 6: schedule BB6 -> thread vector [1 2 3 4 5 6 7 8]
+	// 6 reconfigurations for 6 blocks
+	// VGIW, SIMT and SGMF outputs match the reference interpreter
 }

@@ -78,9 +78,10 @@ func (o Options) workers(n int) int {
 	return w
 }
 
-// forEach runs fn(i) for every i in [0,n), fanning the calls across the
-// options' worker pool. fn must be safe to call concurrently for distinct i.
-func (o Options) forEach(n int, fn func(i int)) {
+// ForEach runs fn(i) for every i in [0,n), fanning the calls across the
+// options' worker pool (Parallelism workers, all CPUs when it is 0). fn must
+// be safe to call concurrently for distinct i.
+func (o Options) ForEach(n int, fn func(i int)) {
 	w := o.workers(n)
 	if w == 1 {
 		for i := 0; i < n; i++ {
@@ -183,17 +184,12 @@ func (k *KernelRun) EnergyEffVsSGMF() float64 {
 	return power.Efficiency(k.EnergySGMF.SystemLevel(), k.EnergyVGIW.SystemLevel())
 }
 
-// RunOne executes one benchmark on all machines, validating each result.
+// RunOneCtx executes one benchmark on all machines, validating each result.
 // Shared artifacts (the workload, the per-architecture compile/place
 // products and every machine's validated result) come from opt's cache when
 // one is set; every simulation runs against a private memory image, so
-// results are byte-identical to an uncached run.
-func RunOne(spec kernels.Spec, opt Options) (*KernelRun, error) {
-	return RunOneCtx(context.Background(), spec, opt)
-}
-
-// RunOneCtx is RunOne with cooperative cancellation: ctx is threaded into
-// every simulator's cycle loop, so a deadline or cancel preempts the run
+// results are byte-identical to an uncached run. ctx is threaded into every
+// simulator's cycle loop, so a deadline or cancel preempts the run
 // mid-simulation and RunOneCtx returns an error wrapping ctx.Err().
 func RunOneCtx(ctx context.Context, spec kernels.Spec, opt Options) (*KernelRun, error) {
 	start := time.Now()
@@ -259,8 +255,8 @@ func RunOneCtx(ctx context.Context, spec kernels.Spec, opt Options) (*KernelRun,
 func RunMatrix(specs []kernels.Spec, opt Options) ([]*KernelRun, error) {
 	runs := make([]*KernelRun, len(specs))
 	errs := make([]error, len(specs))
-	opt.forEach(len(specs), func(i int) {
-		runs[i], errs[i] = RunOne(specs[i], opt)
+	opt.ForEach(len(specs), func(i int) {
+		runs[i], errs[i] = RunOneCtx(context.Background(), specs[i], opt)
 	})
 	out := make([]*KernelRun, 0, len(specs))
 	for _, kr := range runs {

@@ -24,7 +24,7 @@ func allRuns(t *testing.T) []*KernelRun {
 	return cachedRuns
 }
 
-// TestHarnessValidatesEveryMachine re-checks that RunAll succeeded — RunOne
+// TestHarnessValidatesEveryMachine re-checks that RunAll succeeded — RunOneCtx
 // verifies every machine's memory image against the host reference, so a
 // pass here means all three simulators computed every kernel correctly.
 func TestHarnessValidatesEveryMachine(t *testing.T) {
@@ -208,7 +208,7 @@ func TestGeomean(t *testing.T) {
 func TestJSONExport(t *testing.T) {
 	runs := allRuns(t)
 	var sb strings.Builder
-	if err := WriteJSON(&sb, runs, 1); err != nil {
+	if err := (&SuiteResult{Runs: runs}).WriteJSON(&sb, 1); err != nil {
 		t.Fatal(err)
 	}
 	var rep JSONReport

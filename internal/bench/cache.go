@@ -71,13 +71,9 @@ func (s *StageTimes) Add(o StageTimes) {
 }
 
 // CacheStats is a point-in-time snapshot of the cache's accounting: per-tier
-// hit/miss counters plus the build time spent on misses, split by stage.
+// hit/miss counters. The build time a miss pays is in its run's Stages.
 type CacheStats struct {
 	Hits, Misses [numTiers]uint64
-	// Build is the time paid on misses (the cost the hits avoided
-	// re-paying): artifact construction in Instance/Compile/Place, and the
-	// result tiers' simulations in Simulate.
-	Build StageTimes
 }
 
 // HitsTotal sums hits across tiers.
@@ -105,10 +101,6 @@ func (s CacheStats) sub(earlier CacheStats) CacheStats {
 		s.Hits[t] -= earlier.Hits[t]
 		s.Misses[t] -= earlier.Misses[t]
 	}
-	s.Build.Instance -= earlier.Build.Instance
-	s.Build.Compile -= earlier.Build.Compile
-	s.Build.Place -= earlier.Build.Place
-	s.Build.Simulate -= earlier.Build.Simulate
 	return s
 }
 
@@ -154,7 +146,6 @@ type ArtifactCache struct {
 	maxRuns  int
 
 	hits, misses [numTiers]atomic.Uint64
-	buildNS      [4]atomic.Int64 // instance/compile/place/simulate
 }
 
 // cacheEntry is one key's build. done closes when the build returns; val
@@ -189,10 +180,6 @@ func (c *ArtifactCache) Stats() CacheStats {
 		s.Hits[t] = c.hits[t].Load()
 		s.Misses[t] = c.misses[t].Load()
 	}
-	s.Build.Instance = time.Duration(c.buildNS[0].Load())
-	s.Build.Compile = time.Duration(c.buildNS[1].Load())
-	s.Build.Place = time.Duration(c.buildNS[2].Load())
-	s.Build.Simulate = time.Duration(c.buildNS[3].Load())
 	return s
 }
 
@@ -242,10 +229,6 @@ func (c *ArtifactCache) lead(ctx context.Context, key any, tier Tier, e *cacheEn
 	c.misses[tier].Add(1)
 	var st StageTimes
 	e.val, st, e.err = build(ctx)
-	c.buildNS[0].Add(int64(st.Instance))
-	c.buildNS[1].Add(int64(st.Compile))
-	c.buildNS[2].Add(int64(st.Place))
-	c.buildNS[3].Add(int64(st.Simulate))
 	c.mu.Lock()
 	switch {
 	case e.err != nil:

@@ -253,7 +253,7 @@ func LVCSweep(opt Options, sizesKB []int, kernelNames []string) (*report.Table, 
 	cycles := make([]int64, nCells)
 	errs := make([]error, nCells)
 	ctx := context.Background()
-	opt.forEach(nCells, func(cell int) {
+	opt.ForEach(nCells, func(cell int) {
 		spec, kb := specs[cell/len(sizesKB)], sizesKB[cell%len(sizesKB)]
 		cycles[cell], errs[cell] = lvcCell(ctx, opt, spec, kb)
 	})

@@ -135,13 +135,6 @@ func BuildJSON(runs []*KernelRun, scale int) JSONReport {
 	return rep
 }
 
-// WriteJSON emits the report as indented JSON.
-func WriteJSON(w io.Writer, runs []*KernelRun, scale int) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(BuildJSON(runs, scale))
-}
-
 // Report converts a suite sweep to the export form, including the harness
 // telemetry fields.
 func (s *SuiteResult) Report(scale int) JSONReport {

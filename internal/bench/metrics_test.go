@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"strings"
 	"testing"
@@ -68,7 +69,7 @@ func TestOptionsTracePlumbing(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.Trace = trace.NewSink(trace.CatAll)
-	kr, err := RunOne(spec, opt)
+	kr, err := RunOneCtx(context.Background(), spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

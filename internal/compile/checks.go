@@ -205,34 +205,6 @@ func (c *diagList) checkOpNode(nd *Node) {
 	}
 }
 
-// VerifyCompiled runs every invariant over a compiled kernel: the scheduled
-// kernel contract, the live-value allocation, and each block's graph.
-func VerifyCompiled(pass string, ck *CompiledKernel) []verify.Diagnostic {
-	ds := verify.Kernel(pass, ck.Kernel, verify.Compiled)
-	ds = append(ds, VerifyLiveValues(pass, ck.Kernel, ck.LV)...)
-	if len(ck.DFGs) != len(ck.Kernel.Blocks) {
-		ds = append(ds, verify.Diagnostic{
-			Pass: pass, Kernel: ck.Kernel.Name, Block: -1, Op: -1,
-			Msg: fmt.Sprintf("%d dataflow graphs for %d blocks", len(ck.DFGs), len(ck.Kernel.Blocks)),
-		})
-		return ds
-	}
-	for bi, g := range ck.DFGs {
-		if g.BlockID != bi {
-			ds = append(ds, verify.Diagnostic{
-				Pass: pass, Kernel: ck.Kernel.Name, Block: bi, Op: -1,
-				Msg: fmt.Sprintf("graph carries block ID %d", g.BlockID),
-			})
-		}
-		gds := VerifyGraph(pass, g, ck.LV.NumIDs)
-		for i := range gds {
-			gds[i].Kernel = ck.Kernel.Name
-		}
-		ds = append(ds, gds...)
-	}
-	return ds
-}
-
 // diagList accumulates diagnostics for pass-level checks.
 type diagList struct {
 	pass   string

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -151,7 +152,7 @@ func TestVGIWDiamondMatchesReference(t *testing.T) {
 }
 
 // TestFigure2CoalescedVectors pins the paper's Figure 2 walkthrough: the
-// eight threads of examples/divergence, steered onto the Figure 1a kernel's
+// eight threads of Example_divergence, steered onto the Figure 1a kernel's
 // three paths by its input, are scheduled in block-ID order, each block
 // once, and every block runs exactly the threads pending for it as one
 // coalesced vector. Thread IDs are 0-based (the paper numbers from 1).
@@ -675,7 +676,7 @@ func TestEffectiveConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.RunPrepared(prep, inst.Launch, append([]uint32(nil), inst.Global...))
+		res, err := m.RunPreparedCtx(context.Background(), prep, inst.Launch, append([]uint32(nil), inst.Global...))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -153,7 +153,7 @@ func (r *Result) ConfigOverhead() float64 {
 
 // Prepared bundles a compiled kernel with its per-block placements — the
 // full compile/place artifact a VGIW run executes. It is immutable once
-// built: RunPrepared only reads it, so one Prepared may be shared by any
+// built: RunPreparedCtx only reads it, so one Prepared may be shared by any
 // number of concurrent runs on machines with the same fabric configuration
 // (the placements' unit IDs refer to the deterministic grid layout that
 // configuration produces). Placement does not depend on the LVC or CVT
@@ -206,24 +206,24 @@ func (m *Machine) Run(ck *compile.CompiledKernel, launch kir.Launch, global []ui
 	if err != nil {
 		return nil, err
 	}
-	return m.RunPrepared(prep, launch, global)
-}
-
-// RunPrepared executes a prepared kernel launch to completion, mutating
-// global memory in place. It treats prep as read-only, so a cached Prepared
-// can be executed concurrently by independent machines.
-func (m *Machine) RunPrepared(prep *Prepared, launch kir.Launch, global []uint32) (*Result, error) {
 	return m.RunPreparedCtx(context.Background(), prep, launch, global)
 }
 
-// RunPreparedCtx is RunPrepared with cooperative cancellation: the BBS
-// schedule checks ctx between block-vector executions and the engine polls it
-// while a vector streams, so a deadline or cancel preempts a running kernel
+// RunPreparedCtx executes a prepared kernel launch to completion, mutating
+// global memory in place. It treats prep as read-only, so a cached Prepared
+// can be executed concurrently by independent machines. The BBS schedule
+// checks ctx between block-vector executions and the engine polls it while a
+// vector streams, so a deadline or cancel preempts a running kernel
 // mid-simulation.
 func (m *Machine) RunPreparedCtx(ctx context.Context, prep *Prepared, launch kir.Launch, global []uint32) (*Result, error) {
 	ck := prep.CK
 	k := ck.Kernel
 	placements := prep.Placements
+	sys := mem.NewSystem(m.cfg.Mem)
+	env, err := engine.NewDataEnv(k, launch, global, sys)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		Kernel:     k.Name,
 		Threads:    launch.Threads(),
@@ -236,11 +236,6 @@ func (m *Machine) RunPreparedCtx(ctx context.Context, prep *Prepared, launch kir
 	tile := tileSize(m.cfg, ck, launch)
 	res.TileSize = tile
 
-	sys := mem.NewSystem(m.cfg.Mem)
-	env, err := engine.NewDataEnv(k, launch, global, sys)
-	if err != nil {
-		return nil, err
-	}
 	lvc := NewLVC(m.cfg.LVC, sys, ck.LV.NumIDs, tile)
 	m.setupTrace(k.Name)
 	if m.tr.on {
@@ -448,17 +443,8 @@ func (m *Machine) runTile(ctx context.Context, ck *compile.CompiledKernel, place
 		if sink.Enabled(trace.CatMem) {
 			// Epoch sample: cumulative memory-system counters after every
 			// block-vector execution, rendered as counter tracks.
-			ms := env.Sys.Stats()
+			env.Sys.Stats().EmitCounters(sink, m.tr.mem, st.EndCycle)
 			ls := lvc.Stats()
-			sink.Emit(trace.Event{Name: "l1", Cat: trace.CatMem, Phase: trace.PhaseCounter,
-				Track: m.tr.mem, Ts: st.EndCycle,
-				K1: "accesses", V1: int64(ms.L1.Accesses()), K2: "misses", V2: int64(ms.L1.Misses())})
-			sink.Emit(trace.Event{Name: "l2", Cat: trace.CatMem, Phase: trace.PhaseCounter,
-				Track: m.tr.mem, Ts: st.EndCycle,
-				K1: "accesses", V1: int64(ms.L2.Accesses()), K2: "misses", V2: int64(ms.L2.Misses())})
-			sink.Emit(trace.Event{Name: "dram", Cat: trace.CatMem, Phase: trace.PhaseCounter,
-				Track: m.tr.mem, Ts: st.EndCycle,
-				K1: "reads", V1: int64(ms.DRAM.Reads), K2: "writes", V2: int64(ms.DRAM.Writes)})
 			sink.Emit(trace.Event{Name: "lvc", Cat: trace.CatMem, Phase: trace.PhaseCounter,
 				Track: m.tr.mem, Ts: st.EndCycle,
 				K1: "accesses", V1: int64(ls.Accesses()), K2: "misses", V2: int64(ls.Misses())})

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"vgiw/internal/compile"
@@ -54,7 +55,7 @@ func hotPathSetup(tb testing.TB, opt Options) (*Engine, *fabric.Placement, []int
 	// a single iteration can observe one allocation; benchmark over enough
 	// iterations to amortize it — the Makefile uses -benchtime 100x.)
 	for i := 0; i < 3; i++ {
-		if _, err := e.RunVector(p, threads, 0, hooks); err != nil {
+		if _, err := e.RunVectorCtx(context.Background(), p, threads, 0, hooks); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -63,7 +64,7 @@ func hotPathSetup(tb testing.TB, opt Options) (*Engine, *fabric.Placement, []int
 
 // BenchmarkEngineHotPath streams a thread vector through a reused engine —
 // the steady state of a kernel run, where every block execution revisits the
-// same placement. After the first run sizes the engine's arenas, RunVector
+// same placement. After the first run sizes the engine's arenas, RunVectorCtx
 // must not allocate: the allocs/op report is the regression guard. The
 // filtered-sink variant pins the tracing overhead contract: a sink whose mask
 // excludes CatEngine must also cost 0 allocs/op.
@@ -98,7 +99,7 @@ func TestEngineHotPathZeroAllocDisabledSink(t *testing.T) {
 		min := -1.0
 		for round := 0; round < 5; round++ {
 			allocs := testing.AllocsPerRun(1, func() {
-				if _, err := e.RunVector(p, threads, 0, hooks); err != nil {
+				if _, err := e.RunVectorCtx(context.Background(), p, threads, 0, hooks); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -137,8 +137,8 @@ func (c *ClassCounts) Map() map[kir.UnitClass]uint64 {
 
 // Stats aggregates the events of one vector execution.
 //
-// Unless Options.Profile is set, the *Stats returned by RunVector aliases
-// engine-owned scratch and is only valid until the next RunVector call on
+// Unless Options.Profile is set, the *Stats returned by RunVectorCtx aliases
+// engine-owned scratch and is only valid until the next RunVectorCtx call on
 // the same engine; callers that retain it across runs must copy it.
 type Stats struct {
 	Injected   int
@@ -169,7 +169,7 @@ type Stats struct {
 func (s *Stats) Cycles() int64 { return s.EndCycle - s.StartCycle }
 
 // Clone returns an independent deep copy. Callers that retain the *Stats
-// returned by RunVector across further runs on the same engine must clone
+// returned by RunVectorCtx across further runs on the same engine must clone
 // it: without Options.Profile the engine recycles one Stats buffer, so a
 // retained pointer would be retroactively overwritten by the next run.
 func (s *Stats) Clone() *Stats {
@@ -239,7 +239,7 @@ type Engine struct {
 	pendInj []int64 // per-replica inject cycle of the first pending thread
 	repCnt  []int64 // per-replica lane count of the current wave (collapsed profile)
 
-	// stats is the reusable result buffer handed out by RunVector when
+	// stats is the reusable result buffer handed out by RunVectorCtx when
 	// profiling is off (profiled runs get a fresh Stats, since callers
 	// retain those per block).
 	stats Stats
@@ -265,17 +265,12 @@ func (e *Engine) Release() {
 // largest graphs.
 const cancelCheckStride = 64
 
-// RunVector streams the given threads through the placement, starting at
+// RunVectorCtx streams the given threads through the placement, starting at
 // startCycle (reconfiguration cost is the caller's concern). It returns the
 // execution statistics; the graph's side effects happen through the hooks.
-func (e *Engine) RunVector(p *fabric.Placement, threads []int, startCycle int64, h *Hooks) (*Stats, error) {
-	return e.RunVectorCtx(context.Background(), p, threads, startCycle, h)
-}
-
-// RunVectorCtx is RunVector with cooperative cancellation: the thread loop
-// polls ctx every cancelCheckStride threads and returns ctx.Err() once the
-// context is done, so a caller's deadline or cancel preempts a running
-// vector rather than waiting for it to drain.
+// The thread loop polls ctx every cancelCheckStride threads and returns
+// ctx.Err() once the context is done, so a caller's deadline or cancel
+// preempts a running vector rather than waiting for it to drain.
 func (e *Engine) RunVectorCtx(ctx context.Context, p *fabric.Placement, threads []int, startCycle int64, h *Hooks) (*Stats, error) {
 	cfg := e.grid.Config()
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"vgiw/internal/compile"
@@ -65,7 +66,7 @@ func runBlockVector(t testing.TB, k *kir.Kernel, launch kir.Launch, global []uin
 		threads[i] = i
 	}
 	e := New(grid, opt)
-	st, err := e.RunVector(p, threads, 0, env.Hooks())
+	st, err := e.RunVectorCtx(context.Background(), p, threads, 0, env.Hooks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestEngineOutOfBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(grid, Options{})
-	if _, err := e.RunVector(p, []int{0}, 0, env.Hooks()); err == nil {
+	if _, err := e.RunVectorCtx(context.Background(), p, []int{0}, 0, env.Hooks()); err == nil {
 		t.Error("want out-of-bounds error")
 	}
 }
@@ -256,7 +257,7 @@ func TestEngineSGMFDiamondFunctional(t *testing.T) {
 		threads[i] = i
 	}
 	e := New(grid, Options{})
-	st, err := e.RunVector(p, threads, 0, env.Hooks())
+	st, err := e.RunVectorCtx(context.Background(), p, threads, 0, env.Hooks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestEngineVCBackpressure(t *testing.T) {
 		for i := range threads {
 			threads[i] = i
 		}
-		st, err := New(grid, Options{}).RunVector(p, threads, 0, env.Hooks())
+		st, err := New(grid, Options{}).RunVectorCtx(context.Background(), p, threads, 0, env.Hooks())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +351,7 @@ func TestEngineStatsConsistency(t *testing.T) {
 	for i := range threads {
 		threads[i] = i
 	}
-	st, err := New(grid, Options{}).RunVector(p, threads, 0, env.Hooks())
+	st, err := New(grid, Options{}).RunVectorCtx(context.Background(), p, threads, 0, env.Hooks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +389,7 @@ func TestEngineEmptyVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(grid, Options{}).RunVector(p, nil, 500, env.Hooks())
+	st, err := New(grid, Options{}).RunVectorCtx(context.Background(), p, nil, 500, env.Hooks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +438,7 @@ func TestEnginePredicatedStoreSuppressed(t *testing.T) {
 	for i := range threads {
 		threads[i] = i
 	}
-	st, err := New(grid, Options{}).RunVector(p, threads, 0, env.Hooks())
+	st, err := New(grid, Options{}).RunVectorCtx(context.Background(), p, threads, 0, env.Hooks())
 	if err != nil {
 		t.Fatal(err)
 	}

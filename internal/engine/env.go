@@ -19,12 +19,8 @@ type DataEnv struct {
 
 // NewDataEnv allocates the per-CTA scratchpads for a kernel launch.
 func NewDataEnv(k *kir.Kernel, launch kir.Launch, global []uint32, sys *mem.System) (*DataEnv, error) {
-	if err := launch.Validate(); err != nil {
+	if err := k.ValidateLaunch(launch); err != nil {
 		return nil, err
-	}
-	if len(launch.Params) != k.NumParams {
-		return nil, fmt.Errorf("engine: kernel %s wants %d params, launch has %d",
-			k.Name, k.NumParams, len(launch.Params))
 	}
 	shared := make([][]uint32, launch.CTAs())
 	for i := range shared {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -46,7 +47,7 @@ func TestEngineErrorPathHookOrder(t *testing.T) {
 		h := env.Hooks()
 		var branches []int
 		h.Branch = func(tid int, _ uint32, _ int64) { branches = append(branches, tid) }
-		_, err = New(grid, opt).RunVector(p, threads, 0, h)
+		_, err = New(grid, opt).RunVectorCtx(context.Background(), p, threads, 0, h)
 		return branches, global, err
 	}
 	sBr, sMem, sErr := run(Options{Scalar: true})
@@ -127,7 +128,7 @@ func TestEngineSharedUnitPlacementMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := New(grid, opt).RunVector(&p, threads, 0, env.Hooks())
+		st, err := New(grid, opt).RunVectorCtx(context.Background(), &p, threads, 0, env.Hooks())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"vgiw/internal/compile"
@@ -39,7 +40,7 @@ func TestStatsCloneDeepCopies(t *testing.T) {
 }
 
 // TestRunVectorStatsReuse pins the aliasing footgun Clone exists for: without
-// Options.Profile the engine recycles one Stats across RunVector calls, so a
+// Options.Profile the engine recycles one Stats across RunVectorCtx calls, so a
 // caller that retains the pointer sees it overwritten by the next run — and
 // Clone is the escape hatch.
 func TestRunVectorStatsReuse(t *testing.T) {
@@ -66,19 +67,19 @@ func TestRunVectorStatsReuse(t *testing.T) {
 	}
 	e := New(grid, Options{})
 
-	st1, err := e.RunVector(p, threads[:16], 0, env.Hooks())
+	st1, err := e.RunVectorCtx(context.Background(), p, threads[:16], 0, env.Hooks())
 	if err != nil {
 		t.Fatal(err)
 	}
 	saved := st1.Clone()
 	firstEnd := st1.EndCycle
 
-	st2, err := e.RunVector(p, threads, firstEnd, env.Hooks())
+	st2, err := e.RunVectorCtx(context.Background(), p, threads, firstEnd, env.Hooks())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st1 != st2 {
-		t.Fatal("non-profiled RunVector returned a fresh Stats; the reuse contract changed — update Clone's docs and this test")
+		t.Fatal("non-profiled RunVectorCtx returned a fresh Stats; the reuse contract changed — update Clone's docs and this test")
 	}
 	if st1.Injected != len(threads) {
 		t.Fatalf("second run injected %d, want %d", st1.Injected, len(threads))
@@ -116,7 +117,7 @@ func TestEngineTraceNodeFirings(t *testing.T) {
 	threads := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	hooks := env.Hooks()
 	hooks.TraceTrack = trace.TrackID{Pid: pid, Tid: 0}
-	if _, err := New(grid, opt).RunVector(p, threads, 0, hooks); err != nil {
+	if _, err := New(grid, opt).RunVectorCtx(context.Background(), p, threads, 0, hooks); err != nil {
 		t.Fatal(err)
 	}
 	// Every node fires once per thread: len(nodes) * 8 events.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"vgiw/internal/compile"
@@ -34,7 +35,7 @@ func runThroughput(t *testing.T, k *kir.Kernel, n, words int) float64 {
 	for i := range threads {
 		threads[i] = i
 	}
-	st, err := New(grid, Options{}).RunVector(p, threads, 0, env.Hooks())
+	st, err := New(grid, Options{}).RunVectorCtx(context.Background(), p, threads, 0, env.Hooks())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package engine
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // benchEngine streams the hot-path thread vector through a warm engine under
 // the given options and reports the threads/s column the BENCH_engine.json
@@ -10,7 +13,7 @@ func benchEngine(b *testing.B, opt Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.RunVector(p, threads, 0, hooks); err != nil {
+		if _, err := e.RunVectorCtx(context.Background(), p, threads, 0, hooks); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -61,7 +61,7 @@ func TestAllKernelsMatchHostReference(t *testing.T) {
 			if err := inst.Kernel.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			if err := inst.Launch.Validate(); err != nil {
+			if err := inst.Kernel.ValidateLaunch(inst.Launch); err != nil {
 				t.Fatal(err)
 			}
 			in := &kir.Interp{Kernel: inst.Kernel, Launch: inst.Launch, Global: inst.Global}
@@ -119,8 +119,8 @@ func TestSGMFEligibilityClaims(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mappable := m.Supported(inst.Kernel); mappable != spec.SGMF {
-				t.Errorf("SGMF flag %v but mappable=%v", spec.SGMF, mappable)
+			if _, err := m.Map(inst.Kernel); (err == nil) != spec.SGMF {
+				t.Errorf("SGMF flag %v but Map error = %v", spec.SGMF, err)
 			}
 		})
 	}

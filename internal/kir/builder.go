@@ -47,9 +47,6 @@ func (b *Builder) NewBlock(label string) *Block {
 // SetBlock selects the block that subsequent instructions are emitted into.
 func (b *Builder) SetBlock(blk *Block) { b.cur = blk }
 
-// Current returns the block instructions are currently emitted into.
-func (b *Builder) Current() *Block { return b.cur }
-
 // MarkBarrier flags blk as a __syncthreads boundary (see Block.Barrier).
 func (b *Builder) MarkBarrier(blk *Block) { blk.Barrier = true }
 

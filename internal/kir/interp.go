@@ -33,12 +33,8 @@ func (i *Interp) Run() error {
 	if err := i.Kernel.Validate(); err != nil {
 		return err
 	}
-	if err := i.Launch.Validate(); err != nil {
+	if err := i.Kernel.ValidateLaunch(i.Launch); err != nil {
 		return err
-	}
-	if len(i.Launch.Params) != i.Kernel.NumParams {
-		return fmt.Errorf("kir: kernel %s wants %d params, launch has %d",
-			i.Kernel.Name, i.Kernel.NumParams, len(i.Launch.Params))
 	}
 	maxSteps := i.MaxSteps
 	if maxSteps == 0 {

@@ -125,89 +125,138 @@ func (k *Kernel) NumInstrs() int {
 	return n
 }
 
-// Validate checks structural invariants: a terminated entry block exists,
-// successor indices are in range, register and parameter references are in
-// range, operand arity matches each opcode, and barriers do not appear on
-// the entry block.
-func (k *Kernel) Validate() error {
+// Finding is one kernel rule a kernel breaks.
+type Finding struct {
+	Block int // block index, or -1 for a kernel-wide rule
+	Instr int // instruction index within Block, or -1 for the block itself or its terminator
+	Pos   Pos // source position of the offending block, instruction or terminator
+	Msg   string
+}
+
+// Check reports every structural rule k breaks, in block order: a kernel
+// has an entry block without a barrier, no negative register, parameter or
+// shared-memory declaration, well-formed instructions whose registers and
+// parameters are in range, and terminators whose condition and successors
+// are in range. A valid kernel reports nothing and allocates nothing. Every
+// front end and machine enforces these rules through Validate.
+func (k *Kernel) Check(report func(Finding)) {
 	if len(k.Blocks) == 0 {
-		return fmt.Errorf("kernel %s: no blocks", k.Name)
+		report(Finding{Block: -1, Instr: -1, Msg: "no blocks"})
+		return
+	}
+	if k.NumRegs < 0 || k.NumParams < 0 || k.SharedWds < 0 {
+		report(Finding{Block: -1, Instr: -1, Msg: fmt.Sprintf(
+			"negative resource declaration: regs=%d params=%d shared=%d", k.NumRegs, k.NumParams, k.SharedWds)})
 	}
 	if k.Blocks[0].Barrier {
-		return fmt.Errorf("kernel %s: entry block cannot carry a barrier", k.Name)
+		report(Finding{Block: 0, Instr: -1, Pos: k.Blocks[0].Pos, Msg: "entry block cannot carry a barrier"})
 	}
 	for bi, b := range k.Blocks {
-		for ii, in := range b.Instrs {
-			if err := k.checkInstr(in); err != nil {
-				return fmt.Errorf("kernel %s: block %d (%s) instr %d: %w", k.Name, bi, b.Label, ii, err)
-			}
+		for ii := range b.Instrs {
+			k.checkInstr(bi, ii, report)
 		}
-		if err := k.checkTerm(b.Term); err != nil {
-			return fmt.Errorf("kernel %s: block %d (%s): %w", k.Name, bi, b.Label, err)
-		}
+		k.checkTerm(bi, report)
 	}
-	return nil
 }
 
-func (k *Kernel) checkReg(r Reg) error {
-	if r < 0 || int(r) >= k.NumRegs {
-		return fmt.Errorf("register r%d out of range [0,%d)", r, k.NumRegs)
-	}
-	return nil
-}
+func (k *Kernel) regOK(r Reg) bool { return r >= 0 && int(r) < k.NumRegs }
 
-func (k *Kernel) checkInstr(in Instr) error {
-	if in.Op == OpNop || in.Op >= opCount {
-		return fmt.Errorf("invalid opcode %v", in.Op)
+func (k *Kernel) checkInstr(bi, ii int, report func(Finding)) {
+	in := &k.Blocks[bi].Instrs[ii]
+	bad := func(format string, args ...any) {
+		report(Finding{Block: bi, Instr: ii, Pos: in.Pos, Msg: fmt.Sprintf(format, args...)})
+	}
+	if !in.Op.Valid() {
+		bad("invalid opcode %v", in.Op)
+		return
 	}
 	if in.Op.HasDst() {
-		if err := k.checkReg(in.Dst); err != nil {
-			return fmt.Errorf("dst: %w", err)
+		if !k.regOK(in.Dst) {
+			bad("dst register r%d out of range [0,%d)", in.Dst, k.NumRegs)
 		}
 	} else if in.Dst != NoReg {
-		return fmt.Errorf("%v must not define a destination", in.Op)
+		bad("%v must not define a destination", in.Op)
 	}
-	for i := 0; i < in.Op.NumSrc(); i++ {
-		if err := k.checkReg(in.Src[i]); err != nil {
-			return fmt.Errorf("src%d: %w", i, err)
+	for s := 0; s < in.Op.NumSrc(); s++ {
+		if !k.regOK(in.Src[s]) {
+			bad("src%d register r%d out of range [0,%d)", s, in.Src[s], k.NumRegs)
 		}
 	}
-	for i := in.Op.NumSrc(); i < len(in.Src); i++ {
-		if in.Src[i] != NoReg {
-			return fmt.Errorf("%v takes %d sources; src%d set", in.Op, in.Op.NumSrc(), i)
+	for s := in.Op.NumSrc(); s < len(in.Src); s++ {
+		if in.Src[s] != NoReg {
+			bad("%v takes %d sources; src%d set", in.Op, in.Op.NumSrc(), s)
 		}
 	}
 	if in.Op == OpParam && (in.Imm < 0 || int(in.Imm) >= k.NumParams) {
-		return fmt.Errorf("parameter %d out of range [0,%d)", in.Imm, k.NumParams)
+		bad("parameter %d out of range [0,%d)", in.Imm, k.NumParams)
 	}
-	if in.Op.IsStore() && in.Src[1] == NoReg {
-		return fmt.Errorf("store missing value operand")
-	}
-	return nil
 }
 
-func (k *Kernel) checkTerm(t Terminator) error {
-	checkTarget := func(idx int) error {
+func (k *Kernel) checkTerm(bi int, report func(Finding)) {
+	t := &k.Blocks[bi].Term
+	bad := func(format string, args ...any) {
+		report(Finding{Block: bi, Instr: -1, Pos: t.Pos, Msg: fmt.Sprintf(format, args...)})
+	}
+	target := func(idx int) {
 		if idx < 0 || idx >= len(k.Blocks) {
-			return fmt.Errorf("successor block %d out of range [0,%d)", idx, len(k.Blocks))
+			bad("successor block %d out of range [0,%d)", idx, len(k.Blocks))
 		}
-		return nil
 	}
 	switch t.Kind {
 	case TermJump:
-		return checkTarget(t.Then)
+		target(t.Then)
 	case TermBranch:
-		if err := k.checkReg(t.Cond); err != nil {
-			return fmt.Errorf("branch condition: %w", err)
+		if !k.regOK(t.Cond) {
+			bad("branch condition r%d out of range [0,%d)", t.Cond, k.NumRegs)
 		}
-		if err := checkTarget(t.Then); err != nil {
-			return err
-		}
-		return checkTarget(t.Else)
+		target(t.Then)
+		target(t.Else)
 	case TermRet:
-		return nil
+	default:
+		bad("invalid terminator kind %d", t.Kind)
 	}
-	return fmt.Errorf("invalid terminator kind %d", t.Kind)
+}
+
+// Validate returns the first rule Check finds as an error, or nil for a
+// valid kernel.
+func (k *Kernel) Validate() error {
+	var err error
+	k.Check(func(f Finding) {
+		if err == nil {
+			err = k.findingError(f)
+		}
+	})
+	return err
+}
+
+// findingError renders f with its kernel, block and source position.
+func (k *Kernel) findingError(f Finding) error {
+	where := ""
+	if f.Block >= 0 {
+		where = fmt.Sprintf(" block %d (%s)", f.Block, k.Blocks[f.Block].Label)
+		if f.Instr >= 0 {
+			where += fmt.Sprintf(" instr %d", f.Instr)
+		}
+		where += ":"
+	}
+	if !f.Pos.IsZero() {
+		return fmt.Errorf("kernel %s:%s %s (%s)", k.Name, where, f.Msg, f.Pos)
+	}
+	return fmt.Errorf("kernel %s:%s %s", k.Name, where, f.Msg)
+}
+
+// ValidateLaunch checks that l can launch k: every grid and block dimension
+// is positive and l supplies exactly the parameters k declares. The
+// interpreter and every machine enforce it before they allocate anything.
+func (k *Kernel) ValidateLaunch(l Launch) error {
+	if l.GridX <= 0 || l.GridY <= 0 || l.BlockX <= 0 || l.BlockY <= 0 {
+		return fmt.Errorf("kernel %s: launch dimensions must be positive: grid %dx%d block %dx%d",
+			k.Name, l.GridX, l.GridY, l.BlockX, l.BlockY)
+	}
+	if len(l.Params) != k.NumParams {
+		return fmt.Errorf("kernel %s: declares %d params, launch provides %d", k.Name, k.NumParams, len(l.Params))
+	}
+	return nil
 }
 
 // String renders the kernel in kasm-compatible form.

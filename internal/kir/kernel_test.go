@@ -126,6 +126,43 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := k.Validate(); err == nil {
 		t.Error("want error for barrier on entry block")
 	}
+
+	// A negative declaration would size a slice below zero in every
+	// machine, so it is a structural rule too; Validate reports the first
+	// of the findings Check lists.
+	k = saxpyKernel(t)
+	k.SharedWds = -4
+	k.Blocks[0].Term.Then = 99
+	var fs []Finding
+	k.Check(func(f Finding) { fs = append(fs, f) })
+	if len(fs) != 2 || fs[0].Block != -1 || fs[1].Block != 0 {
+		t.Fatalf("Check = %+v, want the negative declaration, then block 0's successor", fs)
+	}
+	err := k.Validate()
+	if want := "kernel saxpy: " + fs[0].Msg; err == nil || err.Error() != want {
+		t.Errorf("Validate() = %v, want %q", err, want)
+	}
+}
+
+func TestValidateLaunch(t *testing.T) {
+	k := &Kernel{Name: "l", NumParams: 2}
+	for _, tc := range []struct {
+		launch Launch
+		want   string // empty for a valid launch
+	}{
+		{Launch1D(1, 4, 1, 2), ""},
+		{Launch{GridX: 0, GridY: 1, BlockX: 4, BlockY: 1, Params: []uint32{1, 2}}, "launch dimensions must be positive: grid 0x1 block 4x1"},
+		{Launch{GridX: 1, GridY: 1, BlockX: 4, BlockY: -1, Params: []uint32{1, 2}}, "launch dimensions must be positive: grid 1x1 block 4x-1"},
+		{Launch1D(1, 4, 1), "declares 2 params, launch provides 1"},
+	} {
+		err := k.ValidateLaunch(tc.launch)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%+v: valid launch rejected: %v", tc.launch, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%+v: error %v, want %q", tc.launch, err, tc.want)
+		}
+	}
 }
 
 func TestKernelString(t *testing.T) {

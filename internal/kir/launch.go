@@ -25,15 +25,6 @@ func (l Launch) CTAs() int { return l.GridX * l.GridY }
 // CTASize reports the number of threads per CTA.
 func (l Launch) CTASize() int { return l.BlockX * l.BlockY }
 
-// Validate checks that all dimensions are positive.
-func (l Launch) Validate() error {
-	if l.GridX <= 0 || l.GridY <= 0 || l.BlockX <= 0 || l.BlockY <= 0 {
-		return fmt.Errorf("launch dimensions must be positive: grid %dx%d block %dx%d",
-			l.GridX, l.GridY, l.BlockX, l.BlockY)
-	}
-	return nil
-}
-
 // Geometry resolves a geometry opcode for the given global linear thread ID.
 // Thread IDs are laid out CTA-major: consecutive IDs fill a CTA (x fastest),
 // then move to the next CTA (grid x fastest).

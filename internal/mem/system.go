@@ -1,6 +1,10 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+
+	"vgiw/internal/trace"
+)
 
 // DRAMConfig sizes the GDDR5-like main memory model.
 type DRAMConfig struct {
@@ -103,6 +107,18 @@ type SystemStats struct {
 	L1   CacheStats
 	L2   CacheStats
 	DRAM DRAMStats
+}
+
+// EmitCounters emits the cumulative counters as the l1, l2 and dram counter
+// events on a machine's memory track at cycle ts. Every machine samples its
+// memory system through it, so the three traces share one counter schema.
+func (s SystemStats) EmitCounters(sink *trace.Sink, track trace.TrackID, ts int64) {
+	sink.Emit(trace.Event{Name: "l1", Cat: trace.CatMem, Phase: trace.PhaseCounter, Track: track, Ts: ts,
+		K1: "accesses", V1: int64(s.L1.Accesses()), K2: "misses", V2: int64(s.L1.Misses())})
+	sink.Emit(trace.Event{Name: "l2", Cat: trace.CatMem, Phase: trace.PhaseCounter, Track: track, Ts: ts,
+		K1: "accesses", V1: int64(s.L2.Accesses()), K2: "misses", V2: int64(s.L2.Misses())})
+	sink.Emit(trace.Event{Name: "dram", Cat: trace.CatMem, Phase: trace.PhaseCounter, Track: track, Ts: ts,
+		K1: "reads", V1: int64(s.DRAM.Reads), K2: "writes", V2: int64(s.DRAM.Writes)})
 }
 
 // System is one core's view of the memory hierarchy: a private L1 backed by

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"context"
 	"testing"
 
 	"vgiw/internal/compile"
@@ -56,7 +57,7 @@ func runBoth(t *testing.T, build func() *kir.Kernel, n int) (*core.Result, *simt
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := simt.NewMachine(simt.DefaultConfig()).Run(ckS, launch, mk())
+	rs, err := simt.NewMachine(simt.DefaultConfig()).RunCtx(context.Background(), ckS, launch, mk())
 	if err != nil {
 		t.Fatal(err)
 	}

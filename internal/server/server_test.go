@@ -369,7 +369,7 @@ func TestKernelResultCrosschecksHarness(t *testing.T) {
 		t.Fatal(err)
 	}
 	k, _ := kernels.ByName(specs[0].Kernel)
-	first, err := bench.RunOne(k, opt)
+	first, err := bench.RunOneCtx(context.Background(), k, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

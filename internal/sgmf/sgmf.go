@@ -81,7 +81,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 
 // Mapped is SGMF's compile/place artifact: the scheduled, if-converted
 // kernel together with its whole-kernel placement. It is immutable once
-// built — RunMapped only reads it — so one Mapped may be shared by
+// built — RunMappedCtx only reads it — so one Mapped may be shared by
 // concurrent runs on machines with the same fabric configuration.
 type Mapped struct {
 	// Kernel is the transformed kernel the graph was built from (the
@@ -92,13 +92,16 @@ type Mapped struct {
 }
 
 // Translate lowers a kernel to SGMF's whole-kernel dataflow graph: it
-// schedules the blocks, then if-converts them, which reports why a kernel
-// is not SGMF-mappable (loops, barriers). The kernel is mutated in place
-// (block scheduling).
+// validates the kernel, schedules the blocks, then if-converts them, which
+// reports why a kernel is not SGMF-mappable (loops, barriers). The kernel is
+// mutated in place (block scheduling).
 func (m *Machine) Translate(k *kir.Kernel) (*compile.BlockDFG, error) {
 	var opts []compile.Option
 	if m.cfg.Checked {
 		opts = append(opts, compile.Checked())
+	}
+	if err := k.Validate(); err != nil {
+		return nil, err
 	}
 	if _, err := compile.ScheduleBlocks(k); err != nil {
 		return nil, err
@@ -137,12 +140,6 @@ func (m *Machine) Map(k *kir.Kernel) (*Mapped, error) {
 	return &Mapped{Kernel: k, Placement: p}, nil
 }
 
-// Supported reports whether the kernel can run on SGMF at all.
-func (m *Machine) Supported(k *kir.Kernel) bool {
-	_, err := m.Map(k)
-	return err == nil
-}
-
 // Run executes a kernel launch: one static configuration, every thread
 // streamed through the whole-kernel graph.
 func (m *Machine) Run(k *kir.Kernel, launch kir.Launch, global []uint32) (*Result, error) {
@@ -150,19 +147,13 @@ func (m *Machine) Run(k *kir.Kernel, launch kir.Launch, global []uint32) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	return m.RunMapped(mapped, launch, global)
-}
-
-// RunMapped executes a pre-mapped kernel launch. It treats mapped as
-// read-only, so a cached Mapped can be executed concurrently by independent
-// machines.
-func (m *Machine) RunMapped(mapped *Mapped, launch kir.Launch, global []uint32) (*Result, error) {
 	return m.RunMappedCtx(context.Background(), mapped, launch, global)
 }
 
-// RunMappedCtx is RunMapped with cooperative cancellation: the engine polls
-// ctx while the thread vector streams through the whole-kernel graph, so a
-// deadline or cancel preempts a running kernel.
+// RunMappedCtx executes a pre-mapped kernel launch. It treats mapped as
+// read-only, so a cached Mapped can be executed concurrently by independent
+// machines. The engine polls ctx while the thread vector streams through the
+// whole-kernel graph, so a deadline or cancel preempts a running kernel.
 func (m *Machine) RunMappedCtx(ctx context.Context, mapped *Mapped, launch kir.Launch, global []uint32) (*Result, error) {
 	k, p := mapped.Kernel, mapped.Placement
 	sys := mem.NewSystem(m.cfg.Mem)
@@ -206,16 +197,7 @@ func (m *Machine) RunMappedCtx(ctx context.Context, mapped *Mapped, launch kir.L
 			K1: "threads", V1: int64(launch.Threads()), K2: "replicas", V2: int64(p.Replicas)})
 	}
 	if sink.Enabled(trace.CatMem) {
-		ms := sys.Stats()
-		sink.Emit(trace.Event{Name: "l1", Cat: trace.CatMem, Phase: trace.PhaseCounter,
-			Track: tracks.mem, Ts: st.EndCycle,
-			K1: "accesses", V1: int64(ms.L1.Accesses()), K2: "misses", V2: int64(ms.L1.Misses())})
-		sink.Emit(trace.Event{Name: "l2", Cat: trace.CatMem, Phase: trace.PhaseCounter,
-			Track: tracks.mem, Ts: st.EndCycle,
-			K1: "accesses", V1: int64(ms.L2.Accesses()), K2: "misses", V2: int64(ms.L2.Misses())})
-		sink.Emit(trace.Event{Name: "dram", Cat: trace.CatMem, Phase: trace.PhaseCounter,
-			Track: tracks.mem, Ts: st.EndCycle,
-			K1: "reads", V1: int64(ms.DRAM.Reads), K2: "writes", V2: int64(ms.DRAM.Writes)})
+		sys.Stats().EmitCounters(sink, tracks.mem, st.EndCycle)
 	}
 	// Stats are snapshotted below; recycle the directories and slot rings.
 	defer sys.Release()

@@ -162,7 +162,7 @@ func TestSGMFRejectsOversizedKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Supported(k) {
+	if _, err := m.Map(k); err == nil {
 		t.Error("oversized kernel should not fit the SGMF fabric")
 	}
 }

@@ -1,6 +1,7 @@
 package simt
 
 import (
+	"context"
 	"testing"
 
 	"vgiw/internal/compile"
@@ -41,7 +42,7 @@ func BenchmarkSIMTRun(b *testing.B) {
 	for it := 0; it < b.N; it++ {
 		for i, j := range jobs {
 			copy(global[i], j.image)
-			if _, err := m.Run(j.ck, j.w.Launch, global[i]); err != nil {
+			if _, err := m.RunCtx(context.Background(), j.ck, j.w.Launch, global[i]); err != nil {
 				b.Fatalf("%s: %v", j.name, err)
 			}
 		}

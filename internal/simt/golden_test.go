@@ -2,6 +2,7 @@ package simt
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -46,7 +47,7 @@ func TestSIMTGolden(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Scheduler = pol
 			global := w.Global()
-			res, err := NewMachine(cfg).Run(ck, w.Launch, global)
+			res, err := NewMachine(cfg).RunCtx(context.Background(), ck, w.Launch, global)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", spec.Name, pol, err)
 			}
@@ -98,7 +99,7 @@ func goldenTrace(t *testing.T) string {
 	}
 	cfg := DefaultConfig()
 	cfg.Trace = trace.NewSink(trace.CatAll)
-	res, err := NewMachine(cfg).Run(ck, w.Launch, w.Global())
+	res, err := NewMachine(cfg).RunCtx(context.Background(), ck, w.Launch, w.Global())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestSIMTGTOCompactionMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := diamondInput(n)
-	res, err := NewMachine(cfg).Run(ck, launch, got)
+	res, err := NewMachine(cfg).RunCtx(context.Background(), ck, launch, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestEarliestIssueCacheMatchesRecompute(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := kc.input()
-				if _, err := NewMachine(cfg).Run(ck, kc.launch, got); err != nil {
+				if _, err := NewMachine(cfg).RunCtx(context.Background(), ck, kc.launch, got); err != nil {
 					t.Fatalf("%s/%v/small=%v: %v", kc.name, pol, small, err)
 				}
 				if kc.check != nil {

@@ -177,14 +177,10 @@ type Machine struct {
 // NewMachine builds an SM.
 func NewMachine(cfg Config) *Machine { return &Machine{cfg: cfg} }
 
-// Run executes a compiled kernel launch, mutating global memory in place.
-func (m *Machine) Run(ck *compile.CompiledKernel, launch kir.Launch, global []uint32) (*Result, error) {
-	return m.RunCtx(context.Background(), ck, launch, global)
-}
-
-// RunCtx is Run with cooperative cancellation: the warp-scheduler loop polls
-// ctx every ctxCheckCycles scheduling rounds and returns ctx.Err() once the
-// context is done, so a deadline or cancel preempts a running kernel.
+// RunCtx executes a compiled kernel launch, mutating global memory in
+// place. The warp-scheduler loop polls ctx every ctxCheckCycles scheduling
+// rounds and returns ctx.Err() once the context is done, so a deadline or
+// cancel preempts a running kernel.
 func (m *Machine) RunCtx(ctx context.Context, ck *compile.CompiledKernel, launch kir.Launch, global []uint32) (*Result, error) {
 	r, err := m.newRun(ctx, ck, launch, global)
 	if err != nil {
@@ -203,12 +199,8 @@ func (m *Machine) RunCtx(ctx context.Context, ck *compile.CompiledKernel, launch
 // before any CTA is admitted.
 func (m *Machine) newRun(ctx context.Context, ck *compile.CompiledKernel, launch kir.Launch, global []uint32) (*run, error) {
 	k := ck.Kernel
-	if err := launch.Validate(); err != nil {
+	if err := k.ValidateLaunch(launch); err != nil {
 		return nil, err
-	}
-	if len(launch.Params) != k.NumParams {
-		return nil, fmt.Errorf("simt: kernel %s wants %d params, launch has %d",
-			k.Name, k.NumParams, len(launch.Params))
 	}
 	r := &run{
 		m:         m,
@@ -334,16 +326,7 @@ func (r *run) sampleMem() {
 		return
 	}
 	r.lastMemSample = r.cycle
-	ms := r.sys.Stats()
-	r.sink.Emit(trace.Event{Name: "l1", Cat: trace.CatMem, Phase: trace.PhaseCounter,
-		Track: r.tr.mem, Ts: r.cycle,
-		K1: "accesses", V1: int64(ms.L1.Accesses()), K2: "misses", V2: int64(ms.L1.Misses())})
-	r.sink.Emit(trace.Event{Name: "l2", Cat: trace.CatMem, Phase: trace.PhaseCounter,
-		Track: r.tr.mem, Ts: r.cycle,
-		K1: "accesses", V1: int64(ms.L2.Accesses()), K2: "misses", V2: int64(ms.L2.Misses())})
-	r.sink.Emit(trace.Event{Name: "dram", Cat: trace.CatMem, Phase: trace.PhaseCounter,
-		Track: r.tr.mem, Ts: r.cycle,
-		K1: "reads", V1: int64(ms.DRAM.Reads), K2: "writes", V2: int64(ms.DRAM.Writes)})
+	r.sys.Stats().EmitCounters(r.sink, r.tr.mem, r.cycle)
 }
 
 // Execution port indices.

@@ -1,6 +1,7 @@
 package simt
 
 import (
+	"context"
 	"testing"
 
 	"vgiw/internal/compile"
@@ -85,7 +86,7 @@ func runSIMT(t testing.TB, build func() *kir.Kernel, launch kir.Launch, global [
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewMachine(DefaultConfig()).Run(ck, launch, global)
+	res, err := NewMachine(DefaultConfig()).RunCtx(context.Background(), ck, launch, global)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestSIMTOutOfBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMachine(DefaultConfig()).Run(ck, kir.Launch1D(1, 32), make([]uint32, 8)); err == nil {
+	if _, err := NewMachine(DefaultConfig()).RunCtx(context.Background(), ck, kir.Launch1D(1, 32), make([]uint32, 8)); err == nil {
 		t.Error("want out-of-bounds error")
 	}
 }
@@ -400,7 +401,7 @@ func TestSIMTSchedulerPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := diamondInput(n)
-		res, err := NewMachine(cfg).Run(ck, launch, got)
+		res, err := NewMachine(cfg).RunCtx(context.Background(), ck, launch, got)
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
@@ -460,7 +461,7 @@ func TestSIMTUnwrittenRegisterReadsZero(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxCTAs = 1
 	got := input()
-	if _, err := NewMachine(cfg).Run(ck, launch, got); err != nil {
+	if _, err := NewMachine(cfg).RunCtx(context.Background(), ck, launch, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ref {

@@ -298,22 +298,6 @@ func (s *Store) PutSnapshot(name string, reg *trace.Registry, scale int) error {
 	return s.writeAtomic(filepath.Join(s.dir, name+".snapshot.json"), []byte(buf.String()))
 }
 
-// ReadSnapshot loads a named snapshot written by PutSnapshot. Missing is
-// (nil, nil).
-func (s *Store) ReadSnapshot(name string) (*trace.Snapshot, error) {
-	if s == nil {
-		return nil, nil
-	}
-	data, err := os.ReadFile(filepath.Join(s.dir, name+".snapshot.json"))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return trace.ReadSnapshot(data)
-}
-
 // writeAtomic writes data to path via a same-directory temp file + rename,
 // so concurrent readers and a mid-write crash both observe either the old
 // complete file or the new complete file, never a torn one.

@@ -24,82 +24,6 @@ func (c *checker) addf(block, op int, pos kir.Pos, format string, args ...any) {
 	})
 }
 
-// structural mirrors kir.Kernel.Validate as diagnostics: every finding is
-// reported (Validate stops at the first), and each carries its source
-// position.
-func (c *checker) structural() {
-	k := c.k
-	if len(k.Blocks) == 0 {
-		c.addf(-1, -1, kir.Pos{}, "no blocks")
-		return
-	}
-	if k.NumRegs < 0 || k.NumParams < 0 || k.SharedWds < 0 {
-		c.addf(-1, -1, kir.Pos{}, "negative resource declaration: regs=%d params=%d shared=%d",
-			k.NumRegs, k.NumParams, k.SharedWds)
-	}
-	if k.Blocks[0].Barrier {
-		c.addf(0, -1, k.Blocks[0].Pos, "entry block cannot carry a barrier")
-	}
-	for bi, b := range k.Blocks {
-		for ii := range b.Instrs {
-			c.instr(bi, ii)
-		}
-		c.terminator(bi)
-	}
-}
-
-func (c *checker) regOK(r kir.Reg) bool { return r >= 0 && int(r) < c.k.NumRegs }
-
-func (c *checker) instr(bi, ii int) {
-	in := c.k.Blocks[bi].Instrs[ii]
-	if in.Op == kir.OpNop || !in.Op.Valid() {
-		c.addf(bi, ii, in.Pos, "invalid opcode %v", in.Op)
-		return
-	}
-	if in.Op.HasDst() {
-		if !c.regOK(in.Dst) {
-			c.addf(bi, ii, in.Pos, "dst register r%d out of range [0,%d)", in.Dst, c.k.NumRegs)
-		}
-	} else if in.Dst != kir.NoReg {
-		c.addf(bi, ii, in.Pos, "%v must not define a destination", in.Op)
-	}
-	for s := 0; s < in.Op.NumSrc(); s++ {
-		if !c.regOK(in.Src[s]) {
-			c.addf(bi, ii, in.Pos, "src%d register r%d out of range [0,%d)", s, in.Src[s], c.k.NumRegs)
-		}
-	}
-	for s := in.Op.NumSrc(); s < len(in.Src); s++ {
-		if in.Src[s] != kir.NoReg {
-			c.addf(bi, ii, in.Pos, "%v takes %d sources; src%d set", in.Op, in.Op.NumSrc(), s)
-		}
-	}
-	if in.Op == kir.OpParam && (in.Imm < 0 || int(in.Imm) >= c.k.NumParams) {
-		c.addf(bi, ii, in.Pos, "parameter %d out of range [0,%d)", in.Imm, c.k.NumParams)
-	}
-}
-
-func (c *checker) terminator(bi int) {
-	t := c.k.Blocks[bi].Term
-	target := func(idx int) {
-		if idx < 0 || idx >= len(c.k.Blocks) {
-			c.addf(bi, -1, t.Pos, "successor block %d out of range [0,%d)", idx, len(c.k.Blocks))
-		}
-	}
-	switch t.Kind {
-	case kir.TermJump:
-		target(t.Then)
-	case kir.TermBranch:
-		if !c.regOK(t.Cond) {
-			c.addf(bi, -1, t.Pos, "branch condition r%d out of range [0,%d)", t.Cond, c.k.NumRegs)
-		}
-		target(t.Then)
-		target(t.Else)
-	case kir.TermRet:
-	default:
-		c.addf(bi, -1, t.Pos, "invalid terminator kind %d", t.Kind)
-	}
-}
-
 // defUse checks that every register use is definitely assigned on all paths
 // from the entry, by forward must-reach dataflow over the CFG: a register is
 // available at block entry only if every predecessor provides it. Loops are

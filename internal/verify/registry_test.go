@@ -23,11 +23,30 @@ func TestRegistryKernelsVerify(t *testing.T) {
 					t.Errorf("%v", d)
 				}
 			}
-			if ds := verify.Launch("frontend", inst.Kernel, inst.Launch); len(ds) > 0 {
-				for _, d := range ds {
-					t.Errorf("%v", d)
-				}
+			if err := inst.Kernel.ValidateLaunch(inst.Launch); err != nil {
+				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestValidateAllocatesNothing guards the kernel check that the
+// interpreter, the compiler and every machine run on their input: on a
+// valid registry kernel it must not allocate.
+func TestValidateAllocatesNothing(t *testing.T) {
+	for _, spec := range kernels.All() {
+		inst, err := spec.Build(1)
+		if err != nil {
+			t.Fatalf("%s: build: %v", spec.Name, err)
+		}
+		k := inst.Kernel
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := k.Validate(); err != nil {
+				t.Fatalf("%s: %v", spec.Name, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Validate allocates %v times per call, want 0", spec.Name, allocs)
+		}
 	}
 }

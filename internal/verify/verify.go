@@ -1,14 +1,15 @@
 // Package verify statically checks kernel-IR invariants.
 //
 // It is the first layer of the repository's verification spine: structural
-// well-formedness, def-before-use over the CFG, per-opcode operand/result
-// type agreement, reachability and entry rules, the paper's block-schedule
-// numbering (§3.1), and launch-configuration sanity. The second layer — the
-// post-pass invariant checks that need compiler data structures (live-value
-// allocation, dataflow graphs, if-conversion state) — lives in
-// internal/compile and the placed-graph checks in internal/fabric; both
-// report their findings with this package's Diagnostic type so every
-// verification failure in the system has the same shape.
+// well-formedness (kir's rules, reported as diagnostics), def-before-use over
+// the CFG, per-opcode operand/result type agreement, reachability, and the
+// paper's block-schedule numbering (§3.1). The launch rule is kir's
+// Kernel.ValidateLaunch. The second layer — the post-pass invariant checks
+// that need compiler data structures (live-value allocation, dataflow
+// graphs, if-conversion state) — lives in internal/compile and the
+// placed-graph checks in internal/fabric; both report their findings with
+// this package's Diagnostic type so every verification failure in the
+// system has the same shape.
 //
 // verify imports only internal/kir. In particular it does not use
 // internal/compile's CFG analyses: reverse postorder, reachability, and the
@@ -103,7 +104,7 @@ func Diagnostics(err error) []Diagnostic {
 type Mode uint8
 
 const (
-	Structural Mode = 1 << iota // opcode arity, register/param/target ranges, entry rules
+	Structural Mode = 1 << iota // kir.Kernel.Check: arity, register/param/target ranges, declarations, entry rules
 	DefUse                      // every use definitely assigned on all paths from entry
 	Types                       // operand/result types agree with each op's signature
 	Reachable                   // every block reachable from the entry
@@ -122,7 +123,11 @@ const (
 func Kernel(pass string, k *kir.Kernel, mode Mode) []Diagnostic {
 	c := &checker{pass: pass, k: k}
 	if mode&Structural != 0 {
-		c.structural()
+		// kir owns the structural rules; every front end and machine
+		// enforces the same ones through kir.Kernel.Validate.
+		k.Check(func(f kir.Finding) {
+			c.ds = append(c.ds, Diagnostic{Pass: pass, Kernel: k.Name, Block: f.Block, Op: f.Instr, Pos: f.Pos, Msg: f.Msg})
+		})
 	}
 	// The dataflow checks index registers and blocks; without structural
 	// sanity they could fault, so they only run on a structurally sound
@@ -147,19 +152,4 @@ func Kernel(pass string, k *kir.Kernel, mode Mode) []Diagnostic {
 // Check is Kernel followed by Join: nil when the kernel satisfies mode.
 func Check(pass string, k *kir.Kernel, mode Mode) error {
 	return Join(Kernel(pass, k, mode))
-}
-
-// Launch checks a launch configuration against a kernel: positive dimensions
-// and a parameter vector matching the kernel's declared parameter count.
-func Launch(pass string, k *kir.Kernel, l kir.Launch) []Diagnostic {
-	c := &checker{pass: pass, k: k}
-	if l.GridX <= 0 || l.GridY <= 0 || l.BlockX <= 0 || l.BlockY <= 0 {
-		c.addf(-1, -1, kir.Pos{}, "launch dimensions must be positive: grid %dx%d block %dx%d",
-			l.GridX, l.GridY, l.BlockX, l.BlockY)
-	}
-	if len(l.Params) != k.NumParams {
-		c.addf(-1, -1, kir.Pos{}, "kernel declares %d params, launch provides %d",
-			k.NumParams, len(l.Params))
-	}
-	return c.ds
 }

@@ -2,6 +2,7 @@ package vgiw
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -30,7 +31,7 @@ func TestTraceCheck(t *testing.T) {
 	opt := bench.DefaultOptions()
 	opt.Scale = 1
 	opt.Trace = trace.NewSink(trace.CatAll)
-	kr, err := bench.RunOne(spec, opt)
+	kr, err := bench.RunOneCtx(context.Background(), spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,6 +33,8 @@
 package vgiw
 
 import (
+	"context"
+
 	"vgiw/internal/bench"
 	"vgiw/internal/compile"
 	"vgiw/internal/core"
@@ -125,7 +127,7 @@ func RunSIMT(k *Kernel, launch Launch, global []uint32, cfg *SIMTConfig) (*SIMTR
 	if err != nil {
 		return nil, err
 	}
-	return simt.NewMachine(c).Run(ck, launch, global)
+	return simt.NewMachine(c).RunCtx(context.Background(), ck, launch, global)
 }
 
 // RunSGMF executes a kernel launch on the SGMF baseline. It fails for
@@ -175,7 +177,7 @@ func DefaultExperimentOptions() ExperimentOptions { return bench.DefaultOptions(
 // RunExperiment executes one benchmark on all machines, validating every
 // result against the host reference.
 func RunExperiment(w Workload, opt ExperimentOptions) (*KernelRun, error) {
-	return bench.RunOne(w, opt)
+	return bench.RunOneCtx(context.Background(), w, opt)
 }
 
 // RunAllExperiments executes the full benchmark registry.
