@@ -2,18 +2,19 @@ GO ?= go
 
 .PHONY: check build test vet race bench bench-record trace-check serve-check bench-smoke gate-check analyze verify-check fuzz-smoke fmt
 
-# check is the full pre-merge gate, in order: gofmt, go vet, then the repo's
-# own static-analysis suite (`analyze` — determinism taint, lock discipline,
-# goroutine lifecycle, hot-path allocations, trace.Sink nil guards and
-# context polling, all in strict suppression-audit mode, a hard failure),
-# then build, the test suite under the race detector, the verifier gates
-# (invalid-kernel corpus, checked pipelines, a short fuzz smoke), one
-# iteration of each perf-guard benchmark (allocs/op regressions show up
-# even at -benchtime=1x) and of the registry-wide ablations, the
-# trace/metrics schema gate, the metric
-# regression gate against the checked-in baselines, the daemon smoke test,
-# and the benchmark module's own tests. Static gates run first so a bad tree
-# fails in seconds, not after the benches.
+# check is the full pre-merge gate, in order: gofmt, go vet (of both modules:
+# the root and benchmark/, which the root `go test ./...` never builds), then
+# the repo's own static-analysis suite (`analyze` — determinism taint, lock
+# discipline, goroutine lifecycle, hot-path allocations, trace.Sink nil
+# guards and context polling, all in strict suppression-audit mode, a hard
+# failure), then build, the test suite under the race detector, the
+# verifier gates (invalid-kernel corpus, checked pipelines, a short fuzz
+# smoke), one iteration of each perf-guard benchmark (allocs/op regressions
+# show up even at -benchtime=1x) and of the registry-wide ablations, the
+# trace/metrics schema gate, the metric regression gate against the
+# checked-in baselines, the daemon smoke test, and the benchmark module's own
+# tests. Static gates run first so a bad tree fails in seconds, not after
+# the benches.
 check: fmt vet analyze build race verify-check fuzz-smoke bench trace-check gate-check serve-check bench-smoke
 
 # analyze runs cmd/vgiwcheck (internal/analysis) over the whole module in
@@ -48,6 +49,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet ./...
 
 test:
 	$(GO) test ./...

@@ -273,7 +273,13 @@ func runVGIW(w io.Writer, inst *kernels.Instance, rc runCfg) error {
 	fmt.Fprintf(w, "  reconfigurations: %d (%.3f%% of runtime)\n", res.Reconfigs, res.ConfigOverhead()*100)
 	fmt.Fprintf(w, "  LVC: %d loads, %d stores (%.1f%% hit rate)\n", res.LVCLoads, res.LVCStores, hitPct(res))
 	fmt.Fprintf(w, "  CVT: %d reads, %d writes\n", res.CVTReads, res.CVTWrites)
-	fmt.Fprintf(w, "  ops by unit class: %v\n", res.Ops)
+	ops := map[kir.UnitClass]uint64{}
+	for cl, n := range res.Ops {
+		if n != 0 {
+			ops[kir.UnitClass(cl)] = n
+		}
+	}
+	fmt.Fprintf(w, "  ops by unit class: %v\n", ops)
 	fmt.Fprintf(w, "  energy: %.2f uJ (core %.2f, L1 %.2f, L2 %.2f, MC %.2f, DRAM %.2f)\n",
 		e.SystemLevel()/1e6, e.Core/1e6, e.L1/1e6, e.L2/1e6, e.MC/1e6, e.DRAM/1e6)
 	if rc.blocks {

@@ -365,8 +365,8 @@ func (c *ArtifactCache) simtRun(ctx context.Context, w *kernels.Workload, cfg si
 
 // sgmfRun is simtRun for the SGMF baseline: its miss path translates and
 // places the whole kernel before it simulates, and a sink in
-// cfg.Engine.Trace makes the run always simulate. The copy it returns has
-// its own Ops map.
+// cfg.Engine.Trace makes the run always simulate. Every caller gets its own
+// copy of the result.
 func (c *ArtifactCache) sgmfRun(ctx context.Context, w *kernels.Workload, cfg sgmf.Config) (*sgmf.Result, StageTimes, error) {
 	sim := func(ctx context.Context) (any, StageTimes, error) {
 		var st StageTimes
@@ -410,7 +410,6 @@ func (c *ArtifactCache) sgmfRun(ctx context.Context, w *kernels.Workload, cfg sg
 		return nil, StageTimes{}, err
 	}
 	r := *v.(*sgmf.Result)
-	r.Ops = maps.Clone(r.Ops)
 	return &r, st, nil
 }
 
@@ -419,7 +418,7 @@ func (c *ArtifactCache) sgmfRun(ctx context.Context, w *kernels.Workload, cfg sg
 // compiled kernel), then looks the result up under cfg's effective config.
 // The miss path builds the machine, simulates on a private memory image and
 // checks it against the host reference. Every caller gets its own copy,
-// with its own Ops and ReplicasOf maps and BlockRuns slice. A traced or
+// with its own ReplicasOf map and BlockRuns slice. A traced or
 // profiled run always simulates and stores nothing: its events or per-block
 // stats are the product.
 func (c *ArtifactCache) vgiwRun(ctx context.Context, w *kernels.Workload, cfg core.Config) (*core.Result, StageTimes, error) {
@@ -454,7 +453,6 @@ func (c *ArtifactCache) vgiwRun(ctx context.Context, w *kernels.Workload, cfg co
 	}
 	st.Add(rt)
 	r := *v.(*core.Result)
-	r.Ops = maps.Clone(r.Ops)
 	r.ReplicasOf = maps.Clone(r.ReplicasOf)
 	r.BlockRuns = slices.Clone(r.BlockRuns)
 	return &r, st, nil

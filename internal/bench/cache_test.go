@@ -326,7 +326,7 @@ func TestBaselineRunsOncePerKernel(t *testing.T) {
 		}
 		a.SGMF.Ops[0]++
 		if a.SGMF.Ops[0] == b.SGMF.Ops[0] {
-			t.Errorf("cells share one SGMF Ops map")
+			t.Errorf("cells share one SGMF Ops array")
 		}
 		a.SGMF.Ops[0]--
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"vgiw/internal/core"
+	"vgiw/internal/engine"
 	"vgiw/internal/kir"
 	"vgiw/internal/mem"
 	"vgiw/internal/sgmf"
@@ -28,12 +29,17 @@ func foldMem(reg *trace.Registry, prefix string, ms mem.SystemStats) {
 	reg.Set(prefix+"mem.dram.writes", ms.DRAM.Writes)
 }
 
-// foldOps folds a per-unit-class op map densely (every class appears, zeros
-// included, so metric names never depend on which ops a kernel happens to use).
-func foldOps(reg *trace.Registry, prefix string, ops map[kir.UnitClass]uint64) {
-	for c := 0; c < kir.NumUnitClasses; c++ {
-		cl := kir.UnitClass(c)
-		reg.Set(prefix+"ops."+strings.ToLower(cl.String()), ops[cl])
+// foldCounts folds the fabric's event counts under prefix. Every op class
+// appears, zeros included, so metric names never depend on which ops a
+// kernel happens to use. Skipped memory operations are SGMF's own metric.
+func foldCounts(reg *trace.Registry, prefix string, c engine.Counts) {
+	reg.Set(prefix+"fp_ops", c.FPOps)
+	reg.Set(prefix+"token_hops", c.TokenHops)
+	reg.Set(prefix+"token_transfers", c.TokenTransfers)
+	reg.Set(prefix+"global_accesses", c.GlobalAccesses)
+	reg.Set(prefix+"shared_accesses", c.SharedAccesses)
+	for cl, n := range c.Ops {
+		reg.Set(prefix+"ops."+strings.ToLower(kir.UnitClass(cl).String()), n)
 	}
 }
 
@@ -55,12 +61,7 @@ func FoldVGIW(reg *trace.Registry, kernel string, r *core.Result) {
 	reg.Set(p+"lvc.stores", r.LVCStores)
 	reg.Set(p+"lvc.accesses", r.LVCStats.Accesses())
 	reg.Set(p+"lvc.misses", r.LVCStats.Misses())
-	reg.Set(p+"fp_ops", r.FPOps)
-	reg.Set(p+"token_hops", r.TokenHops)
-	reg.Set(p+"token_transfers", r.TokenTransfers)
-	reg.Set(p+"global_accesses", r.GlobalAccesses)
-	reg.Set(p+"shared_accesses", r.SharedAccesses)
-	foldOps(reg, p, r.Ops)
+	foldCounts(reg, p, r.Counts)
 	foldMem(reg, p, r.MemStats)
 	for _, br := range r.BlockRuns {
 		reg.Observe(p+"block_threads", int64(br.Threads))
@@ -95,13 +96,8 @@ func FoldSGMF(reg *trace.Registry, kernel string, r *sgmf.Result) {
 	reg.Set(p+"cycles", uint64(r.Cycles))
 	reg.Set(p+"graph_nodes", uint64(r.GraphNodes))
 	reg.Set(p+"replicas", uint64(r.Replicas))
-	reg.Set(p+"fp_ops", r.FPOps)
-	reg.Set(p+"token_hops", r.TokenHops)
-	reg.Set(p+"token_transfers", r.TokenTransfers)
 	reg.Set(p+"skipped_mem_ops", r.SkippedMemOps)
-	reg.Set(p+"global_accesses", r.GlobalAccesses)
-	reg.Set(p+"shared_accesses", r.SharedAccesses)
-	foldOps(reg, p, r.Ops)
+	foldCounts(reg, p, r.Counts)
 	foldMem(reg, p, r.MemStats)
 }
 

@@ -14,10 +14,10 @@ import (
 func TestCollectMetrics(t *testing.T) {
 	runs := allRuns(t)
 	reg := CollectMetrics(runs)
-	if got := reg.Counter("suite/kernels"); got != uint64(len(runs)) {
+	flat := reg.Flat()
+	if got := flat["suite/kernels"]; got != uint64(len(runs)) {
 		t.Errorf("suite/kernels = %d, want %d", got, len(runs))
 	}
-	flat := reg.Flat()
 	for _, r := range runs {
 		p := r.Spec.Name + "/"
 		if flat[p+"vgiw.cycles"] == 0 {

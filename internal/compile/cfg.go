@@ -4,11 +4,7 @@
 // insertion, §3.5), and if-conversion for the SGMF baseline.
 package compile
 
-import (
-	"fmt"
-
-	"vgiw/internal/kir"
-)
+import "vgiw/internal/kir"
 
 // Preds computes the predecessor lists of every block.
 func Preds(k *kir.Kernel) [][]int {
@@ -148,9 +144,14 @@ func ImmPostDoms(k *kir.Kernel) []int {
 // smaller-or-equal IDs. The runtime scheduler (BBS) then simply picks the
 // smallest block ID with a non-empty thread vector.
 //
-// Unreachable blocks are dropped. The kernel is modified in place and also
-// returned for convenience.
+// Unreachable blocks are dropped. The kernel is validated first, since the
+// traversal indexes blocks by successor ID; a valid kernel stays valid,
+// because the renumbering is a bijection on the reachable blocks. The kernel
+// is modified in place and also returned for convenience.
 func ScheduleBlocks(k *kir.Kernel) (*kir.Kernel, error) {
+	if err := k.Validate(); err != nil {
+		return nil, err
+	}
 	order := ReversePostorder(k)
 	remap := make([]int, len(k.Blocks))
 	for i := range remap {
@@ -173,8 +174,5 @@ func ScheduleBlocks(k *kir.Kernel) (*kir.Kernel, error) {
 		blocks[newID] = b
 	}
 	k.Blocks = blocks
-	if err := k.Validate(); err != nil {
-		return nil, fmt.Errorf("compile: scheduling broke kernel %s: %w", k.Name, err)
-	}
 	return k, nil
 }

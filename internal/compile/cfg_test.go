@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"fmt"
 	"testing"
 
 	"vgiw/internal/kir"
@@ -181,6 +182,31 @@ func TestScheduleBlocksNormalizesOrder(t *testing.T) {
 	}
 	if k.Blocks[len(k.Blocks)-1].Label != "late" {
 		t.Errorf("last block is %q, want late", k.Blocks[len(k.Blocks)-1].Label)
+	}
+}
+
+// TestScheduleBlocksRejectsBadSuccessor checks that ScheduleBlocks validates
+// its input before it walks the CFG: a successor outside the kernel's blocks
+// gets kir's error, not an index-out-of-range panic.
+func TestScheduleBlocksRejectsBadSuccessor(t *testing.T) {
+	for _, succ := range []int{7, -1} {
+		t.Run(fmt.Sprint(succ), func(t *testing.T) {
+			b := kir.NewBuilder("two")
+			entry, exit := b.NewBlock("entry"), b.NewBlock("exit")
+			b.SetBlock(entry)
+			b.Jump(exit)
+			b.SetBlock(exit)
+			b.Ret()
+			k := b.MustBuild()
+			k.Blocks[0].Term.Then = succ
+			want := k.Validate()
+			if want == nil {
+				t.Fatalf("successor %d passes kir's check", succ)
+			}
+			if _, err := ScheduleBlocks(k); err == nil || err.Error() != want.Error() {
+				t.Errorf("ScheduleBlocks error %v, want kir's %v", err, want)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"vgiw/internal/engine"
 	"vgiw/internal/kernels"
-	"vgiw/internal/kir"
 	"vgiw/internal/sgmf"
 )
 
@@ -20,8 +19,8 @@ import (
 //     and LVC statistics, and the profiled per-unit issue counts (Profile
 //     is forced on so those are populated and compared).
 //   - fast mode must agree on final global memory and on every cycle-
-//     independent count (ops by class, FP ops, token traffic, access and
-//     live-value counters); its cycle-level fields are all zero by contract.
+//     independent count (the fabric's engine.Counts, and on VGIW the LVC's
+//     loads and stores); its cycle-level fields are all zero by contract.
 //
 // The test runs under -race in CI, so it also exercises the batched
 // executor's scratch reuse for data races.
@@ -65,25 +64,11 @@ func TestDifferentialEngines(t *testing.T) {
 			if !reflect.DeepEqual(sglob, fglob) {
 				t.Errorf("VGIW fast global memory differs from scalar")
 			}
-			checkCounts(t, "VGIW fast", countSet{
-				ops:       sres.Ops,
-				fpOps:     sres.FPOps,
-				hops:      sres.TokenHops,
-				transfers: sres.TokenTransfers,
-				global:    sres.GlobalAccesses,
-				shared:    sres.SharedAccesses,
-				lvLoads:   sres.LVCLoads,
-				lvStores:  sres.LVCStores,
-			}, countSet{
-				ops:       fres.Ops,
-				fpOps:     fres.FPOps,
-				hops:      fres.TokenHops,
-				transfers: fres.TokenTransfers,
-				global:    fres.GlobalAccesses,
-				shared:    fres.SharedAccesses,
-				lvLoads:   fres.LVCLoads,
-				lvStores:  fres.LVCStores,
-			})
+			checkCounts(t, "VGIW fast", sres.Counts, fres.Counts)
+			if fres.LVCLoads != sres.LVCLoads || fres.LVCStores != sres.LVCStores {
+				t.Errorf("VGIW fast LVC loads/stores = %d/%d, want %d/%d",
+					fres.LVCLoads, fres.LVCStores, sres.LVCLoads, sres.LVCStores)
+			}
 			// Fast mode contributes zero execution cycles; only the BBS's
 			// reconfiguration cost (accounted outside the engine) remains.
 			if fres.Cycles != fres.ConfigCycles {
@@ -127,21 +112,7 @@ func TestDifferentialEngines(t *testing.T) {
 			if !reflect.DeepEqual(ssglob, sfglob) {
 				t.Errorf("SGMF fast global memory differs from scalar")
 			}
-			checkCounts(t, "SGMF fast", countSet{
-				ops:       ssres.Ops,
-				fpOps:     ssres.FPOps,
-				hops:      ssres.TokenHops,
-				transfers: ssres.TokenTransfers,
-				global:    ssres.GlobalAccesses,
-				shared:    ssres.SharedAccesses,
-			}, countSet{
-				ops:       sfres.Ops,
-				fpOps:     sfres.FPOps,
-				hops:      sfres.TokenHops,
-				transfers: sfres.TokenTransfers,
-				global:    sfres.GlobalAccesses,
-				shared:    sfres.SharedAccesses,
-			})
+			checkCounts(t, "SGMF fast", ssres.Counts, sfres.Counts)
 			// SGMF configures once at kernel load; fast mode adds no
 			// execution cycles past that.
 			if want := sgmf.DefaultConfig().Fabric.ConfigCycles; sfres.Cycles != want {
@@ -152,19 +123,45 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 }
 
-// countSet is the cycle-independent slice of a result that fast mode must
+// checkCounts compares the cycle-independent counts that fast mode must
 // reproduce exactly.
-type countSet struct {
-	ops               map[kir.UnitClass]uint64
-	fpOps             uint64
-	hops, transfers   uint64
-	global, shared    uint64
-	lvLoads, lvStores uint64
+func checkCounts(t *testing.T, what string, want, got engine.Counts) {
+	t.Helper()
+	if want != got {
+		t.Errorf("%s counts differ:\nwant %+v\ngot  %+v", what, want, got)
+	}
 }
 
-func checkCounts(t *testing.T, what string, want, got countSet) {
-	t.Helper()
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("%s counts differ:\nwant %+v\ngot  %+v", what, want, got)
+// TestCountsConserved checks that a VGIW result's fabric counts are exactly
+// the sum of its block runs' engine counts, and that every block run's
+// cycles are its engine run's, on every registry kernel.
+func TestCountsConserved(t *testing.T) {
+	for _, spec := range kernels.All() {
+		t.Run(spec.Name, func(t *testing.T) {
+			inst, err := spec.Build(1)
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			cfg := DefaultConfig()
+			cfg.Engine.Profile = true
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatalf("machine: %v", err)
+			}
+			res, err := m.RunKernel(inst.Kernel, inst.Launch, inst.Global)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			var sum engine.Counts
+			for i, br := range res.BlockRuns {
+				sum.Add(br.Stats.Counts)
+				if c := br.Stats.Cycles(); c != br.Cycles {
+					t.Errorf("block run %d (@%d): Stats.Cycles() = %d, Cycles = %d", i, br.Block, c, br.Cycles)
+				}
+			}
+			if sum != res.Counts {
+				t.Errorf("block runs sum to %+v, result holds %+v", sum, res.Counts)
+			}
+		})
 	}
 }

@@ -50,7 +50,7 @@ func NewLVC(cfg mem.CacheConfig, sys *mem.System, numLVs, threads int) *LVC {
 	for i := range matrix {
 		matrix[i] = make([]uint32, threads)
 	}
-	return &LVC{cache: NewLVCache(cfg), sys: sys, matrix: matrix, threads: threads,
+	return &LVC{cache: mem.NewCache(cfg), sys: sys, matrix: matrix, threads: threads,
 		lines: newLineMap(cfg.LineBytes), hitLat: cfg.HitLat}
 }
 
@@ -92,9 +92,6 @@ func lvcNeverEvicts(cfg mem.CacheConfig, numLVs, tile int) bool {
 	}
 	return cfg.ConflictFree(newLineMap(cfg.LineBytes).line(words-1) + 1)
 }
-
-// NewLVCache builds the cache component (exposed for tests).
-func NewLVCache(cfg mem.CacheConfig) *mem.Cache { return mem.NewCache(cfg) }
 
 // Reset zeroes the matrix between tiles (live values do not cross tiles:
 // each tile runs the kernel start to finish for its threads).

@@ -130,13 +130,8 @@ type Result struct {
 	LVCStats            mem.CacheStats
 	MemStats            mem.SystemStats
 
-	Ops            map[kir.UnitClass]uint64
-	opsAcc         engine.ClassCounts // dense accumulator; folded into Ops once per run
-	FPOps          uint64
-	TokenHops      uint64
-	TokenTransfers uint64
-	GlobalAccesses uint64
-	SharedAccesses uint64
+	// Counts totals the fabric's events over every block run.
+	engine.Counts
 
 	// ReplicasOf maps block ID to the replication factor used.
 	ReplicasOf map[int]int
@@ -256,9 +251,6 @@ func (m *Machine) RunPreparedCtx(ctx context.Context, prep *Prepared, launch kir
 		now = end
 	}
 	res.Cycles = now
-	// One map materialization per run; the per-block hot loop only touches
-	// the dense accumulator.
-	res.Ops = res.opsAcc.Map()
 	res.LVCLoads = lvc.Loads
 	res.LVCStores = lvc.Stores
 	res.LVCStats = lvc.Stats()
@@ -423,11 +415,10 @@ func (m *Machine) runTile(ctx context.Context, ck *compile.CompiledKernel, place
 		}
 		br := BlockRun{Block: b, Threads: len(threads), Start: st.StartCycle, Cycles: st.Cycles()}
 		if m.cfg.Engine.Profile {
-			// The profiled engine returns a fresh Stats per run, but Clone
-			// anyway so a retained BlockRun can never alias engine scratch
-			// (the reuse footgun Stats.Clone documents). The thread vector
-			// is scratch, so retain a copy too.
-			br.Stats = st.Clone()
+			// Copy inside the branch, so st escapes only on profiled runs.
+			// The thread vector is scratch, so retain a copy too.
+			bst := st
+			br.Stats = &bst
 			br.ThreadIDs = append([]int(nil), threads...)
 		}
 		if sink.Enabled(trace.CatVGIW) {
@@ -450,14 +441,7 @@ func (m *Machine) runTile(ctx context.Context, ck *compile.CompiledKernel, place
 				K1: "accesses", V1: int64(ls.Accesses()), K2: "misses", V2: int64(ls.Misses())})
 		}
 		res.BlockRuns = append(res.BlockRuns, br)
-		for cl, c := range st.Ops {
-			res.opsAcc[cl] += c
-		}
-		res.FPOps += st.FPOps
-		res.TokenHops += st.TokenHops
-		res.TokenTransfers += st.TokenTransfers
-		res.GlobalAccesses += st.GlobalAccesses
-		res.SharedAccesses += st.SharedAccesses
+		res.Counts.Add(st.Counts)
 		now = st.EndCycle
 	}
 	res.CVTReads += cvt.Reads

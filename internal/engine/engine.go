@@ -91,8 +91,8 @@ type Options struct {
 	// previous thread's completion at every node couples threads in a way
 	// the batched executor's closed-form timing does not model.
 	InOrderThreads bool
-	// Profile gives every run a fresh Stats (never the recycled buffer) and
-	// counts executions per physical unit into Stats.UnitIssues.
+	// Profile fills Stats.UnitIssues with each physical unit's executions.
+	// Fast runs report no occupancy.
 	Profile bool
 	// Trace, when non-nil, receives per-node firing events (trace.CatEngine)
 	// on the track named by Hooks.TraceTrack. A nil sink (or one whose
@@ -123,29 +123,11 @@ type Options struct {
 // an array rather than a map to keep the hot path allocation-free.
 type ClassCounts [kir.NumUnitClasses]uint64
 
-// Map converts the counters to the map form used by the machine results
-// (zero classes omitted, matching the previous map-based accounting).
-func (c *ClassCounts) Map() map[kir.UnitClass]uint64 {
-	m := make(map[kir.UnitClass]uint64)
-	for cl, n := range c {
-		if n != 0 {
-			m[kir.UnitClass(cl)] = n
-		}
-	}
-	return m
-}
-
-// Stats aggregates the events of one vector execution.
-//
-// Unless Options.Profile is set, the *Stats returned by RunVectorCtx aliases
-// engine-owned scratch and is only valid until the next RunVectorCtx call on
-// the same engine; callers that retain it across runs must copy it.
-type Stats struct {
-	Injected   int
-	StartCycle int64
-	EndCycle   int64
-
-	// Executed node counts by unit class (per thread executions).
+// Counts is the record of the fabric's events that the energy model prices.
+// The engine fills one per vector run, and the VGIW and SGMF results embed
+// their runs' totals, so each counter is declared, summed and priced once.
+type Counts struct {
+	// Ops counts node executions by unit class (per thread executions).
 	Ops ClassCounts
 	// FPOps counts floating-point ALU-class node executions (the energy
 	// model prices FP lanes above integer lanes).
@@ -154,31 +136,38 @@ type Stats struct {
 	TokenHops uint64
 	// TokenTransfers counts individual token deliveries.
 	TokenTransfers uint64
-	// LVLoads/LVStores count live-value cache accesses.
-	LVLoads, LVStores uint64
 	// GlobalAccesses/SharedAccesses count memory operations issued
 	// (predicated-off SGMF accesses are excluded).
 	GlobalAccesses, SharedAccesses uint64
 	// SkippedMemOps counts predicated-off memory operations (SGMF).
 	SkippedMemOps uint64
+}
+
+// Add accumulates o into c.
+func (c *Counts) Add(o Counts) {
+	for cl, n := range o.Ops {
+		c.Ops[cl] += n
+	}
+	c.FPOps += o.FPOps
+	c.TokenHops += o.TokenHops
+	c.TokenTransfers += o.TokenTransfers
+	c.GlobalAccesses += o.GlobalAccesses
+	c.SharedAccesses += o.SharedAccesses
+	c.SkippedMemOps += o.SkippedMemOps
+}
+
+// Stats aggregates the events of one vector execution.
+type Stats struct {
+	Injected   int
+	StartCycle int64
+	EndCycle   int64
+	Counts
 	// UnitIssues counts executions per physical unit ID. Profile only.
 	UnitIssues []uint64
 }
 
 // Cycles is the wall-clock cycle count of the vector execution.
 func (s *Stats) Cycles() int64 { return s.EndCycle - s.StartCycle }
-
-// Clone returns an independent deep copy. Callers that retain the *Stats
-// returned by RunVectorCtx across further runs on the same engine must clone
-// it: without Options.Profile the engine recycles one Stats buffer, so a
-// retained pointer would be retroactively overwritten by the next run.
-func (s *Stats) Clone() *Stats {
-	c := *s
-	if s.UnitIssues != nil {
-		c.UnitIssues = append([]uint64(nil), s.UnitIssues...)
-	}
-	return &c
-}
 
 // OpLatency is the per-opcode execution latency table shared by all
 // simulators (the SIMT baseline uses it too, so the comparison is apples to
@@ -237,12 +226,6 @@ type Engine struct {
 	laneEnd []int64
 	pending []int32 // per-replica threads admitted but not yet recorded
 	pendInj []int64 // per-replica inject cycle of the first pending thread
-	repCnt  []int64 // per-replica lane count of the current wave (collapsed profile)
-
-	// stats is the reusable result buffer handed out by RunVectorCtx when
-	// profiling is off (profiled runs get a fresh Stats, since callers
-	// retain those per block).
-	stats Stats
 }
 
 // New creates an engine bound to a grid.
@@ -271,28 +254,15 @@ const cancelCheckStride = 64
 // The thread loop polls ctx every cancelCheckStride threads and returns
 // ctx.Err() once the context is done, so a caller's deadline or cancel
 // preempts a running vector rather than waiting for it to drain.
-func (e *Engine) RunVectorCtx(ctx context.Context, p *fabric.Placement, threads []int, startCycle int64, h *Hooks) (*Stats, error) {
+func (e *Engine) RunVectorCtx(ctx context.Context, p *fabric.Placement, threads []int, startCycle int64, h *Hooks) (Stats, error) {
 	cfg := e.grid.Config()
-
-	// Profiled runs hand out a fresh Stats (callers keep one per block);
-	// otherwise the engine-owned buffer is recycled, keeping the steady
-	// state allocation-free.
-	st := &e.stats
-	if e.opt.Profile {
-		st = &Stats{}
-	}
-	*st = Stats{
+	st := Stats{
 		Injected:   len(threads),
 		StartCycle: startCycle,
 		EndCycle:   startCycle,
 	}
 	if len(threads) == 0 {
 		return st, nil
-	}
-	// The profile buffer is sized once per run, not lazily per node visit
-	// (profiled runs get a fresh Stats, so the slice starts nil).
-	if e.opt.Profile {
-		st.UnitIssues = make([]uint64, e.grid.NumUnits())
 	}
 
 	// Executor selection: CatEngine tracing pins the scalar reference walk
@@ -302,7 +272,10 @@ func (e *Engine) RunVectorCtx(ctx context.Context, p *fabric.Placement, threads 
 	// bit-exact with scalar.
 	traceEngine := e.opt.Trace.Enabled(trace.CatEngine)
 	if e.opt.Fast && !traceEngine {
-		return e.runFast(ctx, p, threads, startCycle, h, st)
+		if err := e.runFast(ctx, p, threads, startCycle, h, &st); err != nil {
+			return Stats{}, err
+		}
+		return st, nil
 	}
 
 	// Reset per-run unit state (the grid is reset between blocks, §3.2).
@@ -336,16 +309,42 @@ func (e *Engine) RunVectorCtx(ctx context.Context, p *fabric.Placement, threads 
 		e.vcs[r].Reset(cfg.TokenBufDepth)
 	}
 
+	var err error
 	if e.opt.Scalar || e.opt.InOrderThreads || traceEngine {
-		return e.runScalar(ctx, p, threads, h, st)
+		err = e.runScalar(ctx, p, threads, h, &st)
+	} else {
+		err = e.runBatched(ctx, p, threads, h, &st)
 	}
-	return e.runBatched(ctx, p, threads, h, st)
+	if err != nil {
+		return Stats{}, err
+	}
+	if e.opt.Profile {
+		// Every node fires once per thread on its replica's unit.
+		st.UnitIssues = make([]uint64, nUnits)
+		for r := 0; r < p.Replicas; r++ {
+			n := replicaThreads(len(threads), p.Replicas, r)
+			for _, u := range p.UnitOf[r] {
+				st.UnitIssues[u] += n
+			}
+		}
+	}
+	return st, nil
+}
+
+// replicaThreads is how many of nThreads threads replica r runs: thread j
+// runs on replica j mod replicas.
+func replicaThreads(nThreads, replicas, r int) uint64 {
+	n := uint64(nThreads / replicas)
+	if r < nThreads%replicas {
+		n++
+	}
+	return n
 }
 
 // runScalar is the reference executor: one whole-graph walk (runThread) per
 // thread, threads in injection order. It is the exactness oracle, the
 // CatEngine tracing path and the in-order ablation.
-func (e *Engine) runScalar(ctx context.Context, p *fabric.Placement, threads []int, h *Hooks, st *Stats) (*Stats, error) {
+func (e *Engine) runScalar(ctx context.Context, p *fabric.Placement, threads []int, h *Hooks, st *Stats) error {
 	nNodes := len(p.Graph.Nodes)
 	e.vals = resize(e.vals, nNodes)
 	e.done = resize(e.done, nNodes)
@@ -356,7 +355,7 @@ func (e *Engine) runScalar(ctx context.Context, p *fabric.Placement, threads []i
 	for j, tid := range threads {
 		if j%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		r := j % p.Replicas
@@ -368,14 +367,14 @@ func (e *Engine) runScalar(ctx context.Context, p *fabric.Placement, threads []i
 
 		end, err := e.runThread(p, r, tid, inject, h, st)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.vcs[r].Record(end)
 		if end > st.EndCycle {
 			st.EndCycle = end
 		}
 	}
-	return st, nil
+	return nil
 }
 
 // errUnknownNodeKind is the per-token path's only error of its own; a
@@ -442,12 +441,10 @@ func (e *Engine) runThread(p *fabric.Placement, r, tid int, inject int64, h *Hoo
 		case compile.NodeLVLoad:
 			start := e.issuePipelined(unit, ready)
 			val, done = h.AccessLV(n.LV, tid, false, 0, start)
-			st.LVLoads++
 
 		case compile.NodeLVStore:
 			start := e.issuePipelined(unit, ready)
 			_, done = h.AccessLV(n.LV, tid, true, e.vals[n.In[0]], start)
-			st.LVStores++
 
 		case compile.NodeOp:
 			val, done, err = e.execOp(n, unit, tid, ready, h, st)
@@ -474,9 +471,6 @@ func (e *Engine) runThread(p *fabric.Placement, r, tid int, inject int64, h *Hoo
 				Track: h.TraceTrack, Ts: ready, Dur: dur,
 				K1: "node", V1: int64(n.ID), K2: "tid", V2: int64(tid), K3: "replica", V3: int64(r),
 			})
-		}
-		if e.opt.Profile {
-			st.UnitIssues[unit]++
 		}
 		e.vals[n.ID] = val
 		e.done[n.ID] = done

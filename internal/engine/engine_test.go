@@ -37,7 +37,7 @@ func testGrid(t testing.TB) *fabric.Grid {
 
 // runBlockVector compiles the (single-block) kernel, places it with the given
 // replica count (0 = max), and streams all launch threads through it.
-func runBlockVector(t testing.TB, k *kir.Kernel, launch kir.Launch, global []uint32, replicas int, opt Options) (*Stats, []uint32) {
+func runBlockVector(t testing.TB, k *kir.Kernel, launch kir.Launch, global []uint32, replicas int, opt Options) (Stats, []uint32) {
 	t.Helper()
 	ck, err := compile.Compile(k)
 	if err != nil {

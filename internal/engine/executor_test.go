@@ -81,13 +81,56 @@ func TestEngineSharedUnitPlacementMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := ck.DFGs[0]
 	grid := testGrid(t)
+	p := sharedUnitPlacement(t, grid, ck.DFGs[0])
+	prog, err := compileProg(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.canCollapse {
+		t.Fatal("hand-built placement shares no unit")
+	}
+
+	const n = 256
+	launch := kir.Launch1D(n/32, 32, kir.F32(0.5), 0, n)
+	threads := make([]int, n)
+	for i := range threads {
+		threads[i] = i
+	}
+	run := func(opt Options) (Stats, []uint32) {
+		global := make([]uint32, 2*n)
+		for i := range global {
+			global[i] = kir.F32(float32(i))
+		}
+		env, err := NewDataEnv(k, launch, global, mem.NewSystem(mem.DefaultConfig(mem.WriteBack)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := New(grid, opt).RunVectorCtx(context.Background(), p, threads, 0, env.Hooks())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, global
+	}
+	sSt, sMem := run(Options{Profile: true, Scalar: true})
+	bSt, bMem := run(Options{Profile: true})
+	if !reflect.DeepEqual(bSt, sSt) {
+		t.Errorf("batched Stats differ from scalar:\nscalar:  %+v\nbatched: %+v", sSt, bSt)
+	}
+	if !reflect.DeepEqual(bMem, sMem) {
+		t.Error("batched global memory differs from scalar")
+	}
+}
+
+// sharedUnitPlacement places g with two replicas, then in every replica
+// moves the second ALU node onto the first one's unit: a placement
+// fabric.Place never emits.
+func sharedUnitPlacement(t *testing.T, grid *fabric.Grid, g *compile.BlockDFG) *fabric.Placement {
+	t.Helper()
 	placed, err := fabric.Place(grid, g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// In every replica, move the second ALU node onto the first one's unit.
 	p := *placed
 	p.UnitOf = make([][]int, len(placed.UnitOf))
 	for r, units := range placed.UnitOf {
@@ -105,41 +148,5 @@ func TestEngineSharedUnitPlacementMatchesScalar(t *testing.T) {
 			break
 		}
 	}
-	prog, err := compileProg(&p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog.canCollapse {
-		t.Fatal("hand-built placement shares no unit")
-	}
-
-	const n = 256
-	launch := kir.Launch1D(n/32, 32, kir.F32(0.5), 0, n)
-	threads := make([]int, n)
-	for i := range threads {
-		threads[i] = i
-	}
-	run := func(opt Options) (*Stats, []uint32) {
-		global := make([]uint32, 2*n)
-		for i := range global {
-			global[i] = kir.F32(float32(i))
-		}
-		env, err := NewDataEnv(k, launch, global, mem.NewSystem(mem.DefaultConfig(mem.WriteBack)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := New(grid, opt).RunVectorCtx(context.Background(), &p, threads, 0, env.Hooks())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, global
-	}
-	sSt, sMem := run(Options{Profile: true, Scalar: true})
-	bSt, bMem := run(Options{Profile: true})
-	if !reflect.DeepEqual(bSt, sSt) {
-		t.Errorf("batched Stats differ from scalar:\nscalar:  %+v\nbatched: %+v", sSt, bSt)
-	}
-	if !reflect.DeepEqual(bMem, sMem) {
-		t.Error("batched global memory differs from scalar")
-	}
+	return &p
 }

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"vgiw/internal/compile"
@@ -10,85 +13,6 @@ import (
 	"vgiw/internal/mem"
 	"vgiw/internal/trace"
 )
-
-func TestStatsCloneDeepCopies(t *testing.T) {
-	s := &Stats{
-		Injected:   3,
-		EndCycle:   100,
-		FPOps:      7,
-		UnitIssues: []uint64{6},
-	}
-	s.Ops[kir.ClassALU] = 9
-	c := s.Clone()
-	if c == s {
-		t.Fatal("Clone returned the receiver")
-	}
-	// Mutate the original: the clone must not move.
-	s.Injected = 0
-	s.Ops[kir.ClassALU] = 0
-	s.UnitIssues[0] = 99
-	if c.Injected != 3 || c.Ops[kir.ClassALU] != 9 {
-		t.Errorf("clone shares scalar state: %+v", c)
-	}
-	if c.UnitIssues[0] != 6 {
-		t.Errorf("clone aliases the profile slice: %v", c.UnitIssues)
-	}
-	// A nil profile slice stays nil (non-profiled runs).
-	if n := (&Stats{}).Clone(); n.UnitIssues != nil {
-		t.Error("clone materialized a nil slice")
-	}
-}
-
-// TestRunVectorStatsReuse pins the aliasing footgun Clone exists for: without
-// Options.Profile the engine recycles one Stats across RunVectorCtx calls, so a
-// caller that retains the pointer sees it overwritten by the next run — and
-// Clone is the escape hatch.
-func TestRunVectorStatsReuse(t *testing.T) {
-	k := buildSaxpyBlock(t)
-	ck, err := compile.Compile(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := testGrid(t)
-	p, err := fabric.PlaceMax(grid, ck.DFGs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	launch := kir.Launch1D(1, 32, 2, 0, 32)
-	global := make([]uint32, 64)
-	sys := mem.NewSystem(mem.DefaultConfig(mem.WriteBack))
-	env, err := NewDataEnv(k, launch, global, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	threads := make([]int, launch.Threads())
-	for i := range threads {
-		threads[i] = i
-	}
-	e := New(grid, Options{})
-
-	st1, err := e.RunVectorCtx(context.Background(), p, threads[:16], 0, env.Hooks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := st1.Clone()
-	firstEnd := st1.EndCycle
-
-	st2, err := e.RunVectorCtx(context.Background(), p, threads, firstEnd, env.Hooks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1 != st2 {
-		t.Fatal("non-profiled RunVectorCtx returned a fresh Stats; the reuse contract changed — update Clone's docs and this test")
-	}
-	if st1.Injected != len(threads) {
-		t.Fatalf("second run injected %d, want %d", st1.Injected, len(threads))
-	}
-	// The retained pointer was overwritten; the clone kept the first run.
-	if saved.Injected != 16 || saved.EndCycle != firstEnd {
-		t.Errorf("clone drifted: injected=%d end=%d, want 16/%d", saved.Injected, saved.EndCycle, firstEnd)
-	}
-}
 
 // TestEngineTraceNodeFirings checks the engine emits one CatEngine span per
 // node execution onto the hooks' track, and that a disabled sink emits none.
@@ -124,5 +48,75 @@ func TestEngineTraceNodeFirings(t *testing.T) {
 	want := len(ck.DFGs[0].Nodes) * len(threads)
 	if sink.Len() != want {
 		t.Errorf("recorded %d node events, want %d", sink.Len(), want)
+	}
+}
+
+// TestUnitIssuesMatchTracedFirings checks the profile's per-unit occupancy,
+// which RunVectorCtx derives from the placement and the thread count, against
+// an independent count: one CatEngine firing event per node execution,
+// charged to the unit that the event's node and replica place it on. The
+// widest placement leaves a partial last round of threads, and the
+// shared-unit placement puts two nodes on one unit.
+func TestUnitIssuesMatchTracedFirings(t *testing.T) {
+	k := buildSaxpyBlock(t)
+	ck, err := compile.Compile(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ck.DFGs[0]
+	grid := testGrid(t)
+	widest, err := fabric.PlaceMax(grid, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := sharedUnitPlacement(t, grid, g)
+	const n = 203 // leaves a partial round on every replica count above 1
+	launch := kir.Launch1D(7, 32, kir.F32(0.5), 0, 224)
+	threads := make([]int, n)
+	for i := range threads {
+		threads[i] = i
+	}
+	for _, p := range []*fabric.Placement{widest, shared} {
+		if n%p.Replicas == 0 {
+			t.Fatalf("%d threads fill every round of %d replicas", n, p.Replicas)
+		}
+		run := func(opt Options) Stats {
+			env, err := NewDataEnv(k, launch, make([]uint32, 448), mem.NewSystem(mem.DefaultConfig(mem.WriteBack)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := New(grid, opt).RunVectorCtx(context.Background(), p, threads, 0, env.Hooks())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		sink := trace.NewSink(trace.CatEngine)
+		traced := run(Options{Profile: true, Trace: sink})
+		var buf bytes.Buffer
+		if err := sink.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Args map[string]int64 `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(doc.TraceEvents), len(g.Nodes)*n; got != want {
+			t.Fatalf("%d replicas: %d firing events, want %d", p.Replicas, got, want)
+		}
+		fired := make([]uint64, grid.NumUnits())
+		for _, ev := range doc.TraceEvents {
+			fired[p.UnitOf[ev.Args["replica"]][ev.Args["node"]]]++
+		}
+		if !reflect.DeepEqual(traced.UnitIssues, fired) {
+			t.Errorf("%d replicas: traced run's UnitIssues %v, firing events per unit %v", p.Replicas, traced.UnitIssues, fired)
+		}
+		if got := run(Options{Profile: true}).UnitIssues; !reflect.DeepEqual(got, fired) {
+			t.Errorf("%d replicas: untraced run's UnitIssues %v, firing events per unit %v", p.Replicas, got, fired)
+		}
 	}
 }

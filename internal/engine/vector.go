@@ -148,12 +148,10 @@ type nodeProg struct {
 	rdyn        [][]dynNode
 	endK        []int64
 
-	classCount   [kir.NumUnitClasses]uint64
-	fpNodes      uint64
-	lvLoadNodes  uint64
-	lvStoreNodes uint64
-	transfers    uint64
-	hopSum       []uint64 // per replica: total token hops per thread
+	classCount ClassCounts
+	fpNodes    uint64
+	transfers  uint64
+	hopSum     []uint64 // per replica: total token hops per thread
 }
 
 // progFor returns the cached program for a placement, compiling it on first
@@ -216,10 +214,8 @@ func compileProg(p *fabric.Placement) (*nodeProg, error) {
 			pn.exec, pn.lat = xJoin, 1
 		case compile.NodeLVLoad:
 			pn.exec = xLVLoad
-			pr.lvLoadNodes++
 		case compile.NodeLVStore:
 			pn.exec = xLVStore
-			pr.lvStoreNodes++
 		case compile.NodeOp:
 			op := nd.Instr.Op
 			switch {
@@ -508,7 +504,6 @@ func (e *Engine) ensureLanes(nNodes, replicas int) {
 	e.laneEnd = resize(e.laneEnd, batchLanes)
 	e.pending = resize(e.pending, replicas)
 	e.pendInj = resize(e.pendInj, replicas)
-	e.repCnt = resize(e.repCnt, replicas)
 	clear(e.pending)
 }
 
@@ -523,10 +518,10 @@ func (e *Engine) ensureLanes(nNodes, replicas int) {
 // the scalar path's per-64-thread stride.
 //
 //vgiw:coarsepoll
-func (e *Engine) runBatched(ctx context.Context, p *fabric.Placement, threads []int, h *Hooks, st *Stats) (*Stats, error) {
+func (e *Engine) runBatched(ctx context.Context, p *fabric.Placement, threads []int, h *Hooks, st *Stats) error {
 	prog, err := e.progFor(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !prog.canCollapse {
 		return e.runScalar(ctx, p, threads, h, st)
@@ -537,24 +532,18 @@ func (e *Engine) runBatched(ctx context.Context, p *fabric.Placement, threads []
 	base := 0
 	for base < len(threads) {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		lanes := e.formWave(prog, threads, base, p.Replicas, depth)
 		for l := 0; l < lanes; l++ {
 			e.laneEnd[l] += prog.endK[e.laneRep[l]]
 		}
-		if e.opt.Profile {
-			clear(e.repCnt)
-			for l := 0; l < lanes; l++ {
-				e.repCnt[e.laneRep[l]]++
-			}
-		}
 		for i := range prog.static {
-			e.execStaticNode(prog, &prog.static[i], lanes, h, st)
+			e.execStaticNode(prog, &prog.static[i], lanes, h)
 		}
 		for l := 0; l < lanes; l++ {
 			if err := e.execDynLane(prog, l, h, st); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		for l := 0; l < lanes; l++ {
@@ -567,7 +556,7 @@ func (e *Engine) runBatched(ctx context.Context, p *fabric.Placement, threads []
 		base += lanes
 	}
 	addBatchedStats(prog, st, len(threads), p.Replicas)
-	return st, nil
+	return nil
 }
 
 // formWave admits as many threads as the exact scalar injection schedule
@@ -630,25 +619,17 @@ func (e *Engine) formWave(prog *nodeProg, threads []int, base, replicas, depth i
 // pass, then the value pass (staticValues). The timing pass of a
 // collapsible node reduces to its closed form — done = inject + konst,
 // already folded into laneEnd and the consumers' sbase by
-// runBatched/compileCollapse — leaving per-replica profile bookkeeping (a
-// collapsed node issues one unit slot per lane, so its unit's count grows
-// by the replica's lane count). A non-collapsible node (an SCU, or a
-// consumer of one) keeps the per-lane slot allocation in thread order,
+// runBatched/compileCollapse — so only a non-collapsible node (an SCU, or a
+// consumer of one) runs it: the per-lane slot allocation in thread order,
 // reading collapsed inputs through the sbase fold and the filtered edge
 // list, since collapsed nodes never write their completion planes.
 //
 //vgiw:hotpath
-func (e *Engine) execStaticNode(prog *nodeProg, pn *progNode, lanes int, h *Hooks, st *Stats) {
+func (e *Engine) execStaticNode(prog *nodeProg, pn *progNode, lanes int, h *Hooks) {
 	ni := int(pn.id)
 	stride := prog.n + 1
 
-	if prog.konst[ni] >= 0 {
-		if e.opt.Profile {
-			for r, cnt := range e.repCnt {
-				st.UnitIssues[prog.unit[r*prog.n+ni]] += uint64(cnt)
-			}
-		}
-	} else {
+	if prog.konst[ni] < 0 {
 		for l := 0; l < lanes; l++ {
 			r := int(e.laneRep[l])
 			dn := e.pdone[l*stride : l*stride+stride]
@@ -671,9 +652,6 @@ func (e *Engine) execStaticNode(prog *nodeProg, pn *progNode, lanes int, h *Hook
 			dn[ni] = done
 			if done > e.laneEnd[l] {
 				e.laneEnd[l] = done
-			}
-			if e.opt.Profile {
-				st.UnitIssues[unit]++
 			}
 		}
 	}
@@ -782,19 +760,16 @@ func (e *Engine) execDynLane(prog *nodeProg, l int, h *Hooks, st *Stats) error {
 		if done > end {
 			end = done
 		}
-		if e.opt.Profile {
-			st.UnitIssues[unit]++
-		}
 	}
 	e.laneEnd[l] = end
 	return nil
 }
 
 // addBatchedStats folds in the order-independent per-thread constants: node
-// executions by class, FP ops, token hops/transfers and LV access counts are
-// all unconditional per (node, thread), so totals are per-node constants
-// times thread counts — exactly what the scalar walk accumulates one
-// increment at a time.
+// executions by class, FP ops and token hops/transfers are all
+// unconditional per (node, thread), so totals are per-node constants times
+// thread counts — exactly what the scalar walk accumulates one increment at
+// a time.
 //
 //vgiw:hotpath
 func addBatchedStats(prog *nodeProg, st *Stats, nThreads, replicas int) {
@@ -804,14 +779,8 @@ func addBatchedStats(prog *nodeProg, st *Stats, nThreads, replicas int) {
 	}
 	st.FPOps += prog.fpNodes * t
 	st.TokenTransfers += prog.transfers * t
-	st.LVLoads += prog.lvLoadNodes * t
-	st.LVStores += prog.lvStoreNodes * t
 	for r := 0; r < replicas; r++ {
-		n := uint64(nThreads / replicas)
-		if r < nThreads%replicas {
-			n++
-		}
-		st.TokenHops += prog.hopSum[r] * n
+		st.TokenHops += prog.hopSum[r] * replicaThreads(nThreads, replicas, r)
 	}
 }
 
@@ -824,16 +793,16 @@ func addBatchedStats(prog *nodeProg, st *Stats, nThreads, replicas int) {
 // The cancellation poll runs once per batchLanes threads.
 //
 //vgiw:coarsepoll
-func (e *Engine) runFast(ctx context.Context, p *fabric.Placement, threads []int, startCycle int64, h *Hooks, st *Stats) (*Stats, error) {
+func (e *Engine) runFast(ctx context.Context, p *fabric.Placement, threads []int, startCycle int64, h *Hooks, st *Stats) error {
 	prog, err := e.progFor(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.ensureLanes(prog.n, p.Replicas)
 
 	for base := 0; base < len(threads); base += batchLanes {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		lanes := len(threads) - base
 		if lanes > batchLanes {
@@ -845,12 +814,12 @@ func (e *Engine) runFast(ctx context.Context, p *fabric.Placement, threads []int
 		}
 		for l := 0; l < lanes; l++ {
 			if err := e.fastDynLane(prog, l, startCycle, h, st); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 	addBatchedStats(prog, st, len(threads), p.Replicas)
-	return st, nil
+	return nil
 }
 
 // staticValues is the value pass of one pure node over a batch of lanes,

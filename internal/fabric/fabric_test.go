@@ -27,7 +27,7 @@ func TestDefaultGridMatchesTable1(t *testing.T) {
 		kir.ClassLVU: 16, kir.ClassSJU: 16, kir.ClassCVU: 16,
 	}
 	for cl, n := range want {
-		if got := len(g.UnitsOf(cl)); got != n {
+		if got := len(g.byClass[cl]); got != n {
 			t.Errorf("%v units = %d, want %d", cl, got, n)
 		}
 	}
@@ -45,7 +45,7 @@ func TestDefaultGridMatchesTable1(t *testing.T) {
 	}
 	// Memory units sit on the perimeter.
 	for _, cl := range []kir.UnitClass{kir.ClassLDST, kir.ClassLVU} {
-		for _, id := range g.UnitsOf(cl) {
+		for _, id := range g.byClass[cl] {
 			u := g.Units[id]
 			if u.X != 0 && u.Y != 0 && u.X != 11 && u.Y != 8 {
 				t.Errorf("%v unit %d at (%d,%d) not on perimeter", cl, id, u.X, u.Y)

@@ -174,9 +174,6 @@ func (g *Grid) Config() Config { return g.cfg }
 // NumUnits reports the total unit count.
 func (g *Grid) NumUnits() int { return len(g.Units) }
 
-// UnitsOf returns the unit IDs of one class.
-func (g *Grid) UnitsOf(cl kir.UnitClass) []int { return g.byClass[cl] }
-
 // Hops returns the token latency in cycles between two units. The folded
 // hypercube connects each unit to its four nearest units and four nearest
 // switches, and switches to switches at Manhattan distance two — so a token

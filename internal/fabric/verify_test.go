@@ -66,7 +66,7 @@ func TestVerifyPlacement(t *testing.T) {
 		if node < 0 {
 			t.Fatal("no ALU node")
 		}
-		p.UnitOf[0][node] = g.UnitsOf(kir.ClassLDST)[0]
+		p.UnitOf[0][node] = g.byClass[kir.ClassLDST][0]
 		wantDiag(t, VerifyPlacement("place", g, p), "placed on")
 	})
 

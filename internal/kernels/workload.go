@@ -60,9 +60,6 @@ func (w *Workload) Global() []uint32 {
 	return g
 }
 
-// Words reports the memory image size (for sizing diagnostics).
-func (w *Workload) Words() int { return len(w.image) }
-
 // baseImage exposes the shared image for tests that verify run mutations
 // never leak back into the cache.
 func (w *Workload) baseImage() []uint32 { return w.image }

@@ -17,8 +17,8 @@ func TestWorkloadImageIsolation(t *testing.T) {
 	frozen := append([]uint32(nil), w.baseImage()...)
 
 	g := w.Global()
-	if len(g) != w.Words() {
-		t.Fatalf("checkout has %d words, workload reports %d", len(g), w.Words())
+	if len(g) != len(w.image) {
+		t.Fatalf("checkout has %d words, workload image %d", len(g), len(w.image))
 	}
 	for i := range g {
 		g[i] = ^g[i] // simulate a run trashing its heap

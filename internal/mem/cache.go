@@ -209,9 +209,6 @@ func (c *Cache) Release() {
 	releaseSlots(c.banks)
 }
 
-// Config returns the cache configuration.
-func (c *Cache) Config() CacheConfig { return c.cfg }
-
 // AccessResult describes the outcome of a cache access.
 type AccessResult struct {
 	Hit       bool
@@ -372,16 +369,4 @@ func absDiff(a, b int64) int64 {
 		return a - b
 	}
 	return b - a
-}
-
-// Contains reports whether the line is present (no state change); used by
-// tests.
-func (c *Cache) Contains(lineAddr int64) bool {
-	set := c.setOf(lineAddr)
-	for _, l := range c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways] {
-		if l.valid && l.tag == lineAddr {
-			return true
-		}
-	}
-	return false
 }

@@ -165,9 +165,6 @@ func NewSystem(cfg Config) *System {
 	}
 }
 
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Stats snapshots the event counters.
 func (s *System) Stats() SystemStats {
 	return SystemStats{L1: s.L1.Stats, L2: s.L2.Stats, DRAM: s.DRAM.Stats}

@@ -16,7 +16,9 @@ package power
 
 import (
 	"vgiw/internal/core"
+	"vgiw/internal/engine"
 	"vgiw/internal/kir"
+	"vgiw/internal/mem"
 	"vgiw/internal/sgmf"
 	"vgiw/internal/simt"
 )
@@ -121,25 +123,36 @@ func memEnergy(t Table, l1, l2, dram uint64, cycles int64) Breakdown {
 	}
 }
 
-// VGIW prices a VGIW kernel execution.
-func VGIW(r *core.Result, t Table) Breakdown {
-	b := memEnergy(t, r.MemStats.L1.Accesses(), r.MemStats.L2.Accesses(),
-		r.MemStats.DRAM.Accesses(), r.Cycles)
-
-	intOps := float64(r.Ops[kir.ClassALU] - r.FPOps)
+// fabricEnergy prices a run on the MT-CGRF, which VGIW and SGMF share: the
+// memory hierarchy, then a core sum of the fabric's events in c, the
+// machine's own overheads in the order given, shared memory and static
+// power. The sum runs left to right in that order.
+func fabricEnergy(t Table, c engine.Counts, ms mem.SystemStats, cycles int64, overheads ...float64) Breakdown {
+	b := memEnergy(t, ms.L1.Accesses(), ms.L2.Accesses(), ms.DRAM.Accesses(), cycles)
+	intOps := float64(c.Ops[kir.ClassALU] - c.FPOps)
 	b.Core = intOps*t.IntOp +
-		float64(r.FPOps)*t.FPOp +
-		float64(r.Ops[kir.ClassSCU])*t.SFUOp +
-		float64(r.Ops[kir.ClassSJU])*t.SJUOp +
-		float64(r.Ops[kir.ClassCVU]+r.Ops[kir.ClassLVU]+r.Ops[kir.ClassLDST])*t.CVUOp +
-		float64(r.TokenHops)*t.TokenHop +
-		float64(r.TokenTransfers)*t.TokenBuffer +
-		float64(r.LVCLoads+r.LVCStores)*t.LVCAccess +
-		float64(r.CVTReads+r.CVTWrites)*t.CVTAccess +
-		float64(r.Reconfigs)*108*t.ConfigUnit +
-		float64(r.SharedAccesses)*t.SharedAccess +
-		float64(r.Cycles)*t.StaticCore
+		float64(c.FPOps)*t.FPOp +
+		float64(c.Ops[kir.ClassSCU])*t.SFUOp +
+		float64(c.Ops[kir.ClassSJU])*t.SJUOp +
+		float64(c.Ops[kir.ClassCVU]+c.Ops[kir.ClassLVU]+c.Ops[kir.ClassLDST])*t.CVUOp +
+		float64(c.TokenHops)*t.TokenHop +
+		float64(c.TokenTransfers)*t.TokenBuffer
+	for _, e := range overheads {
+		b.Core += e
+	}
+	b.Core = b.Core +
+		float64(c.SharedAccesses)*t.SharedAccess +
+		float64(cycles)*t.StaticCore
 	return b
+}
+
+// VGIW prices a VGIW kernel execution: the fabric plus the LVC, the CVT and
+// every reconfiguration of the 108 units.
+func VGIW(r *core.Result, t Table) Breakdown {
+	return fabricEnergy(t, r.Counts, r.MemStats, r.Cycles,
+		float64(r.LVCLoads+r.LVCStores)*t.LVCAccess,
+		float64(r.CVTReads+r.CVTWrites)*t.CVTAccess,
+		float64(r.Reconfigs)*108*t.ConfigUnit)
 }
 
 // SIMT prices a Fermi-SM kernel execution.
@@ -159,23 +172,10 @@ func SIMT(r *simt.Result, t Table) Breakdown {
 	return b
 }
 
-// SGMF prices an SGMF kernel execution.
+// SGMF prices an SGMF kernel execution: the fabric, configured exactly
+// once.
 func SGMF(r *sgmf.Result, t Table) Breakdown {
-	b := memEnergy(t, r.MemStats.L1.Accesses(), r.MemStats.L2.Accesses(),
-		r.MemStats.DRAM.Accesses(), r.Cycles)
-
-	intOps := float64(r.Ops[kir.ClassALU] - r.FPOps)
-	b.Core = intOps*t.IntOp +
-		float64(r.FPOps)*t.FPOp +
-		float64(r.Ops[kir.ClassSCU])*t.SFUOp +
-		float64(r.Ops[kir.ClassSJU])*t.SJUOp +
-		float64(r.Ops[kir.ClassCVU]+r.Ops[kir.ClassLVU]+r.Ops[kir.ClassLDST])*t.CVUOp +
-		float64(r.TokenHops)*t.TokenHop +
-		float64(r.TokenTransfers)*t.TokenBuffer +
-		108*t.ConfigUnit + // configured exactly once
-		float64(r.SharedAccesses)*t.SharedAccess +
-		float64(r.Cycles)*t.StaticCore
-	return b
+	return fabricEnergy(t, r.Counts, r.MemStats, r.Cycles, 108*t.ConfigUnit)
 }
 
 // Efficiency returns the energy-efficiency ratio of the architecture whose

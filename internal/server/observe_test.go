@@ -139,8 +139,8 @@ func TestRequestHeadersNeverCreateMetricNames(t *testing.T) {
 	}
 
 	s, ts := newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 4})
-	names := len(s.Metrics().Flat())
-	hits := s.Metrics().Counter("vgiwd/store_hits")
+	names := len(s.reg.Flat())
+	hits := s.reg.Flat()["vgiwd/store_hits"]
 	const n = 1000
 	for i := 0; i < n; i++ {
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(body))
@@ -157,10 +157,10 @@ func TestRequestHeadersNeverCreateMetricNames(t *testing.T) {
 			t.Fatalf("submission %d: status %d cached %q, want a 200 store hit", i, resp.StatusCode, v.Cached)
 		}
 	}
-	if got := s.Metrics().Counter("vgiwd/store_hits") - hits; got != n {
+	if got := s.reg.Flat()["vgiwd/store_hits"] - hits; got != n {
 		t.Errorf("store_hits grew by %d, want %d", got, n)
 	}
-	if got := len(s.Metrics().Flat()); got != names {
+	if got := len(s.reg.Flat()); got != names {
 		t.Errorf("%d store hits took the registry from %d to %d metric names", n, names, got)
 	}
 }
@@ -624,7 +624,7 @@ func TestRepeatAfterOffLockMissIsNotRerun(t *testing.T) {
 	if !bytes.Equal(got.Result, want.Result) {
 		t.Errorf("repeat is not byte-identical:\n%s\nvs\n%s", got.Result, want.Result)
 	}
-	if n := s.Metrics().Counter("vgiwd/runs_executed"); n != 1 {
+	if n := s.reg.Flat()["vgiwd/runs_executed"]; n != 1 {
 		t.Errorf("runs_executed = %d, want 1", n)
 	}
 }

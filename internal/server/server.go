@@ -124,10 +124,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Metrics exposes the server's own registry (tests and the drain path read
-// final counters from it).
-func (s *Server) Metrics() *trace.Registry { return s.reg }
-
 // errQueueFull is returned by Submit when admission control rejects a job.
 var errQueueFull = errors.New("server: queue full")
 

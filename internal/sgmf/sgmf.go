@@ -53,14 +53,10 @@ type Result struct {
 	GraphNodes int
 	Replicas   int
 
-	Ops            map[kir.UnitClass]uint64
-	FPOps          uint64
-	TokenHops      uint64
-	TokenTransfers uint64
-	SkippedMemOps  uint64 // predicated-off accesses: the divergence waste
-	GlobalAccesses uint64
-	SharedAccesses uint64
-	MemStats       mem.SystemStats
+	// Counts holds the run's fabric events; SkippedMemOps counts the
+	// predicated-off accesses, the divergence waste.
+	engine.Counts
+	MemStats mem.SystemStats
 }
 
 // Machine is an SGMF core instance.
@@ -92,16 +88,13 @@ type Mapped struct {
 }
 
 // Translate lowers a kernel to SGMF's whole-kernel dataflow graph: it
-// validates the kernel, schedules the blocks, then if-converts them, which
-// reports why a kernel is not SGMF-mappable (loops, barriers). The kernel is
-// mutated in place (block scheduling).
+// schedules the blocks, which validates the kernel, then if-converts them,
+// which reports why a kernel is not SGMF-mappable (loops, barriers). The
+// kernel is mutated in place (block scheduling).
 func (m *Machine) Translate(k *kir.Kernel) (*compile.BlockDFG, error) {
 	var opts []compile.Option
 	if m.cfg.Checked {
 		opts = append(opts, compile.Checked())
-	}
-	if err := k.Validate(); err != nil {
-		return nil, err
 	}
 	if _, err := compile.ScheduleBlocks(k); err != nil {
 		return nil, err
@@ -203,18 +196,12 @@ func (m *Machine) RunMappedCtx(ctx context.Context, mapped *Mapped, launch kir.L
 	defer sys.Release()
 	defer m.eng.Release()
 	return &Result{
-		Kernel:         k.Name,
-		Threads:        launch.Threads(),
-		Cycles:         st.EndCycle,
-		GraphNodes:     len(p.Graph.Nodes),
-		Replicas:       p.Replicas,
-		Ops:            st.Ops.Map(),
-		FPOps:          st.FPOps,
-		TokenHops:      st.TokenHops,
-		TokenTransfers: st.TokenTransfers,
-		SkippedMemOps:  st.SkippedMemOps,
-		GlobalAccesses: st.GlobalAccesses,
-		SharedAccesses: st.SharedAccesses,
-		MemStats:       sys.Stats(),
+		Kernel:     k.Name,
+		Threads:    launch.Threads(),
+		Cycles:     st.EndCycle,
+		GraphNodes: len(p.Graph.Nodes),
+		Replicas:   p.Replicas,
+		Counts:     st.Counts,
+		MemStats:   sys.Stats(),
 	}, nil
 }

@@ -161,29 +161,6 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Counter reads one counter (0 when absent).
-func (r *Registry) Counter(name string) uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
-}
-
-// Histogram reads one histogram snapshot (zero value when absent).
-func (r *Registry) Histogram(name string) Hist {
-	if r == nil {
-		return Hist{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return *h
-	}
-	return Hist{}
-}
-
 // Flat renders the registry as a flat map: counters verbatim, histograms as
 // <name>.count/.sum/.min/.max/.mean_x1000 (fixed-point mean keeps the map
 // integer-valued and byte-stable). encoding/json sorts map keys, so the

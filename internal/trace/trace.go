@@ -6,9 +6,9 @@
 //     pointer/mask check per call site and allocates nothing, so tracing can
 //     stay compiled into the hot paths (the engine's 0 allocs/op contract is
 //     enforced by BenchmarkEngineHotPath). Storage is ring-buffered in
-//     fixed-size blocks drawn from a sync.Pool: when the retention cap is
-//     reached the oldest block is recycled in place, so a trace of an
-//     arbitrarily long run holds bounded memory and keeps the newest events.
+//     fixed-size blocks: when the retention cap is reached the oldest block
+//     is recycled in place, so a trace of an arbitrarily long run holds
+//     bounded memory and keeps the newest events.
 //   - Chrome trace-event JSON export (chrome.go), loadable in Perfetto, with
 //     one process per machine run and one track per scheduler/fabric
 //     unit/memory feed.
@@ -150,15 +150,13 @@ type Event struct {
 }
 
 // blockEvents is the per-block capacity. 2048 events * ~2 cache lines keeps
-// a block comfortably pool-recyclable without large single allocations.
+// the ring's granularity fine without large single allocations.
 const blockEvents = 2048
 
 type eventBlock struct {
 	ev [blockEvents]Event
 	n  int
 }
-
-var blockPool = sync.Pool{New: func() any { return new(eventBlock) }}
 
 // DefaultMaxEvents bounds a sink's retained events (~1M events, a few
 // hundred MB worst case) unless overridden with SetMaxEvents.
@@ -243,12 +241,11 @@ func (s *Sink) tail() *eventBlock {
 	return s.blocks[(s.head+len(s.blocks)-1)%len(s.blocks)]
 }
 
-// grow appends a fresh (pooled) block, recycling the oldest block in place
-// once the ring is full. Caller holds mu.
+// grow appends a fresh block, recycling the oldest block in place once the
+// ring is full. Caller holds mu.
 func (s *Sink) grow() *eventBlock {
 	if len(s.blocks) < s.maxBlk {
-		blk := blockPool.Get().(*eventBlock)
-		blk.n = 0
+		blk := new(eventBlock)
 		// Insert as the newest element: ring order is blocks[head..head-1].
 		if s.head == 0 {
 			s.blocks = append(s.blocks, blk)
@@ -305,22 +302,6 @@ func (s *Sink) forEach(fn func(*Event)) {
 			fn(&blk.ev[j])
 		}
 	}
-}
-
-// Release returns the sink's blocks to the pool. The sink must not be used
-// afterwards.
-func (s *Sink) Release() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	for _, b := range s.blocks {
-		b.n = 0
-		blockPool.Put(b)
-	}
-	s.blocks = nil
-	s.head = 0
-	s.mu.Unlock()
 }
 
 // AllocProcess reserves a fresh process ID named after one machine run

@@ -49,7 +49,6 @@ func TestNilSinkIsSafe(t *testing.T) {
 	s.DefineTrack(TrackID{1, 1}, "t")
 	s.AllocProcess("p")
 	s.SetMaxEvents(10)
-	s.Release()
 	if s.Enabled(CatAll) || s.Len() != 0 || s.Dropped() != 0 {
 		t.Fatal("nil sink must report disabled/empty")
 	}
@@ -78,7 +77,8 @@ func TestEmitDisabledZeroAlloc(t *testing.T) {
 }
 
 // TestEmitEnabledSteadyStateZeroAlloc checks that recording events does not
-// allocate per event once a block exists (blocks come from the pool).
+// allocate per event once a block exists: a full ring recycles its oldest
+// block in place.
 func TestEmitEnabledSteadyStateZeroAlloc(t *testing.T) {
 	s := NewSink(CatAll)
 	s.SetMaxEvents(blockEvents) // single block, ring recycles in place
@@ -188,10 +188,10 @@ func TestRegistryCountersAndHists(t *testing.T) {
 	r.Observe("a.lat", 0)
 	r.Observe("a.lat", 5)
 	r.Observe("a.lat", 100)
-	if got := r.Counter("a.count"); got != 5 {
+	if got := r.counters["a.count"]; got != 5 {
 		t.Errorf("counter = %d, want 5", got)
 	}
-	h := r.Histogram("a.lat")
+	h := r.hists["a.lat"]
 	if h.Count != 3 || h.Sum != 105 || h.Min != 0 || h.Max != 100 {
 		t.Errorf("hist = %+v", h)
 	}
@@ -223,10 +223,10 @@ func TestRegistryMerge(t *testing.T) {
 	b.Add("only-b", 4)
 	b.Observe("h", 2)
 	a.Merge(b)
-	if a.Counter("c") != 3 || a.Counter("only-b") != 4 {
-		t.Errorf("merged counters wrong: c=%d only-b=%d", a.Counter("c"), a.Counter("only-b"))
+	if a.counters["c"] != 3 || a.counters["only-b"] != 4 {
+		t.Errorf("merged counters wrong: c=%d only-b=%d", a.counters["c"], a.counters["only-b"])
 	}
-	h := a.Histogram("h")
+	h := a.hists["h"]
 	if h.Count != 2 || h.Sum != 12 || h.Min != 2 || h.Max != 10 {
 		t.Errorf("merged hist = %+v", h)
 	}
@@ -264,7 +264,7 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Set("x", 1)
 	r.Observe("x", 1)
 	r.Merge(NewRegistry())
-	if r.Names() != nil || r.Counter("x") != 0 {
+	if r.Names() != nil || r.Flat() != nil {
 		t.Fatal("nil registry must be empty")
 	}
 	var buf bytes.Buffer

@@ -80,7 +80,8 @@ type (
 	// VGIWConfig assembles a VGIW processor (Table 1 defaults).
 	VGIWConfig = core.Config
 	// VGIWResult aggregates a VGIW execution (cycles, reconfigurations,
-	// LVC/CVT traffic, per-block runs).
+	// LVC/CVT traffic, per-block runs, and the fabric's event counts; Ops
+	// is a dense array of node executions indexed by unit class).
 	VGIWResult = core.Result
 	// SIMTConfig sizes the Fermi-like SM baseline.
 	SIMTConfig = simt.Config
@@ -89,7 +90,9 @@ type (
 	SIMTResult = simt.Result
 	// SGMFConfig assembles the SGMF dataflow baseline.
 	SGMFConfig = sgmf.Config
-	// SGMFResult aggregates an SGMF execution.
+	// SGMFResult aggregates an SGMF execution (cycles, placement, and the
+	// fabric's event counts, with Ops indexed by unit class as in
+	// VGIWResult).
 	SGMFResult = sgmf.Result
 )
 
