@@ -122,7 +122,7 @@ func Example_saxpy() {
 	// 4096 threads: 2 block schedules, 2 reconfigurations
 	// LVC: 0 loads, 0 stores
 	// CVT: 192 reads, 8256 writes
-	// replicas per block: map[0:8 1:3 2:8]
+	// replicas per block: [8 3 8]
 }
 
 //go:embed examples/kasm/kernel.kasm

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -418,7 +417,7 @@ func (c *ArtifactCache) sgmfRun(ctx context.Context, w *kernels.Workload, cfg sg
 // compiled kernel), then looks the result up under cfg's effective config.
 // The miss path builds the machine, simulates on a private memory image and
 // checks it against the host reference. Every caller gets its own copy,
-// with its own ReplicasOf map and BlockRuns slice. A traced or
+// with its own ReplicasOf and BlockRuns slices. A traced or
 // profiled run always simulates and stores nothing: its events or per-block
 // stats are the product.
 func (c *ArtifactCache) vgiwRun(ctx context.Context, w *kernels.Workload, cfg core.Config) (*core.Result, StageTimes, error) {
@@ -453,7 +452,7 @@ func (c *ArtifactCache) vgiwRun(ctx context.Context, w *kernels.Workload, cfg co
 	}
 	st.Add(rt)
 	r := *v.(*core.Result)
-	r.ReplicasOf = maps.Clone(r.ReplicasOf)
+	r.ReplicasOf = slices.Clone(r.ReplicasOf)
 	r.BlockRuns = slices.Clone(r.BlockRuns)
 	return &r, st, nil
 }

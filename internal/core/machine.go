@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"vgiw/internal/compile"
 	"vgiw/internal/engine"
@@ -133,8 +134,8 @@ type Result struct {
 	// Counts totals the fabric's events over every block run.
 	engine.Counts
 
-	// ReplicasOf maps block ID to the replication factor used.
-	ReplicasOf map[int]int
+	// ReplicasOf[b] is the replication factor block b ran with.
+	ReplicasOf []int
 }
 
 // ConfigOverhead is the fraction of runtime spent reconfiguring (§3.2
@@ -222,10 +223,7 @@ func (m *Machine) RunPreparedCtx(ctx context.Context, prep *Prepared, launch kir
 	res := &Result{
 		Kernel:     k.Name,
 		Threads:    launch.Threads(),
-		ReplicasOf: make(map[int]int),
-	}
-	for bi, r := range prep.Replicas {
-		res.ReplicasOf[bi] = r
+		ReplicasOf: slices.Clone(prep.Replicas),
 	}
 
 	tile := tileSize(m.cfg, ck, launch)

@@ -5,9 +5,10 @@
 //   - one thread injected per initiator CVU per cycle (each basic-block
 //     replica has its own initiator), bounded by the token-buffer depth
 //     (virtual execution channels) of the units;
-//   - pipelined functional units accept one token set per cycle;
-//   - special compute units (SCUs) virtual-pipeline non-pipelined operations
-//     across a pool of circuit instances;
+//   - every functional unit accepts one token set per cycle and completes it
+//     OpLatency cycles later; a special compute unit (SCU) holds enough
+//     instances of its non-pipelined circuits to cover their latency, so it
+//     too takes a new operation every cycle;
 //   - load/store units expose reservation buffers that bound outstanding
 //     memory operations and let unblocked threads overtake stalled ones
 //     (dynamic, tagged-token dataflow);
@@ -158,7 +159,6 @@ func (c *Counts) Add(o Counts) {
 
 // Stats aggregates the events of one vector execution.
 type Stats struct {
-	Injected   int
 	StartCycle int64
 	EndCycle   int64
 	Counts
@@ -204,7 +204,6 @@ type Engine struct {
 	vals     []uint32
 	done     []int64
 	units    []mem.SlotAlloc   // per-unit issue slots (1 initiation/cycle)
-	scuPool  []mem.Outstanding // per-unit non-pipelined SCU instance pools (dense by unit id)
 	resBuf   []mem.Outstanding // per-unit LDST reservation buffers (dense by unit id)
 	lastDone []int64           // [replica*nNodes+node] completion of previous thread
 	nNodes   int               // stride of lastDone
@@ -218,8 +217,8 @@ type Engine struct {
 	// machines, so the map stays small and steady-state runs hit it), the
 	// SoA operand planes, and the per-wave lane bookkeeping.
 	progs   map[*fabric.Placement]*nodeProg
-	pvals   []uint32 // [node*batchLanes+lane] value plane
-	pdone   []int64  // [node*batchLanes+lane] completion plane
+	pvals   []uint32 // [lane*(nNodes+1)+node] value plane
+	pdone   []int64  // [lane*(nNodes+1)+node] completion plane (dynamic nodes)
 	laneTid []int
 	laneRep []int32
 	laneInj []int64
@@ -256,11 +255,7 @@ const cancelCheckStride = 64
 // preempts a running vector rather than waiting for it to drain.
 func (e *Engine) RunVectorCtx(ctx context.Context, p *fabric.Placement, threads []int, startCycle int64, h *Hooks) (Stats, error) {
 	cfg := e.grid.Config()
-	st := Stats{
-		Injected:   len(threads),
-		StartCycle: startCycle,
-		EndCycle:   startCycle,
-	}
+	st := Stats{StartCycle: startCycle, EndCycle: startCycle}
 	if len(threads) == 0 {
 		return st, nil
 	}
@@ -283,15 +278,12 @@ func (e *Engine) RunVectorCtx(ctx context.Context, p *fabric.Placement, threads 
 	nUnits := e.grid.NumUnits()
 	if cap(e.units) < nUnits {
 		e.units = make([]mem.SlotAlloc, nUnits)
-		e.scuPool = make([]mem.Outstanding, nUnits)
 		e.resBuf = make([]mem.Outstanding, nUnits)
 	}
 	e.units = e.units[:nUnits]
-	e.scuPool = e.scuPool[:nUnits]
 	e.resBuf = e.resBuf[:nUnits]
 	for i := range e.units {
 		e.units[i].Reset()
-		e.scuPool[i].Reset(cfg.SCUInstances)
 		e.resBuf[i].Reset(cfg.ReservationSlots)
 	}
 
@@ -523,12 +515,7 @@ func (e *Engine) execOp(n *compile.Node, unit, tid int, ready int64, h *Hooks, s
 		e.noteLDSTCompletion(unit, done)
 		return word, done, nil
 
-	case op.Class() == kir.ClassSCU:
-		start := e.issueSCU(unit, ready, OpLatency(op))
-		val := kir.Eval(op, e.operand(n, 0), e.operand(n, 1), e.operand(n, 2), n.Instr.Imm)
-		return val, start + OpLatency(op), nil
-
-	default: // pipelined ALU/FPU
+	default: // ALU/FPU or SCU: one initiation per cycle
 		start := e.issuePipelined(unit, ready)
 		val := kir.Eval(op, e.operand(n, 0), e.operand(n, 1), e.operand(n, 2), n.Instr.Imm)
 		return val, start + OpLatency(op), nil
@@ -571,19 +558,6 @@ func (e *Engine) operand(n *compile.Node, i int) uint32 {
 //vgiw:hotpath
 func (e *Engine) issuePipelined(unit int, ready int64) int64 {
 	return e.units[unit].Alloc(ready)
-}
-
-// issueSCU models virtual pipelining: the SCU holds several instances of the
-// non-pipelined circuit; an operation occupies one instance for its full
-// latency, but a new operation can start whenever an instance and the issue
-// port are free.
-//
-//vgiw:hotpath
-func (e *Engine) issueSCU(unit int, ready, lat int64) int64 {
-	pool := &e.scuPool[unit]
-	start := e.issuePipelined(unit, pool.Admit(ready))
-	pool.Record(start + lat)
-	return start
 }
 
 // issueLDST models the reservation buffer: at most ReservationSlots memory

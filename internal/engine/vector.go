@@ -12,16 +12,18 @@ package engine
 //   - Placement assigns every (replica, node) a distinct physical unit, so a
 //     unit's SlotAlloc/Outstanding call sequence is just "its node's threads
 //     in thread order" — preserved whether the loop nest is thread-major or
-//     node-major, as long as lanes stay in thread order. It also lets pure
-//     nodes collapse to closed-form timing (see compileCollapse).
-//     Placements that share a unit between nodes, and in-order runs, take
-//     the scalar walk instead.
+//     node-major, as long as lanes stay in thread order. It also lets every
+//     static node (below) collapse to closed-form timing, done = inject + K
+//     (see compileCollapse). Placements that share a unit between nodes, and
+//     in-order runs, take the scalar walk instead.
 //   - The memory system, LVC and CVT are call-order sensitive, so nodes
 //     whose value or completion time depends on a stateful hook (memory,
 //     live-value and terminator nodes, and everything downstream of them)
 //     are walked thread-major, reproducing the scalar hook order exactly.
 //     The remaining "static" nodes — pure dataflow whose inputs are pure —
-//     execute node-major over the whole wave.
+//     compute their values node-major over the whole wave and their timing
+//     in closed form, so a node is timed one of two ways: a static node by
+//     its constant, a dynamic node per lane.
 //   - Thread admission (one thread per initiator per cycle, bounded by the
 //     token-buffer virtual channels) consumes completion times of earlier
 //     threads. Waves admit threads only while admission is *provably*
@@ -59,8 +61,7 @@ const (
 	xGeom
 	xParam
 	xMem
-	xSCU
-	xALU
+	xALU // ALU/FPU and SCU operations alike: one initiation per cycle
 )
 
 // progEdge is one predecoded input edge: source node plane and token latency.
@@ -77,7 +78,6 @@ type progEdge struct {
 type dynNode struct {
 	id     int32
 	exec   uint8
-	fp     bool
 	store  bool
 	shared bool
 	op     kir.Op
@@ -121,30 +121,25 @@ type progNode struct {
 // lower bounds, and the batched (order-independent) statistic constants.
 // Programs are immutable once built and cached per placement.
 type nodeProg struct {
-	n       int
-	nodes   []progNode
-	static  []progNode   // nodes executable node-major, topological order
-	dynamic []progNode   // nodes walked thread-major, topological order
-	unit    []int32      // [replica*n + node] physical unit
-	edges   [][]progEdge // per replica: flat edge array addressed by eOff
-	eOff    []int32      // [node+1] edge offsets into edges[r]
-	tcrit   []int64      // per replica: lower bound on thread end - inject
+	n      int
+	nodes  []progNode
+	static []progNode   // nodes executable node-major, topological order
+	unit   []int32      // [replica*n + node] physical unit
+	edges  [][]progEdge // per replica: flat edge array addressed by eOff
+	eOff   []int32      // [node+1] edge offsets into edges[r]
+	tcrit  []int64      // per replica: lower bound on thread end - inject
 
-	// Collapsed-timing compilation (see compileCollapse): konst[r*n+i] is
-	// node i's constant completion offset over injection in replica r, or
-	// -1 when the node's timing is not collapsible; sbase/dedges/dOff carry
-	// the static-fold + filtered dynamic edges for the remaining nodes; rdyn
-	// is the per-replica predecoded dynamic walk; endK is the per-replica
-	// folded static contribution to a lane's end time. canCollapse is false
-	// when the placement shares a physical unit between nodes: then no
-	// node's Alloc stream is provably private, and runBatched hands the run
-	// to the scalar walk. fabric.Place never emits such a placement; the
-	// check keeps hand-built ones exact.
+	// Collapsed-timing compilation (see compileCollapse): rdyn is the
+	// per-replica predecoded dynamic walk, thread-major in topological order,
+	// with static inputs folded into each node's sbase; dedges holds its
+	// overflow dynamic-source edges; endK is the per-replica folded static
+	// contribution to a lane's end time. canCollapse is false when the
+	// placement shares a physical unit between nodes: then no node's Alloc
+	// stream is provably private, and runBatched hands the run to the scalar
+	// walk. fabric.Place never emits such a placement; the check keeps
+	// hand-built ones exact.
 	canCollapse bool
-	konst       []int64
-	sbase       []int64
 	dedges      [][]progEdge
-	dOff        []int32
 	rdyn        [][]dynNode
 	endK        []int64
 
@@ -230,8 +225,6 @@ func compileProg(p *fabric.Placement) (*nodeProg, error) {
 				if nd.HasPred {
 					pn.pred = int32(nd.In[nd.Pred])
 				}
-			case op.Class() == kir.ClassSCU:
-				pn.exec, pn.lat = xSCU, OpLatency(op)
 			default:
 				pn.exec, pn.lat = xALU, OpLatency(op)
 			}
@@ -271,7 +264,7 @@ func compileProg(p *fabric.Placement) (*nodeProg, error) {
 		// come from hooks but those are pure by the Hooks contract.
 		pure := false
 		switch pn.exec {
-		case xInit, xSplit, xJoin, xGeom, xParam, xSCU, xALU:
+		case xInit, xSplit, xJoin, xGeom, xParam, xALU:
 			pure = true
 		}
 		if pure {
@@ -296,14 +289,12 @@ func compileProg(p *fabric.Placement) (*nodeProg, error) {
 		pr.nodes[i].eo = pr.eOff[i]
 		pr.nodes[i].e1 = pr.eOff[i+1]
 	}
-	// Partition into the node-major static schedule and the thread-major
-	// dynamic walk, as predecoded copies so the executors' inner loops touch
-	// one dense array instead of chasing IDs.
+	// The node-major static schedule, as predecoded copies so the executors'
+	// inner loops touch one dense array instead of chasing IDs; the
+	// thread-major dynamic walk is compileCollapse's rdyn.
 	for i := 0; i < n; i++ {
 		if staticNode[i] {
 			pr.static = append(pr.static, pr.nodes[i])
-		} else {
-			pr.dynamic = append(pr.dynamic, pr.nodes[i])
 		}
 	}
 
@@ -363,35 +354,31 @@ func compileProg(p *fabric.Placement) (*nodeProg, error) {
 	return pr, nil
 }
 
-// compileCollapse derives the collapsed-timing program: closed-form
-// completion offsets for collapsible nodes and folded static inputs plus
-// filtered dynamic edges for everything else.
+// compileCollapse derives the collapsed-timing program: every static node's
+// completion as a closed-form offset over its lane's injection, folded into
+// the dynamic walk's ready bases (sbase) and the lanes' end times (endK),
+// plus each dynamic node's remaining dynamic-source edges.
 //
-// A node's timing collapses to done = inject + K when its completion is a
-// pure function of its own injection cycle, which holds by induction when
-// (a) the node is pure and engine-timed with a dedicated pipelined unit —
-// not SCU (the instance pool couples lanes) and not hook-timed — and (b)
-// every input is itself collapsible. Then each lane's ready is
-// inject + max(0, max_e(K_src(e) + lat_e)), the per-replica injection
+// Every static node collapses to done = inject + K, by induction in
+// topological order: a static node is pure and engine-timed on a dedicated
+// pipelined unit (one initiation per cycle, whatever its class), and its
+// inputs are static, so each lane's ready is
+// inject + max(0, max_e(K_src(e) + lat_e)). The per-replica injection
 // sequence is strictly increasing, and a dedicated unit's SlotAlloc returns
 // ready for a strictly increasing ready stream, so done = ready + lat:
 // K = max(0, max_e(K_src + lat_e)) + lat, a per-replica compile-time
-// constant. Collapsibility requires every (replica, node) pair to own a
-// distinct physical unit — otherwise another node's allocations could land
-// in the shared SlotAlloc and the closed form would diverge from the
-// reference walk — so a placement with any shared unit disables collapse
-// wholesale (canCollapse == false) rather than reasoning about which
-// streams interleave.
-func compileCollapse(p *fabric.Placement, pr *nodeProg, staticNode []bool) {
+// constant. The induction needs every (replica, node) pair to own a distinct
+// physical unit — otherwise another node's allocations could land in the
+// shared SlotAlloc and the closed form would diverge from the reference walk
+// — so a placement with any shared unit disables collapse wholesale
+// (canCollapse == false) rather than reasoning about which streams
+// interleave.
+func compileCollapse(p *fabric.Placement, pr *nodeProg, static []bool) {
 	n := pr.n
-	reps := p.Replicas
-	pr.konst = make([]int64, reps*n)
-	pr.sbase = make([]int64, reps*n)
-	pr.dOff = make([]int32, n+1)
-	pr.endK = make([]int64, reps)
+	pr.endK = make([]int64, p.Replicas)
 
 	pr.canCollapse = true
-	seen := make(map[int32]bool, reps*n)
+	seen := make(map[int32]bool, len(pr.unit))
 	for _, u := range pr.unit {
 		if seen[u] {
 			pr.canCollapse = false
@@ -400,77 +387,36 @@ func compileCollapse(p *fabric.Placement, pr *nodeProg, staticNode []bool) {
 		seen[u] = true
 	}
 
-	collapsible := make([]bool, n)
-	for i := 0; i < n; i++ {
-		pn := &pr.nodes[i]
-		ok := staticNode[i] && pn.exec != xSCU
-		if ok {
-			for _, ed := range pr.edges[0][pn.eo:pn.e1] {
-				ok = ok && collapsible[ed.src]
-			}
-		}
-		collapsible[i] = ok
-	}
-
-	// Filtered dynamic-source edge offsets are replica-independent (edge
-	// sources and collapsibility are graph properties; only latencies vary
-	// per replica).
-	for i := 0; i < n; i++ {
-		pn := &pr.nodes[i]
-		cnt := int32(0)
-		for _, ed := range pr.edges[0][pn.eo:pn.e1] {
-			if !collapsible[ed.src] {
-				cnt++
-			}
-		}
-		pr.dOff[i+1] = cnt
-	}
-	for i := 0; i < n; i++ {
-		pr.dOff[i+1] += pr.dOff[i]
-	}
-
-	for r := 0; r < reps; r++ {
-		dedges := make([]progEdge, pr.dOff[n])
-		var endK int64
+	konst := make([]int64, n) // this replica's K per static node
+	for r := 0; r < p.Replicas; r++ {
+		var dedges []progEdge
+		var rd []dynNode
 		for i := 0; i < n; i++ {
 			pn := &pr.nodes[i]
 			var sb int64
-			o := pr.dOff[i]
+			eo := int32(len(dedges))
 			for _, ed := range pr.edges[r][pn.eo:pn.e1] {
-				if collapsible[ed.src] {
-					if t := pr.konst[r*n+int(ed.src)] + ed.lat; t > sb {
+				if static[ed.src] {
+					if t := konst[ed.src] + ed.lat; t > sb {
 						sb = t
 					}
 				} else {
-					dedges[o] = ed
-					o++
+					dedges = append(dedges, ed)
 				}
 			}
-			pr.sbase[r*n+i] = sb
-			if collapsible[i] {
-				pr.konst[r*n+i] = sb + pn.lat
-				if pr.konst[r*n+i] > endK {
-					endK = pr.konst[r*n+i]
-				}
-			} else {
-				pr.konst[r*n+i] = -1
+			if static[i] {
+				konst[i] = sb + pn.lat
+				pr.endK[r] = max(pr.endK[r], konst[i])
+				continue
 			}
-		}
-		pr.dedges = append(pr.dedges, dedges)
-		pr.endK[r] = endK
-
-		rd := make([]dynNode, len(pr.dynamic))
-		for j := range pr.dynamic {
-			pn := &pr.dynamic[j]
-			i := int(pn.id)
 			d := dynNode{
-				id: pn.id, exec: pn.exec, fp: pn.fp, store: pn.store,
+				id: pn.id, exec: pn.exec, store: pn.store,
 				shared: pn.shared, op: pn.op, pred: pn.pred,
 				in0: pn.in0, in1: pn.in1, in2: pn.in2, lv: pn.lv, imm: pn.imm,
 				unit: pr.unit[r*n+i], lat: pn.lat,
-				src0: -1, src1: -1, sbase: pr.sbase[r*n+i],
+				src0: -1, src1: -1, sbase: sb,
 			}
-			eo, e1 := pr.dOff[i], pr.dOff[i+1]
+			e1 := int32(len(dedges))
 			if e1 > eo {
 				d.src0, d.lat0 = dedges[eo].src, dedges[eo].lat
 				eo++
@@ -480,8 +426,9 @@ func compileCollapse(p *fabric.Placement, pr *nodeProg, staticNode []bool) {
 				eo++
 			}
 			d.xo, d.x1 = eo, e1
-			rd[j] = d
+			rd = append(rd, d)
 		}
+		pr.dedges = append(pr.dedges, dedges)
 		pr.rdyn = append(pr.rdyn, rd)
 	}
 }
@@ -508,11 +455,11 @@ func (e *Engine) ensureLanes(nNodes, replicas int) {
 }
 
 // runBatched is the timed batch executor: waves of threads admitted under
-// the exact scalar injection schedule, static nodes fired node-major over
-// the wave with collapsed timing (done = inject + K for every collapsible
-// node, see compileCollapse), dynamic nodes walked thread-major for exact
-// hook order. Collapsed timing needs every node on a unit of its own; a
-// placement without that runs on the scalar walk.
+// the exact scalar injection schedule, static nodes' values fired node-major
+// over the wave with collapsed timing (done = inject + K, see
+// compileCollapse), dynamic nodes walked thread-major for exact hook order.
+// Collapsed timing needs every node on a unit of its own; a placement
+// without that runs on the scalar walk.
 //
 // The cancellation poll runs once per wave, which is at least as coarse as
 // the scalar path's per-64-thread stride.
@@ -539,7 +486,7 @@ func (e *Engine) runBatched(ctx context.Context, p *fabric.Placement, threads []
 			e.laneEnd[l] += prog.endK[e.laneRep[l]]
 		}
 		for i := range prog.static {
-			e.execStaticNode(prog, &prog.static[i], lanes, h)
+			e.staticValues(prog, &prog.static[i], lanes, h)
 		}
 		for l := 0; l < lanes; l++ {
 			if err := e.execDynLane(prog, l, h, st); err != nil {
@@ -615,54 +562,12 @@ func (e *Engine) formWave(prog *nodeProg, threads []int, base, replicas, depth i
 	return lanes
 }
 
-// execStaticNode fires one pure node for every lane of the wave: a timing
-// pass, then the value pass (staticValues). The timing pass of a
-// collapsible node reduces to its closed form — done = inject + konst,
-// already folded into laneEnd and the consumers' sbase by
-// runBatched/compileCollapse — so only a non-collapsible node (an SCU, or a
-// consumer of one) runs it: the per-lane slot allocation in thread order,
-// reading collapsed inputs through the sbase fold and the filtered edge
-// list, since collapsed nodes never write their completion planes.
-//
-//vgiw:hotpath
-func (e *Engine) execStaticNode(prog *nodeProg, pn *progNode, lanes int, h *Hooks) {
-	ni := int(pn.id)
-	stride := prog.n + 1
-
-	if prog.konst[ni] < 0 {
-		for l := 0; l < lanes; l++ {
-			r := int(e.laneRep[l])
-			dn := e.pdone[l*stride : l*stride+stride]
-			ready := e.laneInj[l] + prog.sbase[r*prog.n+ni]
-			for _, ed := range prog.dedges[r][prog.dOff[ni]:prog.dOff[ni+1]] {
-				if t := dn[ed.src] + ed.lat; t > ready {
-					ready = t
-				}
-			}
-			unit := int(prog.unit[r*prog.n+ni])
-			var start int64
-			if pn.exec == xSCU {
-				pool := &e.scuPool[unit]
-				start = e.units[unit].Alloc(pool.Admit(ready))
-				pool.Record(start + pn.lat)
-			} else {
-				start = e.units[unit].Alloc(ready)
-			}
-			done := start + pn.lat
-			dn[ni] = done
-			if done > e.laneEnd[l] {
-				e.laneEnd[l] = done
-			}
-		}
-	}
-	e.staticValues(prog, pn, lanes, h)
-}
-
 // execDynLane walks the dynamic (hook-dependent) nodes of one lane in
 // topological order — the scalar walk restricted to the nodes that touch
 // stateful hooks, so every memory, live-value and branch callback fires one
 // element at a time in exact thread-major order. Static inputs arrive
-// pre-folded into each node's sbase constant, and the (almost always <= 2)
+// pre-folded into each node's sbase constant (static nodes write no
+// completion plane), and the (almost always <= 2)
 // remaining dynamic-source edges are inlined in the per-replica dynNode
 // stream. No in-order constraint applies: in-order runs take the scalar
 // walk.
@@ -744,12 +649,6 @@ func (e *Engine) execDynLane(prog *nodeProg, l int, h *Hooks, st *Stats) error {
 				e.resBuf[unit].Record(d)
 				val, done = word, d
 			}
-		case xSCU:
-			pool := &e.scuPool[unit]
-			start := e.units[unit].Alloc(pool.Admit(ready))
-			pool.Record(start + pn.lat)
-			done = start + pn.lat
-			val = kir.Eval(pn.op, vals[pn.in0], vals[pn.in1], vals[pn.in2], pn.imm)
 		default: // xALU
 			done = e.units[unit].Alloc(ready) + pn.lat
 			val = kir.Eval(pn.op, vals[pn.in0], vals[pn.in1], vals[pn.in2], pn.imm)
@@ -853,7 +752,7 @@ func (e *Engine) staticValues(prog *nodeProg, pn *progNode, lanes int, h *Hooks)
 		for l := 0; l < lanes; l++ {
 			e.pvals[l*stride+ni] = 0
 		}
-	default: // xALU, xSCU: branch-free Eval over the lane stripes
+	default: // xALU: branch-free Eval over the lane stripes
 		a, b, c := int(pn.in0), int(pn.in1), int(pn.in2)
 		op, imm := pn.op, pn.imm
 		for l := 0; l < lanes; l++ {
@@ -871,8 +770,9 @@ func (e *Engine) fastDynLane(prog *nodeProg, l int, now int64, h *Hooks, st *Sta
 	tid := e.laneTid[l]
 	stride := prog.n + 1
 	vals := e.pvals[l*stride : l*stride+stride]
-	for i := range prog.dynamic {
-		pn := &prog.dynamic[i]
+	rd := prog.rdyn[0]
+	for i := range rd {
+		pn := &rd[i]
 		ni := int(pn.id)
 		var val uint32
 		switch pn.exec {
@@ -909,7 +809,7 @@ func (e *Engine) fastDynLane(prog *nodeProg, l int, now int64, h *Hooks, st *Sta
 				return err
 			}
 			val = word
-		default: // xALU, xSCU
+		default: // xALU
 			val = kir.Eval(pn.op, vals[pn.in0], vals[pn.in1], vals[pn.in2], pn.imm)
 		}
 		vals[ni] = val

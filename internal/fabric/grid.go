@@ -16,7 +16,7 @@ type Config struct {
 
 	// Unit mix (must sum to Cols*Rows).
 	NumALU  int // combined FPU-ALU compute units
-	NumSCU  int // special compute units (non-pipelined ops)
+	NumSCU  int // special compute units (non-pipelined ops, one new operation per cycle, §3.5)
 	NumLDST int // load/store units (grid perimeter)
 	NumLVU  int // live-value units (grid perimeter)
 	NumSJU  int // split/join units
@@ -28,9 +28,6 @@ type Config struct {
 	// ReservationSlots bounds outstanding memory operations per LDST unit;
 	// these buffers are what lets unblocked threads overtake stalled ones.
 	ReservationSlots int
-	// SCUInstances is the number of non-pipelined circuit instances inside
-	// each SCU (virtual pipelining).
-	SCUInstances int
 	// ConfigCycles is the cost of reconfiguring the grid with a new
 	// dataflow graph (34 cycles in the paper's prototype, §3.2).
 	ConfigCycles int64
@@ -46,7 +43,6 @@ func DefaultConfig() Config {
 		NumALU: 32, NumSCU: 12, NumLDST: 16, NumLVU: 16, NumSJU: 16, NumCVU: 16,
 		TokenBufDepth:    96,
 		ReservationSlots: 64,
-		SCUInstances:     20, // >= the longest non-pipelined latency: one issue per cycle (§3.5)
 		ConfigCycles:     34,
 		MaxReplicas:      8,
 	}
@@ -66,7 +62,7 @@ func (c Config) Validate() error {
 	if c.NumLDST+c.NumLVU > perim {
 		return fmt.Errorf("fabric: %d memory units exceed perimeter %d", c.NumLDST+c.NumLVU, perim)
 	}
-	if c.TokenBufDepth <= 0 || c.ReservationSlots <= 0 || c.SCUInstances <= 0 || c.MaxReplicas <= 0 {
+	if c.TokenBufDepth <= 0 || c.ReservationSlots <= 0 || c.MaxReplicas <= 0 {
 		return fmt.Errorf("fabric: depths and replica cap must be positive")
 	}
 	return nil

@@ -106,8 +106,9 @@ func DefaultSIMTConfig() SIMTConfig { return simt.DefaultConfig() }
 func DefaultSGMFConfig() SGMFConfig { return sgmf.DefaultConfig() }
 
 // RunVGIW compiles (with fabric-fitting block splitting) and executes a
-// kernel launch on the VGIW machine, mutating global memory in place. A nil
-// cfg uses the Table 1 default.
+// kernel launch on the VGIW machine, mutating global memory in place. It
+// compiles a copy, so k is left unchanged. A nil cfg uses the Table 1
+// default.
 func RunVGIW(k *Kernel, launch Launch, global []uint32, cfg *VGIWConfig) (*VGIWResult, error) {
 	c := core.DefaultConfig()
 	if cfg != nil {
@@ -117,25 +118,27 @@ func RunVGIW(k *Kernel, launch Launch, global []uint32, cfg *VGIWConfig) (*VGIWR
 	if err != nil {
 		return nil, err
 	}
-	return m.RunKernel(k, launch, global)
+	return m.RunKernel(k.Clone(), launch, global)
 }
 
-// RunSIMT executes a kernel launch on the Fermi-like baseline.
+// RunSIMT executes a kernel launch on the Fermi-like baseline. It compiles
+// a copy, so k is left unchanged.
 func RunSIMT(k *Kernel, launch Launch, global []uint32, cfg *SIMTConfig) (*SIMTResult, error) {
 	c := simt.DefaultConfig()
 	if cfg != nil {
 		c = *cfg
 	}
-	ck, err := compile.Compile(k)
+	ck, err := compile.Compile(k.Clone())
 	if err != nil {
 		return nil, err
 	}
 	return simt.NewMachine(c).RunCtx(context.Background(), ck, launch, global)
 }
 
-// RunSGMF executes a kernel launch on the SGMF baseline. It fails for
-// kernels SGMF cannot map (loops, barriers, or graphs that exceed the
-// fabric) — the limitation VGIW removes.
+// RunSGMF executes a kernel launch on the SGMF baseline. It compiles a
+// copy, so k is left unchanged. It fails for kernels SGMF cannot map
+// (loops, barriers, or graphs that exceed the fabric) — the limitation VGIW
+// removes.
 func RunSGMF(k *Kernel, launch Launch, global []uint32, cfg *SGMFConfig) (*SGMFResult, error) {
 	c := sgmf.DefaultConfig()
 	if cfg != nil {
@@ -145,7 +148,7 @@ func RunSGMF(k *Kernel, launch Launch, global []uint32, cfg *SGMFConfig) (*SGMFR
 	if err != nil {
 		return nil, err
 	}
-	return m.Run(k, launch, global)
+	return m.Run(k.Clone(), launch, global)
 }
 
 // Interpret runs the golden reference interpreter (functional semantics, no

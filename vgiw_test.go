@@ -109,3 +109,33 @@ func TestFacadeWorkloads(t *testing.T) {
 		t.Error("nn.euclid should be SGMF-mappable")
 	}
 }
+
+// TestFacadeLeavesKernelUnchanged runs every registry kernel's one kernel
+// object through all three machines. Compilation reorders, splits and
+// rematerializes blocks in place, so each entry point must compile a copy:
+// the caller's kernel prints the same kasm afterwards.
+func TestFacadeLeavesKernelUnchanged(t *testing.T) {
+	for _, w := range Workloads() {
+		inst, err := w.Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := inst.Kernel
+		before := PrintKasm(k)
+		global := func() []uint32 { return append([]uint32(nil), inst.Global...) }
+		if _, err := RunVGIW(k, inst.Launch, global(), nil); err != nil {
+			t.Fatalf("%s on vgiw: %v", w.Name, err)
+		}
+		if _, err := RunSIMT(k, inst.Launch, global(), nil); err != nil {
+			t.Fatalf("%s on simt: %v", w.Name, err)
+		}
+		// SGMF rejects the kernels it cannot map; the attempt must not
+		// change them either.
+		if _, err := RunSGMF(k, inst.Launch, global(), nil); err != nil && w.SGMF {
+			t.Fatalf("%s on sgmf: %v", w.Name, err)
+		}
+		if after := PrintKasm(k); after != before {
+			t.Errorf("%s: the facade runs changed the caller's kernel:\nbefore:\n%s\nafter:\n%s", w.Name, before, after)
+		}
+	}
+}
