@@ -31,10 +31,14 @@ analyze:
 # deliberately broken passes. TestMalformedInputSameError runs malformed
 # kernels and launches through the interpreter and all three machines,
 # which must each return kir's one input check's error and never panic.
+# TestCompileGolden pins every compile and place product of the registry at
+# scales 1, 2 and 4, verifiers off and on, against
+# internal/bench/testdata/compile_golden.txt.
 verify-check:
 	$(GO) test ./internal/verify/ ./internal/fabric/ -run 'Test'
 	$(GO) test . -run 'TestMalformedInputSameError'
 	$(GO) test ./internal/compile/ -run 'TestBrokenPassCaught|TestCheckedCompileCatchesMutation|TestVerifyGraphCatchesCorruption|TestRegistryPipelinesChecked|TestCheckSelectChain'
+	$(GO) test ./internal/bench/ -run 'TestCompileGolden'
 
 # fuzz-smoke runs the parser/verifier/interp fuzzer, the job-spec
 # decode/normalize fuzzer and the slot allocator's oracle fuzzer briefly —

@@ -169,7 +169,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchgate: suite: %v\n", err)
 			os.Exit(2)
 		}
-		write = func(w io.Writer) error { return reg.WriteSnapshot(w, base.Snapshot.Scale) }
+		write = func(w io.Writer) error { _, err := reg.WriteSnapshot(w, base.Snapshot.Scale); return err }
 	case *current == "-":
 		if base.Kind() != "trajectory" {
 			fmt.Fprintf(os.Stderr, "benchgate: -current - records benchmark rows; %s is a %s baseline\n", *baseline, base.Kind())

@@ -151,8 +151,9 @@ func main() {
 	}
 	if *metrics != "" {
 		f, err := os.Create(*metrics)
+		n := 0
 		if err == nil {
-			err = suite.Metrics.WriteSnapshot(f, *scale)
+			n, err = suite.Metrics.WriteSnapshot(f, *scale)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -162,7 +163,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "wrote metrics snapshot (%s, %d metrics) to %s\n",
-			trace.MetricsSchema, len(suite.Metrics.Names()), *metrics)
+			trace.MetricsSchema, n, *metrics)
 	}
 
 	if *jsonOut {

@@ -126,12 +126,13 @@ func main() {
 				rc.sink.Len(), *traceOut, rc.sink.Dropped())
 		}
 		if rc.reg != nil {
-			snapshot := func(w io.Writer) error { return rc.reg.WriteSnapshot(w, *scale) }
+			n := 0
+			snapshot := func(w io.Writer) (err error) { n, err = rc.reg.WriteSnapshot(w, *scale); return err }
 			if err := writeFile(*metrics, snapshot); err != nil {
 				fail("%v", err)
 			}
 			fmt.Fprintf(os.Stderr, "vgiwsim: wrote metrics snapshot (%s, %d metrics) to %s\n",
-				trace.MetricsSchema, len(rc.reg.Names()), *metrics)
+				trace.MetricsSchema, n, *metrics)
 		}
 	}
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"vgiw/internal/bench"
 	"vgiw/internal/kernels"
+	"vgiw/internal/trace"
 )
 
 // TestSmoke builds the real vgiwsim binary and runs it the ways its users
@@ -18,7 +20,8 @@ import (
 // reference and exits 1 on a mismatch, so a zero exit with one "validated"
 // line per kernel is an output check. An unknown kernel exits 1 and an
 // unknown flag, -fast among them, exits 2 before anything runs. The
-// -metrics file is a metrics snapshot that benchgate accepts.
+// -metrics file is a metrics snapshot that benchgate accepts, and the stderr
+// line after it counts the series the file holds.
 func TestSmoke(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skipf("go toolchain not on PATH: %v", err)
@@ -30,6 +33,7 @@ func TestSmoke(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	sgmfKernels := []string{"bfs.kernel2", "cfd.initialize_variables", "ge.fan1", "nn.euclid", "pf.normalize_weights"}
+	var metricsStderr string
 	for _, c := range []struct {
 		args      []string
 		code      int
@@ -59,6 +63,9 @@ func TestSmoke(t *testing.T) {
 		if got := strings.Count(stdout.String(), "output validated against the host reference."); got != c.validated {
 			t.Errorf("vgiwsim %v: %d kernels validated, want %d", c.args, got, c.validated)
 		}
+		if strings.Contains(strings.Join(c.args, " "), "-metrics") {
+			metricsStderr = stderr.String()
+		}
 	}
 	b, err := bench.LoadBaseline(metrics)
 	if err != nil {
@@ -69,5 +76,8 @@ func TestSmoke(t *testing.T) {
 	}
 	if b.Kind() != "metrics" {
 		t.Errorf("-metrics wrote a %s file, want a metrics snapshot", b.Kind())
+	}
+	if want := fmt.Sprintf("(%s, %d metrics)", trace.MetricsSchema, len(b.Series())); !strings.Contains(metricsStderr, want) {
+		t.Errorf("-metrics: stderr lacks %q, the file's series count", want)
 	}
 }

@@ -53,13 +53,13 @@ func (o options) checkKernel(pass string, k *kir.Kernel, mode verify.Mode) error
 func VerifyLiveValues(pass string, k *kir.Kernel, lv *LiveValues) []verify.Diagnostic {
 	c := diagList{pass: pass, kernel: k.Name, block: -1}
 	for r, id := range lv.IDOf {
-		if id < 0 || id >= lv.NumIDs {
+		if id < -1 || id >= lv.NumIDs {
 			c.addf(-1, "live-value ID %d for r%d out of range [0,%d)", id, r, lv.NumIDs)
 		}
 	}
-	if len(lv.Loads) != len(k.Blocks) || len(lv.Stores) != len(k.Blocks) {
-		c.addf(-1, "live-value tables cover %d/%d blocks, kernel has %d",
-			len(lv.Loads), len(lv.Stores), len(k.Blocks))
+	if len(lv.Loads) != len(k.Blocks) || len(lv.Stores) != len(k.Blocks) || len(lv.IDOf) != k.NumRegs {
+		c.addf(-1, "live-value tables cover %d/%d blocks and %d registers, kernel has %d and %d",
+			len(lv.Loads), len(lv.Stores), len(lv.IDOf), len(k.Blocks), k.NumRegs)
 		return c.ds
 	}
 	want := AllocateLiveValues(k)
@@ -75,13 +75,12 @@ func VerifyLiveValues(pass string, k *kir.Kernel, lv *LiveValues) []verify.Diagn
 		}
 	}
 	for r, id := range want.IDOf {
-		if got, ok := lv.IDOf[r]; !ok || got != id {
-			c.addf(-1, "r%d allocated live-value ID %v, liveness requires %d", r, got, id)
-		}
-	}
-	for r := range lv.IDOf {
-		if _, ok := want.IDOf[r]; !ok {
+		switch got := lv.IDOf[r]; {
+		case got == id:
+		case id < 0:
 			c.addf(-1, "r%d has a live-value ID but never crosses a block boundary", r)
+		default:
+			c.addf(-1, "r%d allocated live-value ID %d, liveness requires %d", r, got, id)
 		}
 	}
 	return c.ds

@@ -145,7 +145,10 @@ func BuildBlockDFG(k *kir.Kernel, lv *LiveValues, bi int) (*BlockDFG, error) {
 	g.Init = newNode(&Node{Kind: NodeInit})
 
 	// Live-value loads come first; they fire off the initiator's trigger.
-	defOf := make(map[kir.Reg]int) // register -> producing node
+	defOf := make([]int, k.NumRegs) // register -> producing node, -1 for none
+	for r := range defOf {
+		defOf[r] = -1
+	}
 	for _, r := range lv.Loads[bi] {
 		id := newNode(&Node{Kind: NodeLVLoad, Reg: r, LV: lv.IDOf[r], In: []int{g.Init}})
 		defOf[r] = id
@@ -168,8 +171,8 @@ func BuildBlockDFG(k *kir.Kernel, lv *LiveValues, bi int) (*BlockDFG, error) {
 		} else {
 			for i := 0; i < nsrc; i++ {
 				r := in.Src[i]
-				p, ok := defOf[r]
-				if !ok {
+				p := defOf[r]
+				if p < 0 {
 					return nil, fmt.Errorf("compile: kernel %s block %d (%s): r%d used before definition and not live-in",
 						k.Name, bi, b.Label, r)
 				}
@@ -212,15 +215,12 @@ func BuildBlockDFG(k *kir.Kernel, lv *LiveValues, bi int) (*BlockDFG, error) {
 
 	// Live-value stores for definitions that are live-out.
 	for _, r := range lv.Stores[bi] {
-		p, ok := defOf[r]
-		if !ok {
+		p := defOf[r]
+		if p < 0 || g.Nodes[p].Kind == NodeLVLoad {
 			// The register is live-out but this block only passes it
 			// through (it was loaded, not redefined). No store needed:
 			// the LVC still holds it.
 			continue
-		}
-		if g.Nodes[p].Kind == NodeLVLoad {
-			continue // unchanged pass-through
 		}
 		newNode(&Node{Kind: NodeLVStore, Reg: r, LV: lv.IDOf[r], In: []int{p}})
 	}
@@ -228,8 +228,8 @@ func BuildBlockDFG(k *kir.Kernel, lv *LiveValues, bi int) (*BlockDFG, error) {
 	// Terminator.
 	term := &Node{Kind: NodeTerm}
 	if b.Term.Kind == kir.TermBranch {
-		p, ok := defOf[b.Term.Cond]
-		if !ok {
+		p := defOf[b.Term.Cond]
+		if p < 0 {
 			return nil, fmt.Errorf("compile: kernel %s block %d (%s): branch condition r%d undefined",
 				k.Name, bi, b.Label, b.Term.Cond)
 		}
@@ -379,41 +379,52 @@ type CompiledKernel struct {
 // pass — rematerialization, scheduling, live-value allocation, graph
 // construction — and the returned error names the pass that broke the kernel.
 func Compile(k *kir.Kernel, opts ...Option) (*CompiledKernel, error) {
-	o := buildOptions(opts)
+	ck, _, err := buildOptions(opts).compile(k, nil)
+	return ck, err
+}
+
+// compile runs the pipeline and builds the block graphs in block order. A
+// non-nil fits stops it at the first graph fits rejects: it then returns
+// that block's index and no kernel, and builds neither the later graphs nor
+// the post-dominators.
+func (o options) compile(k *kir.Kernel, fits func(*BlockDFG) bool) (*CompiledKernel, int, error) {
 	if err := k.Validate(); err != nil {
-		return nil, err
+		return nil, -1, err
 	}
 	if err := o.checkKernel("input", k, verify.Source); err != nil {
-		return nil, err
+		return nil, -1, err
 	}
 	Rematerialize(k)
 	if err := o.checkKernel("remat", k, verify.Source); err != nil {
-		return nil, err
+		return nil, -1, err
 	}
 	if _, err := ScheduleBlocks(k); err != nil {
-		return nil, err
+		return nil, -1, err
 	}
 	if err := o.checkKernel("schedule", k, verify.Compiled); err != nil {
-		return nil, err
+		return nil, -1, err
 	}
 	lv := AllocateLiveValues(k)
 	if o.checked {
 		if err := verify.Join(VerifyLiveValues("liveness", k, lv)); err != nil {
-			return nil, fmt.Errorf("compile: liveness: %w", err)
+			return nil, -1, fmt.Errorf("compile: liveness: %w", err)
 		}
 	}
-	ck := &CompiledKernel{Kernel: k, LV: lv, IPDom: ImmPostDoms(k)}
+	dfgs := make([]*BlockDFG, len(k.Blocks))
 	for bi := range k.Blocks {
 		g, err := BuildBlockDFG(k, lv, bi)
 		if err != nil {
-			return nil, err
+			return nil, -1, err
 		}
 		if o.checked {
 			if err := verify.Join(VerifyGraph("dfg", g, lv.NumIDs)); err != nil {
-				return nil, fmt.Errorf("compile: dfg: %w", err)
+				return nil, -1, fmt.Errorf("compile: dfg: %w", err)
 			}
 		}
-		ck.DFGs = append(ck.DFGs, g)
+		if fits != nil && !fits(g) {
+			return nil, bi, nil
+		}
+		dfgs[bi] = g
 	}
-	return ck, nil
+	return &CompiledKernel{Kernel: k, LV: lv, DFGs: dfgs, IPDom: ImmPostDoms(k)}, -1, nil
 }

@@ -1,76 +1,95 @@
 package compile
 
-import "vgiw/internal/kir"
+import (
+	"math/bits"
+
+	"vgiw/internal/kir"
+)
+
+// RegSet is a set of registers, one bit per register of the kernel.
+type RegSet []uint64
+
+// Has reports whether r is in the set.
+func (s RegSet) Has(r kir.Reg) bool { return s[r>>6]&(1<<(r&63)) != 0 }
+
+func (s RegSet) add(r kir.Reg) { s[r>>6] |= 1 << (r & 63) }
+
+// both lists the registers in a and in b, in ascending order.
+func both(a, b RegSet) []kir.Reg {
+	var rs []kir.Reg
+	for i, w := range a {
+		for w &= b[i]; w != 0; w &= w - 1 {
+			rs = append(rs, kir.Reg(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return rs
+}
 
 // BlockFlow summarizes one block's register dataflow.
 type BlockFlow struct {
 	// UpwardUse holds registers read before any definition in the block
 	// (they must arrive from a predecessor).
-	UpwardUse map[kir.Reg]bool
+	UpwardUse RegSet
 	// Def holds registers defined anywhere in the block.
-	Def map[kir.Reg]bool
+	Def RegSet
 	// LiveIn / LiveOut are the fixed-point liveness sets.
-	LiveIn, LiveOut map[kir.Reg]bool
+	LiveIn, LiveOut RegSet
 }
 
 // Liveness computes classic backward liveness over the kernel CFG. The
 // terminator's condition register counts as a use at the end of its block.
 func Liveness(k *kir.Kernel) []BlockFlow {
 	n := len(k.Blocks)
+	words := (k.NumRegs + 63) / 64
+	sets := make(RegSet, 4*n*words)
+	next := func() RegSet {
+		s := sets[:words:words]
+		sets = sets[words:]
+		return s
+	}
 	flows := make([]BlockFlow, n)
 	for bi, b := range k.Blocks {
-		f := BlockFlow{
-			UpwardUse: make(map[kir.Reg]bool),
-			Def:       make(map[kir.Reg]bool),
-			LiveIn:    make(map[kir.Reg]bool),
-			LiveOut:   make(map[kir.Reg]bool),
-		}
+		f := BlockFlow{UpwardUse: next(), Def: next(), LiveIn: next(), LiveOut: next()}
 		for _, in := range b.Instrs {
 			for i := 0; i < in.Op.NumSrc(); i++ {
-				if r := in.Src[i]; !f.Def[r] {
-					f.UpwardUse[r] = true
+				if r := in.Src[i]; !f.Def.Has(r) {
+					f.UpwardUse.add(r)
 				}
 			}
 			if in.Op.HasDst() {
-				f.Def[in.Dst] = true
+				f.Def.add(in.Dst)
 			}
 		}
 		if b.Term.Kind == kir.TermBranch {
-			if r := b.Term.Cond; !f.Def[r] {
-				f.UpwardUse[r] = true
+			if r := b.Term.Cond; !f.Def.Has(r) {
+				f.UpwardUse.add(r)
 			}
 		}
 		flows[bi] = f
 	}
 
+	// LiveOut is the union of the successors' LiveIn, and LiveIn is
+	// UpwardUse plus whatever passes through undefined. Both only grow, so
+	// the sweep reaches the least fixed point.
 	changed := true
 	for changed {
 		changed = false
 		for bi := n - 1; bi >= 0; bi-- {
 			f := &flows[bi]
 			for _, s := range k.Blocks[bi].Term.Succs() {
-				for r := range flows[s].LiveIn {
-					if !f.LiveOut[r] {
-						f.LiveOut[r] = true
+				for i, w := range flows[s].LiveIn {
+					if w&^f.LiveOut[i] != 0 {
+						f.LiveOut[i] |= w
 						changed = true
 					}
 				}
 			}
-			for r := range f.UpwardUse {
-				if !f.LiveIn[r] {
-					f.LiveIn[r] = true
+			for i, w := range f.UpwardUse {
+				if w |= f.LiveOut[i] &^ f.Def[i]; w&^f.LiveIn[i] != 0 {
+					f.LiveIn[i] |= w
 					changed = true
 				}
 			}
-			for r := range f.LiveOut {
-				if !f.Def[r] && !f.LiveIn[r] {
-					f.LiveIn[r] = true
-					changed = true
-				}
-			}
-			// A register used after a redefinition point inside the block
-			// is not upward-exposed; handled by UpwardUse above. A register
-			// that is live-out and also defined needs no LiveIn entry.
 		}
 	}
 	return flows
@@ -80,9 +99,9 @@ func Liveness(k *kir.Kernel) []BlockFlow {
 // that crosses a basic-block boundary gets a live-value ID, and each block
 // records which live values it must load from and store to the LVC.
 type LiveValues struct {
-	// IDOf maps a register to its live-value ID; registers that never
-	// cross a block boundary are absent.
-	IDOf map[kir.Reg]int
+	// IDOf[r] is register r's live-value ID, or -1 for a register that
+	// never crosses a block boundary.
+	IDOf []int
 	// NumIDs is the number of allocated live-value IDs.
 	NumIDs int
 	// Loads[b] lists registers block b must fetch from the LVC (sorted).
@@ -99,41 +118,31 @@ type LiveValues struct {
 func AllocateLiveValues(k *kir.Kernel) *LiveValues {
 	flows := Liveness(k)
 	lv := &LiveValues{
-		IDOf:   make(map[kir.Reg]int),
+		IDOf:   make([]int, k.NumRegs),
 		Loads:  make([][]kir.Reg, len(k.Blocks)),
 		Stores: make([][]kir.Reg, len(k.Blocks)),
 	}
-	assign := func(r kir.Reg) {
-		if _, ok := lv.IDOf[r]; !ok {
-			lv.IDOf[r] = lv.NumIDs
-			lv.NumIDs++
+	for r := range lv.IDOf {
+		lv.IDOf[r] = -1
+	}
+	assign := func(rs []kir.Reg) {
+		for _, r := range rs {
+			if lv.IDOf[r] < 0 {
+				lv.IDOf[r] = lv.NumIDs
+				lv.NumIDs++
+			}
 		}
 	}
 	for bi := range k.Blocks {
 		f := &flows[bi]
-		// Loads: upward-exposed uses that are live-in.
-		for r := range f.UpwardUse {
-			if f.LiveIn[r] {
-				lv.Loads[bi] = append(lv.Loads[bi], r)
-			}
-		}
-		// Stores: definitions that are live-out.
-		for r := range f.Def {
-			if f.LiveOut[r] {
-				lv.Stores[bi] = append(lv.Stores[bi], r)
-			}
-		}
-		sortRegs(lv.Loads[bi])
-		sortRegs(lv.Stores[bi])
-		// Assign IDs from the sorted lists, not the map iterations above:
-		// the numbering must be a pure function of the kernel (block order,
-		// then register order) so repeated compiles agree bit-for-bit.
-		for _, r := range lv.Loads[bi] {
-			assign(r)
-		}
-		for _, r := range lv.Stores[bi] {
-			assign(r)
-		}
+		// Loads: upward-exposed uses that are live-in. Stores: definitions
+		// that are live-out. Both come out in register order, so the IDs,
+		// assigned in block order and then register order, are a pure
+		// function of the kernel and repeated compiles agree bit-for-bit.
+		lv.Loads[bi] = both(f.UpwardUse, f.LiveIn)
+		lv.Stores[bi] = both(f.Def, f.LiveOut)
+		assign(lv.Loads[bi])
+		assign(lv.Stores[bi])
 	}
 	return lv
 }

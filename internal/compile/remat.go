@@ -15,10 +15,13 @@ import "vgiw/internal/kir"
 // that definition is a zero-input opcode. The pass runs before liveness, so
 // rematerialized registers simply stop being live across blocks.
 func Rematerialize(k *kir.Kernel) {
-	// Count definitions and remember the single defining instruction.
-	defCount := make(map[kir.Reg]int)
-	defInstr := make(map[kir.Reg]kir.Instr)
-	defBlock := make(map[kir.Reg]int)
+	// Count definitions and remember the single defining instruction. Fresh
+	// registers only appear in blocks already rewritten, so the tables
+	// cover every register a later block reads.
+	n := k.NumRegs
+	defCount := make([]int, n)
+	defInstr := make([]kir.Instr, n)
+	defBlock := make([]int, n)
 	for bi, b := range k.Blocks {
 		for _, in := range b.Instrs {
 			if !in.Op.HasDst() {
@@ -29,88 +32,66 @@ func Rematerialize(k *kir.Kernel) {
 			defBlock[in.Dst] = bi
 		}
 	}
-	remat := func(r kir.Reg) (kir.Instr, bool) {
-		if defCount[r] != 1 {
-			return kir.Instr{}, false
-		}
-		in := defInstr[r]
-		if in.Op.NumSrc() != 0 {
-			return kir.Instr{}, false
-		}
-		switch {
-		case in.Op == kir.OpConst, in.Op == kir.OpParam, in.Op.IsGeometry():
-			return in, true
-		}
-		return kir.Instr{}, false
+	remat := func(r kir.Reg) bool {
+		op := defInstr[r].Op
+		return defCount[r] == 1 && (op == kir.OpConst || op == kir.OpParam || op.IsGeometry())
 	}
 
+	// needed[r] holds the stamp bi+1 while block bi rewrites r, so no block
+	// clears or allocates the per-block tables.
+	needed := make([]int, n)
+	replace := make([]kir.Reg, n)
+	var order []kir.Reg
 	for bi, b := range k.Blocks {
-		// Find upward-exposed rematerializable uses.
-		defined := make(map[kir.Reg]bool)
-		needed := make(map[kir.Reg]kir.Instr)
+		stamp := bi + 1
+		// Find upward-exposed rematerializable uses. A qualifying register
+		// has one definition, so one defined in this block is local
+		// (regardless of position, since builders emit defs before uses).
+		order = order[:0]
 		noteUse := func(r kir.Reg) {
-			if defined[r] || defBlock[r] == bi && defCount[r] == 1 {
-				// Defined locally before use (conservatively: single def in
-				// this block counts as local regardless of position, since
-				// builders emit defs before uses).
-				return
-			}
-			if in, ok := remat(r); ok {
-				needed[r] = in
+			if defBlock[r] != bi && needed[r] != stamp && remat(r) {
+				needed[r] = stamp
+				order = append(order, r)
 			}
 		}
 		for _, in := range b.Instrs {
 			for i := 0; i < in.Op.NumSrc(); i++ {
 				noteUse(in.Src[i])
 			}
-			if in.Op.HasDst() {
-				defined[in.Dst] = true
-			}
 		}
 		if b.Term.Kind == kir.TermBranch {
 			noteUse(b.Term.Cond)
 		}
-		if len(needed) == 0 {
+		if len(order) == 0 {
 			continue
 		}
 		// Prepend fresh definitions and rewrite the block's uses. Fresh
-		// register numbers are handed out in sorted source-register order —
-		// map iteration order would leak into the numbering and make
-		// repeated compiles disagree.
-		order := make([]kir.Reg, 0, len(needed))
-		for r := range needed {
-			order = append(order, r)
-		}
+		// register numbers are handed out in sorted source-register order,
+		// so the numbering is a pure function of the kernel.
 		sortRegs(order)
-		replace := make(map[kir.Reg]kir.Reg, len(needed))
-		prefix := make([]kir.Instr, 0, len(needed))
+		rewritten := make([]kir.Instr, 0, len(order)+len(b.Instrs))
 		for _, r := range order {
-			in := needed[r]
-			nr := kir.Reg(k.NumRegs)
+			in := defInstr[r]
+			in.Dst = kir.Reg(k.NumRegs)
 			k.NumRegs++
-			in.Dst = nr
-			prefix = append(prefix, in)
-			replace[r] = nr
+			rewritten = append(rewritten, in)
+			replace[r] = in.Dst
 		}
-		rewritten := make([]kir.Instr, 0, len(prefix)+len(b.Instrs))
-		rewritten = append(rewritten, prefix...)
-		local := make(map[kir.Reg]bool)
+		rewrite := func(r kir.Reg) kir.Reg {
+			if needed[r] == stamp {
+				return replace[r]
+			}
+			return r
+		}
 		for _, in := range b.Instrs {
 			for i := 0; i < in.Op.NumSrc(); i++ {
-				if nr, ok := replace[in.Src[i]]; ok && !local[in.Src[i]] {
-					in.Src[i] = nr
-				}
+				in.Src[i] = rewrite(in.Src[i])
 			}
 			rewritten = append(rewritten, in)
-			if in.Op.HasDst() {
-				local[in.Dst] = true
-			}
 		}
 		b.Instrs = rewritten
 		if b.Term.Kind == kir.TermBranch {
-			if nr, ok := replace[b.Term.Cond]; ok && !local[b.Term.Cond] {
-				b.Term.Cond = nr
-			}
+			b.Term.Cond = rewrite(b.Term.Cond)
 		}
 	}
 }

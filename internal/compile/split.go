@@ -15,24 +15,16 @@ import (
 // pays the same way when partitioning large kernels.
 //
 // The split point starts at the instruction midpoint and the pass iterates
-// until every block fits or no further split is possible.
+// until every block fits or no further split is possible. A round builds
+// graphs only up to the first block that does not fit, the one it splits;
+// the later graphs and the post-dominators are built once every block fits.
 func CompileFitted(k *kir.Kernel, fits func(*BlockDFG) bool, opts ...Option) (*CompiledKernel, error) {
 	o := buildOptions(opts)
 	const maxRounds = 256
 	for round := 0; ; round++ {
-		ck, err := Compile(k, opts...)
-		if err != nil {
-			return nil, err
-		}
-		oversized := -1
-		for bi, g := range ck.DFGs {
-			if !fits(g) {
-				oversized = bi
-				break
-			}
-		}
-		if oversized < 0 {
-			return ck, nil
+		ck, oversized, err := o.compile(k, fits)
+		if err != nil || ck != nil {
+			return ck, err
 		}
 		if round >= maxRounds {
 			return nil, fmt.Errorf("compile: kernel %s still has oversized blocks after %d splits", k.Name, maxRounds)

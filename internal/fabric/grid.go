@@ -79,7 +79,7 @@ type Unit struct {
 type Grid struct {
 	cfg     Config
 	Units   []Unit
-	byClass map[kir.UnitClass][]int
+	byClass [kir.NumUnitClasses][]int // unit IDs of each class, ascending
 }
 
 // NewGrid lays the configured unit mix onto the grid. LDST and LVU units
@@ -90,7 +90,7 @@ func NewGrid(cfg Config) (*Grid, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Grid{cfg: cfg, byClass: make(map[kir.UnitClass][]int)}
+	g := &Grid{cfg: cfg}
 
 	// Collect perimeter and interior coordinates deterministically.
 	type pos struct{ x, y int }
@@ -122,12 +122,11 @@ func NewGrid(cfg Config) (*Grid, error) {
 
 	// Interior (plus any perimeter slack): interleave the remaining
 	// classes proportionally.
-	remaining := map[kir.UnitClass]int{
-		kir.ClassALU: cfg.NumALU,
-		kir.ClassSCU: cfg.NumSCU,
-		kir.ClassSJU: cfg.NumSJU,
-		kir.ClassCVU: cfg.NumCVU,
-	}
+	var remaining [kir.NumUnitClasses]int
+	remaining[kir.ClassALU] = cfg.NumALU
+	remaining[kir.ClassSCU] = cfg.NumSCU
+	remaining[kir.ClassSJU] = cfg.NumSJU
+	remaining[kir.ClassCVU] = cfg.NumCVU
 	order := []kir.UnitClass{kir.ClassALU, kir.ClassCVU, kir.ClassALU, kir.ClassSJU, kir.ClassALU, kir.ClassSCU}
 	var mixed []kir.UnitClass
 	for len(mixed) < cfg.NumALU+cfg.NumSCU+cfg.NumSJU+cfg.NumCVU {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vgiw/internal/compile"
+	"vgiw/internal/kir"
 )
 
 // Placement maps every node of every replica of a dataflow graph to a
@@ -39,15 +40,14 @@ type Placement struct {
 // the minimum over unit classes of available/needed, capped by the
 // configured maximum. Zero means the graph does not fit at all.
 func MaxReplicasFor(g *Grid, graph *compile.BlockDFG) int {
-	counts := graph.ClassCounts()
+	var counts [kir.NumUnitClasses]int
+	for _, n := range graph.Nodes {
+		counts[n.Class()]++
+	}
 	r := g.cfg.MaxReplicas
 	for cl, need := range counts {
-		if need == 0 {
-			continue
-		}
-		avail := len(g.byClass[cl])
-		if avail/need < r {
-			r = avail / need
+		if need > 0 && len(g.byClass[cl])/need < r {
+			r = len(g.byClass[cl]) / need
 		}
 	}
 	return r
@@ -55,9 +55,8 @@ func MaxReplicasFor(g *Grid, graph *compile.BlockDFG) int {
 
 // Place maps `replicas` copies of the graph onto the grid. Nodes are placed
 // in topological order; each node takes the free unit of its class that
-// minimizes the summed distance to its already-placed producers (and, for
-// the initiator, a spread across the grid). Place fails if the replicas
-// exceed capacity.
+// minimizes the summed distance to its already-placed producers, the first
+// such unit on a tie. Place fails if the replicas exceed capacity.
 func Place(g *Grid, graph *compile.BlockDFG, replicas int) (*Placement, error) {
 	if replicas < 1 {
 		return nil, fmt.Errorf("fabric: need at least one replica")
@@ -68,15 +67,19 @@ func Place(g *Grid, graph *compile.BlockDFG, replicas int) (*Placement, error) {
 	}
 
 	p := &Placement{Graph: graph, Replicas: replicas}
-	free := make(map[int]bool, len(g.Units))
-	for _, u := range g.Units {
-		free[u.ID] = true
+	free := make([]bool, len(g.Units))
+	for u := range free {
+		free[u] = true
 	}
 
 	totalHops, totalEdges := int64(0), 0
 	for r := 0; r < replicas; r++ {
 		unitOf := make([]int, len(graph.Nodes))
 		for _, n := range graph.Nodes {
+			// Every edge costs at least one cycle (Hops' minimum), so no
+			// candidate beats one at floor and the scan stops there. The
+			// initiator has no producers and takes the first free unit.
+			floor := int64(len(n.In) + len(n.CtlIn))
 			best, bestCost := -1, int64(1<<62)
 			for _, cand := range g.byClass[n.Class()] {
 				if !free[cand] {
@@ -89,14 +92,11 @@ func Place(g *Grid, graph *compile.BlockDFG, replicas int) (*Placement, error) {
 				for _, in := range n.CtlIn {
 					cost += g.Hops(unitOf[in], cand)
 				}
-				if len(n.In)+len(n.CtlIn) == 0 {
-					// Root nodes (the initiator): spread replicas out by
-					// preferring the unit farthest from origin-placed
-					// replicas — cheap heuristic: any free unit works.
-					cost = 0
-				}
 				if cost < bestCost {
 					best, bestCost = cand, cost
+					if cost == floor {
+						break
+					}
 				}
 			}
 			if best < 0 {

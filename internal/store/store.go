@@ -292,7 +292,7 @@ func (s *Store) PutSnapshot(name string, reg *trace.Registry, scale int) error {
 		return nil
 	}
 	var buf strings.Builder
-	if err := reg.WriteSnapshot(&buf, scale); err != nil {
+	if _, err := reg.WriteSnapshot(&buf, scale); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	return s.writeAtomic(filepath.Join(s.dir, name+".snapshot.json"), []byte(buf.String()))

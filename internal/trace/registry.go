@@ -194,24 +194,25 @@ type Snapshot struct {
 }
 
 // WriteSnapshot emits the registry as a single line of JSON under the
-// current metrics schema version.
-func (r *Registry) WriteSnapshot(w io.Writer, scale int) error {
+// current metrics schema version and returns the number of series written
+// (a histogram writes five).
+func (r *Registry) WriteSnapshot(w io.Writer, scale int) (int, error) {
 	snap := Snapshot{Schema: MetricsSchema, Scale: scale, Metrics: r.Flat()}
 	if snap.Metrics == nil {
 		snap.Metrics = map[string]uint64{}
 	}
 	b, err := json.Marshal(snap)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(b); err != nil {
-		return err
+		return 0, err
 	}
 	if err := bw.WriteByte('\n'); err != nil {
-		return err
+		return 0, err
 	}
-	return bw.Flush()
+	return len(snap.Metrics), bw.Flush()
 }
 
 // ReadSnapshot parses a snapshot produced by WriteSnapshot, rejecting

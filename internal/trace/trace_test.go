@@ -237,8 +237,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	r.Add("suite/kernels", 15)
 	r.Observe("bfs.kernel1/vgiw.block_threads", 64)
 	var buf bytes.Buffer
-	if err := r.WriteSnapshot(&buf, 2); err != nil {
-		t.Fatal(err)
+	if n, err := r.WriteSnapshot(&buf, 2); err != nil || n != 6 {
+		t.Fatalf("wrote %d series (%v), want the counter and five histogram series", n, err)
 	}
 	if n := strings.Count(strings.TrimRight(buf.String(), "\n"), "\n"); n != 0 {
 		t.Fatalf("snapshot is %d+1 lines, want exactly one", n+1)
@@ -268,8 +268,8 @@ func TestNilRegistryIsSafe(t *testing.T) {
 		t.Fatal("nil registry must be empty")
 	}
 	var buf bytes.Buffer
-	if err := r.WriteSnapshot(&buf, 1); err != nil {
-		t.Fatal(err)
+	if n, err := r.WriteSnapshot(&buf, 1); err != nil || n != 0 {
+		t.Fatalf("wrote %d series (%v) from a nil registry", n, err)
 	}
 	if _, err := ReadSnapshot(buf.Bytes()); err != nil {
 		t.Fatal(err)
